@@ -30,7 +30,7 @@ from .runner import (
     write_report_csv,
     write_report_json,
 )
-from .toeplitz import assemble_toeplitz, schatten_norm, spectrum, spectrum_to_json
+from .toeplitz import assemble_toeplitz, spectrum, spectrum_to_json
 from .weights import certify_class_L, weight_from_json
 
 
@@ -111,9 +111,7 @@ def _cmd_toeplitz(args) -> int:
     tm = assemble_toeplitz(bt, mu, args.dim)
     rep = spectrum(tm)
     ps = [float(p) for p in args.p.split(",")]
-    payload = spectrum_to_json(rep, ps=ps)
-    payload["schatten_norms"] = {str(p): schatten_norm(rep, p) for p in ps}
-    _emit(payload)
+    _emit(spectrum_to_json(rep, ps=ps))
     return 0
 
 

@@ -282,7 +282,7 @@ class LatticeCertification:
         )
 
 
-def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> Lattice | LatticeCertification:
+def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertification:
     """Re-run separation/covering/multiplicity checks on a built lattice."""
     w = lat.weight
     pts = lat.points

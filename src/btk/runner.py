@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -280,35 +280,18 @@ def sweep_family(s: Scenario, parameter: str, values, cache_dir=None) -> list[di
     table = []
     for v in values:
         if parameter == "alpha":
-            sv = Scenario(
+            sv = replace(
+                s,
                 scenario_id=f"{s.scenario_id}-alpha{v:g}",
                 weight=make_exponential_weight(v),
-                measures=s.measures,
                 delta=None,
-                r_max_ladder=s.r_max_ladder,
-                dim=s.dim,
-                ps=s.ps,
-                checks=s.checks,
-                degree_max=s.degree_max,
-                lattice_r_max=s.lattice_r_max,
-                windows=s.windows,
             )
         elif parameter in ("dim", "delta"):
-            kwargs = {
-                "scenario_id": f"{s.scenario_id}-{parameter}{v:g}",
-                "weight": s.weight,
-                "measures": s.measures,
-                "delta": s.delta,
-                "r_max_ladder": s.r_max_ladder,
-                "dim": s.dim,
-                "ps": s.ps,
-                "checks": s.checks,
-                "degree_max": s.degree_max,
-                "lattice_r_max": s.lattice_r_max,
-                "windows": s.windows,
-            }
-            kwargs[parameter] = v if parameter == "delta" else int(v)
-            sv = Scenario(**kwargs)
+            sv = replace(
+                s,
+                scenario_id=f"{s.scenario_id}-{parameter}{v:g}",
+                **{parameter: v if parameter == "delta" else int(v)},
+            )
         else:
             raise ParameterError(f"unsupported sweep parameter {parameter!r}")
         for row in run_scenario(sv, cache_dir=cache_dir):

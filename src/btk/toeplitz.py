@@ -5,9 +5,12 @@ structures:
 
 * ``diagonal`` — radial measures; the angular integral kills off-diagonals
   analytically and the diagonal reduces to a radial moment integral.
-* ``finite_rank`` — atomic measures; the J x J Gram matrix
-  M_jk = sqrt(m_j w(xi_j) m_k w(xi_k)) K_{xi_k}(xi_j) carries the full
-  nonzero spectrum with no basis truncation.
+* ``finite_rank`` — atomic measures; with the weighted basis columns
+  Y[n, k] = e_n(xi_k) sqrt(m_k omega(xi_k)) over every degree of the table,
+  the J x J Gram matrix Y^H Y (entry (j, k) is
+  sqrt(m_j omega(xi_j) m_k omega(xi_k)) K_{xi_j}(xi_k)) carries the full
+  nonzero spectrum with no basis truncation, and the dim-row factor Y[:dim]
+  gives the truncated matrix conj(Y) Y^T without forming it.
 * ``dense`` — generic (grid) measures, or truncated validation assemblies of
   the other two.
 """
@@ -42,17 +45,22 @@ class ToeplitzMatrix:
     structure: str                      # "diagonal" | "finite_rank" | "dense"
     diag: np.ndarray | None = None      # (dim,) real, radial fast path
     gram: np.ndarray | None = None      # (J, J) Hermitian, atomic fast path
+    factor: np.ndarray | None = None    # (dim, J) Y[:dim], atomic fast path
     dense: np.ndarray | None = None     # (dim, dim) Hermitian
 
     def entries(self) -> np.ndarray:
         """The dim x dim Hermitian matrix (truncated for finite_rank)."""
         if self.structure == "diagonal":
             return np.diag(self.diag.astype(complex))
+        if self.structure == "finite_rank":
+            return _hermitianize(self.factor.conj() @ self.factor.T)
         return self.dense
 
     def matrix_trace(self) -> float:
         if self.structure == "diagonal":
             return float(np.sum(self.diag))
+        if self.structure == "finite_rank":
+            return float(np.sum(np.abs(self.factor) ** 2))
         return float(np.trace(self.dense).real)
 
 
@@ -64,16 +72,21 @@ def _basis_columns(bt: BasisTable, pts: np.ndarray, dim: int) -> np.ndarray:
     """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)), computed in log space."""
     pts = np.asarray(pts, dtype=complex)
     n = np.arange(dim)
+    # one complex array exponentiated in place: the finite-rank Gram asks for
+    # every degree of the table, where (degree_max+1) x J temporaries would
+    # set its peak memory
+    u = np.empty((dim, pts.size), dtype=complex)
+    np.multiply.outer(n, np.angle(pts), out=u.imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.where(pts == 0, -np.inf, np.log(np.abs(pts)))
-        log_mag = (
+        u.real = (
             n[:, None] * log_abs[None, :]
             - _log_sqrt_h(bt, dim)[:, None]
             - bt.weight.phi(np.abs(pts))[None, :]
         )
-    log_mag = np.where(np.isnan(log_mag), -np.inf, log_mag)
-    ang = n[:, None] * np.angle(pts)[None, :]
-    u = np.exp(log_mag) * np.exp(1j * ang)
+        # 0 * log 0 is nan in the n = 0 row of a zero point; that column is
+        # overwritten below
+        np.exp(u, out=u)
     if np.any(pts == 0):
         zero = pts == 0
         u[:, zero] = 0.0
@@ -100,18 +113,17 @@ def _assemble_diagonal(bt: BasisTable, mu: RadialDensityMeasure, dim: int):
 
 def _assemble_finite_rank(bt: BasisTable, mu: AtomicMeasure, dim: int):
     pts = mu.points
-    j_count = len(pts)
-    log_scale = 0.5 * (np.log(mu.masses) + bt.weight.log_weight(np.abs(pts)))
-    gram = np.empty((j_count, j_count), dtype=complex)
-    for j in range(j_count):
-        for k in range(j, j_count):
-            la, ph = kernel(bt, pts[k], pts[j])
-            val = np.exp(log_scale[j] + log_scale[k] + la) * np.exp(1j * ph)
-            gram[j, k] = np.conj(val)
-            gram[k, j] = val
-        gram[j, j] = gram[j, j].real
-    return ToeplitzMatrix(bt, dim, "finite_rank", gram=gram,
-                          dense=_atomic_dense(bt, mu, dim))
+    # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
+    # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
+    # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
+    # modulus is the worst: checking it raises TruncationError exactly when
+    # some pair's series is inadequate.
+    outer = pts[np.argmax(np.abs(pts))]
+    kernel(bt, outer, outer)
+    y = _basis_columns(bt, pts, bt.degree_max + 1)
+    y *= np.sqrt(mu.masses)
+    gram = _hermitianize(y.conj().T @ y)
+    return ToeplitzMatrix(bt, dim, "finite_rank", gram=gram, factor=y[:dim].copy())
 
 
 def _weighted_outer(u: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -287,6 +299,8 @@ def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
     v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
     if tm.structure == "diagonal":
         return float(np.dot(tm.diag, np.abs(v) ** 2))
+    if tm.structure == "finite_rank":
+        return float(np.sum(np.abs(tm.factor.T @ v) ** 2))
     return float(np.real(np.vdot(v, tm.dense @ v)))
 
 

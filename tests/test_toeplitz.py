@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btk
-from btk.basis import kernel_norm_sq
-from btk.errors import DomainError, ParameterError, PSDViolationError
+from btk.basis import kernel, kernel_norm_sq
+from btk.errors import (
+    ConvergenceError,
+    DomainError,
+    ParameterError,
+    PSDViolationError,
+    TruncationError,
+)
 from btk.jacobi import jacobi_eigvalsh
 from btk.measures import (
     AtomicMeasure,
@@ -35,11 +41,17 @@ def _random_hermitian(rng, n):
 
 
 def test_jacobi_matches_lapack_oracle(rng):
-    for n in (1, 2, 3, 8, 16, 33):
+    # even and odd sizes: odd n pairs one index with a phantom each round
+    for n in (1, 2, 3, 4, 5, 8, 16, 33, 64, 65):
         a = _random_hermitian(rng, n)
         got = jacobi_eigvalsh(a)
         want = np.linalg.eigvalsh(a)
         np.testing.assert_allclose(got, want, atol=1e-11 * max(np.abs(want)))
+
+
+def test_jacobi_raises_when_sweeps_run_out(rng):
+    with pytest.raises(ConvergenceError):
+        jacobi_eigvalsh(_random_hermitian(rng, 16), max_sweeps=1)
 
 
 def test_jacobi_trivial_matrices():
@@ -97,6 +109,50 @@ def test_rank_one_atom_exact_eigenvalue(bt400, w1):
     )
     assert rep.eigenvalues[0] == pytest.approx(expect, rel=1e-10)
     assert np.all(rep.eigenvalues[1:] == 0.0)
+
+
+def test_finite_rank_gram_matches_per_pair_kernel_loop(bt400, w1):
+    # oracle: one kernel() series per pair, independent of the basis-column
+    # product; the atom at 0 takes the zero-point branch of the columns
+    pts = np.array([0.3, -0.15 + 0.2j, 0.6j, 0.0, 0.8 * np.exp(2.0j)])
+    masses = np.array([1.0, 0.6, 0.25, 0.5, 0.1])
+    tm = assemble_toeplitz(bt400, AtomicMeasure(pts, masses), 64)
+    log_scale = 0.5 * (np.log(masses) + w1.log_weight(np.abs(pts)))
+    oracle = np.empty((len(pts), len(pts)), dtype=complex)
+    for j, xj in enumerate(pts):
+        for k, xk in enumerate(pts):
+            la, ph = kernel(bt400, xj, xk)
+            oracle[j, k] = np.exp(log_scale[j] + log_scale[k] + la + 1j * ph)
+    np.testing.assert_allclose(tm.gram, oracle, rtol=1e-13)
+
+
+def test_finite_rank_factor_matches_dense_oracle(bt400):
+    mu = AtomicMeasure([0.3, -0.15 + 0.2j, 0.6j], [1.0, 0.6, 0.25])
+    tm = assemble_toeplitz(bt400, mu, 48)
+    dense = assemble_toeplitz(bt400, mu, 48, structure="dense").dense
+    scale = np.max(np.abs(dense))
+    np.testing.assert_allclose(tm.entries(), dense, atol=1e-14 * scale)
+    assert tm.matrix_trace() == pytest.approx(np.trace(dense).real, rel=1e-13)
+
+
+def _raises_truncation(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except TruncationError:
+        return True
+    return False
+
+
+def test_finite_rank_truncation_guard_matches_every_pair(bt400):
+    # the guard checks the outermost atom against itself only; the series
+    # tail ratio grows with |xi_j xi_k|, so assembly must raise exactly when
+    # some pair's kernel series is inadequate for the table
+    for r_out, inadequate in ((0.9, False), (0.95, True)):
+        pts = [0.3, -0.5 + 0.4j, r_out * np.exp(0.7j)]
+        mu = AtomicMeasure(pts, [1.0, 0.5, 0.25])
+        pair_raises = [_raises_truncation(kernel, bt400, a, b) for a in pts for b in pts]
+        assert any(pair_raises) == inadequate
+        assert _raises_truncation(assemble_toeplitz, bt400, mu, 32) == inadequate
 
 
 def test_atomic_dense_truncation_converges(bt400):
