@@ -46,6 +46,38 @@ def build_basis_table(
     return BasisTable(weight=w, degree_max=degree_max, log_h=log_h, quad_tolerance=tol)
 
 
+def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
+    """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)) for n < n_terms, computed in log space.
+
+    Column k holds the weighted basis at pt_k, so over the first n_terms
+    degrees sum_n |u[n, k]|^2 is omega(pt_k) ||K_pt_k||^2, and for columns u
+    at points p and v at points q, (u^H v)[j, k] is
+    sqrt(omega(p_j) omega(q_k)) K_p_j(q_k).
+    """
+    pts = np.asarray(pts, dtype=complex).ravel()
+    n = np.arange(n_terms)
+    # one complex array exponentiated in place: the finite-rank Gram asks for
+    # every degree of the table, where (degree_max+1) x J temporaries would
+    # set its peak memory
+    u = np.empty((n_terms, pts.size), dtype=complex)
+    np.multiply.outer(n, np.angle(pts), out=u.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = np.where(pts == 0, -np.inf, np.log(np.abs(pts)))
+        u.real = (
+            n[:, None] * log_abs[None, :]
+            - 0.5 * bt.log_h[:n_terms, None]
+            - bt.weight.phi(np.abs(pts))[None, :]
+        )
+        # 0 * log 0 is nan in the n = 0 row of a zero point; that column is
+        # overwritten below
+        np.exp(u, out=u)
+    if np.any(pts == 0):
+        zero = pts == 0
+        u[:, zero] = 0.0
+        u[0, zero] = np.exp(-0.5 * bt.log_h[0] - bt.weight.phi(0.0))
+    return u
+
+
 def _require_in_disk(*zs):
     for z in zs:
         if abs(z) >= 1.0:

@@ -20,11 +20,11 @@ import sys
 
 import numpy as np
 
-from .basis import kernel_norm_sq_many
 from .lattice import build_lattice, certify_lattice, save_lattice
 from .measures import load_measure
 from .runner import (
     cached_basis_table,
+    kernel_ratio_range,
     run_scenario,
     scenario_from_json,
     write_report_csv,
@@ -80,21 +80,17 @@ def _cmd_lattice(args) -> int:
 def _cmd_kernel_check(args) -> int:
     w = _load_weight(args.weight)
     bt = cached_basis_table(w, args.degree)
-    radii = np.linspace(0.0, args.r_max, args.grid)
-    log_ratio = (
-        kernel_norm_sq_many(bt, radii)
-        + w.log_weight(radii)
-        + 2.0 * w.log_tau(radii)
+    ratio_min, ratio_max, spread = kernel_ratio_range(
+        bt, np.linspace(0.0, args.r_max, args.grid)
     )
-    spread = float(np.exp(np.max(log_ratio) - np.min(log_ratio)))
     passed = spread <= args.window
     _emit(
         {
             "grid": args.grid,
             "r_max": args.r_max,
             "degree_max": args.degree,
-            "ratio_min": float(np.exp(np.min(log_ratio))),
-            "ratio_max": float(np.exp(np.max(log_ratio))),
+            "ratio_min": ratio_min,
+            "ratio_max": ratio_max,
             "spread": spread,
             "window": args.window,
             "passed": passed,

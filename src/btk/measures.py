@@ -19,15 +19,21 @@ from typing import Callable
 
 import numpy as np
 
+# kernel_at_points and kernel_norm_sq_many are not called here.  They stay
+# module attributes because the benchmark's traced run (perfbench/layers.py)
+# patches them at this module, as it does radial_log_moments.
 from .basis import (
     BasisTable,
+    basis_columns,
+    kernel,
     kernel_at_points,
+    kernel_norm_sq,
     kernel_norm_sq_many,
     log_normalized_kernel_sq_at,
 )
 from .errors import ConvergenceError, DomainError, ParameterError
 from .lattice import Lattice
-from .quadrature import gauss_legendre_nodes, radial_log_moments
+from .quadrature import gauss_legendre_nodes, gauss_legendre_rule, radial_log_moments
 from .weights import RadialWeight
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,7 @@ class RadialDensityMeasure(Measure):
         full_hi = np.minimum(hi, rho - d)
         has_full = full_hi > lo
         if np.any(has_full):
-            x01, w01 = np.polynomial.legendre.leggauss(n_nodes)
+            x01, w01 = gauss_legendre_rule(n_nodes)
             a = np.full(np.sum(has_full), lo)
             b = full_hi[has_full]
             r_nodes = 0.5 * (b - a)[:, None] * x01[None, :] + 0.5 * (a + b)[:, None]
@@ -177,7 +183,7 @@ class RadialDensityMeasure(Measure):
             with np.errstate(invalid="ignore"):
                 v_lo = np.arccos(np.clip((dd - r_hi[has_arc]) / rr, -1.0, 1.0))
                 v_hi = np.arccos(np.clip((dd - r_lo[has_arc]) / rr, -1.0, 1.0))
-            x01, w01 = np.polynomial.legendre.leggauss(n_nodes)
+            x01, w01 = gauss_legendre_rule(n_nodes)
             v = 0.5 * (v_lo - v_hi)[:, None] * x01[None, :] + 0.5 * (v_lo + v_hi)[:, None]
             wv = 0.5 * (v_lo - v_hi)[:, None] * w01[None, :]
             r_nodes = dd[:, None] - rr[:, None] * np.cos(v)
@@ -294,6 +300,24 @@ class GridDensityMeasure(Measure):
     def disk_mass_many(self, centers, rhos) -> np.ndarray:
         rhos = np.broadcast_to(np.asarray(rhos, dtype=float), np.shape(centers))
         return np.array([self.disk_mass(c, p) for c, p in zip(centers, rhos)])
+
+    def nodes(self):
+        """Cell quadrature: 2x2 interior samples per nonzero cell.
+
+        Each cell is sampled at 1/4 and 3/4 of its radial and angular extent;
+        a sample weighs the cell mass times r / (2 (r_1 + r_2)), its share of
+        the sector's area, so a cell's weights sum to its mass.  Returns flat
+        (nodes, weights), cells in row-major order, four samples per cell.
+        """
+        i, j = np.nonzero(self.cells)
+        offs = np.array([0.25, 0.75])
+        re, te = self.r_edges, self.t_edges
+        rs = re[i, None] + (re[i + 1] - re[i])[:, None] * offs
+        ts = te[j, None] + (te[j + 1] - te[j])[:, None] * offs
+        pts = rs[:, :, None] * np.exp(1j * ts)[:, None, :]
+        rw = rs / np.sum(rs, axis=1, keepdims=True) / 2.0
+        wts = self.cells[i, j][:, None] * np.repeat(rw, 2, axis=1)
+        return pts.ravel(), wts.ravel()
 
     def scaled(self, c: float) -> "GridDensityMeasure":
         return GridDensityMeasure(c * self.cells, r_outer=self.r_outer)
@@ -479,21 +503,19 @@ def _radial_berezin_log_t(bt: BasisTable, mu: RadialDensityMeasure) -> np.ndarra
     return np.log(2.0) + logmom - bt.log_h
 
 
-def berezin_measure(bt: BasisTable, mu: Measure, z: complex,
-                    _log_t_cache: np.ndarray | None = None) -> float:
-    """B(z) = int |k_z(xi)|^2 omega(xi) d mu(xi)."""
+def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
+    """B(z) = int |k_z(xi)|^2 omega(xi) d mu(xi), one kernel series per node.
+
+    The scalar oracle for berezin_many.
+    """
     if abs(z) >= 1.0:
         raise DomainError("z must lie in the open unit disk")
     if mu.is_zero:
         return 0.0
     w = bt.weight
-    if isinstance(mu, AtomicMeasure):
-        log_k2 = log_normalized_kernel_sq_at(bt, z, mu.points)
-        log_w = w.log_weight(np.abs(mu.points))
-        return float(np.sum(mu.masses * np.exp(log_k2 + log_w)))
     if isinstance(mu, RadialDensityMeasure):
         # <T_mu k_z, k_z> for a diagonal symbol: sum t_n |z|^(2n)/h_n / ||K_z||^2
-        log_t = _radial_berezin_log_t(bt, mu) if _log_t_cache is None else _log_t_cache
+        log_t = _radial_berezin_log_t(bt, mu)
         a = abs(z)
         n = np.arange(bt.degree_max + 1)
         if a == 0.0:
@@ -503,65 +525,79 @@ def berezin_measure(bt: BasisTable, mu: Measure, z: complex,
         num = base + log_t
         m = max(np.max(base), np.max(num))
         return float(np.sum(np.exp(num - m)) / np.sum(np.exp(base - m)))
-    if isinstance(mu, GridDensityMeasure):
-        # 2x2 interior samples per cell, area-weighted within the cell
-        re = mu.r_edges
-        te = mu.t_edges
-        total = 0.0
-        offs = np.array([0.25, 0.75])
-        for i in range(mu.nr):
-            row = mu.cells[i]
-            if not row.any():
-                continue
-            rs = re[i] + (re[i + 1] - re[i]) * offs
-            for j in range(mu.ntheta):
-                if row[j] == 0.0:
-                    continue
-                ts = te[j] + (te[j + 1] - te[j]) * offs
-                pts = rs[:, None] * np.exp(1j * ts)[None, :]
-                log_k2 = log_normalized_kernel_sq_at(bt, z, pts.ravel())
-                integ = np.exp(log_k2 + w.log_weight(np.abs(pts.ravel())))
-                wts = np.repeat(rs / np.sum(rs) / 2.0, 2)
-                total += row[j] * float(np.dot(wts, integ))
-        return total
-    raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    if isinstance(mu, AtomicMeasure):
+        pts, wts = mu.points, mu.masses
+    elif isinstance(mu, GridDensityMeasure):
+        pts, wts = mu.nodes()
+    else:
+        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    log_k2 = log_normalized_kernel_sq_at(bt, z, pts)
+    return float(np.sum(wts * np.exp(log_k2 + w.log_weight(np.abs(pts)))))
+
+
+#: entries of one chunk of weighted basis columns in berezin_many (~8 MB)
+_BEREZIN_CHUNK_ENTRIES = 2**19
+
+
+def _berezin_field(bt: BasisTable, mu: Measure):
+    """zs -> B(zs) for a nonzero measure, its basis factor built once.
+
+    The nodes xi_j with weights m_j are the atoms and their masses, or the
+    grid's cell rule.  With u = basis_columns(z) and the node factor
+    Y[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) over every degree of the table,
+    (Y^H u)_j = conj(K_z(xi_j)) sqrt(m_j omega(xi_j) omega(z)) and
+    sum_n |u_n|^2 = omega(z) ||K_z||^2, so
+    B(z) = sum_j |(Y^H u)_j|^2 / sum_n |u_n|^2.  A radial measure has the
+    diagonal symbol t_n instead: B(z) = sum_n t_n |u_n|^2 / sum_n |u_n|^2.
+    """
+    n_terms = bt.degree_max + 1
+    if isinstance(mu, RadialDensityMeasure):
+        y = outer = None
+        t = np.exp(_radial_berezin_log_t(bt, mu))
+    elif isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
+        nodes, wts = (mu.points, mu.masses) if isinstance(mu, AtomicMeasure) else mu.nodes()
+        outer = nodes[np.argmax(np.abs(nodes))]
+        y = basis_columns(bt, nodes, n_terms)
+        y *= np.sqrt(wts)
+    else:
+        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+
+    def field(zs: np.ndarray) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.ravel()
+        if flat.size == 0:
+            return np.zeros(zs.shape)
+        # The tail ratio of a kernel series grows with |w| (see
+        # toeplitz._assemble_finite_rank), so the largest |z| is the worst
+        # point for ||K_z||^2 and, with the largest-modulus node, the worst
+        # pair for K_z(xi): these two checks raise TruncationError exactly
+        # when some point's series is inadequate.
+        z_out = flat[np.argmax(np.abs(flat))]
+        kernel_norm_sq(bt, z_out)
+        if y is not None:
+            kernel(bt, outer, z_out)
+        out = np.empty(flat.shape)
+        for s0 in range(0, flat.size, chunk):
+            u = basis_columns(bt, flat[s0 : s0 + chunk], n_terms)
+            u2 = u.real**2 + u.imag**2
+            if y is None:
+                num = t @ u2
+            else:
+                g = y.conj().T @ u
+                num = np.sum(g.real**2 + g.imag**2, axis=0)
+            out[s0 : s0 + chunk] = num / np.sum(u2, axis=0)
+        return out.reshape(zs.shape)
+
+    return field
 
 
 def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:
-    """Berezin transform at many points, vectorized over z where possible."""
+    """Berezin transform at many points, from the weighted basis factor."""
     zs = np.asarray(zs, dtype=complex)
     if mu.is_zero:
         return np.zeros(zs.shape)
-    w = bt.weight
-    if isinstance(mu, AtomicMeasure):
-        # K_z(xi) = conj(K_xi(z)) lets each atom be swept over all z at once
-        log_norm = kernel_norm_sq_many(bt, np.abs(zs))
-        out = np.zeros(zs.shape)
-        for xi, m in zip(mu.points, mu.masses):
-            la, _ = kernel_at_points(bt, xi, zs)
-            out += m * np.exp(
-                2.0 * la - log_norm + float(w.log_weight(abs(xi)))
-            )
-        return out
-    if isinstance(mu, RadialDensityMeasure):
-        log_t = _radial_berezin_log_t(bt, mu)
-        n = np.arange(bt.degree_max + 1)
-        a = np.abs(zs).ravel()
-        out = np.empty(a.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lw = np.where(a == 0, -np.inf, 2.0 * np.log(a))
-        for s0 in range(0, a.size, 512):
-            lw_c = lw[s0 : s0 + 512]
-            with np.errstate(invalid="ignore"):
-                base = n[None, :] * lw_c[:, None] - bt.log_h[None, :]
-            base[np.isnan(base)] = -np.inf
-            base[lw_c == -np.inf, 0] = -bt.log_h[0]
-            m = np.max(base, axis=1, keepdims=True)
-            num = np.sum(np.exp(base - m + log_t[None, :]), axis=1)
-            den = np.sum(np.exp(base - m), axis=1)
-            out[s0 : s0 + 512] = num / den
-        return out.reshape(zs.shape)
-    return np.array([berezin_measure(bt, mu, z) for z in zs.ravel()]).reshape(zs.shape)
+    return _berezin_field(bt, mu)(zs)
 
 
 def lp_lambda_tau_norm(
@@ -586,17 +622,15 @@ def lp_lambda_tau_norm(
         raise ParameterError("p must be positive")
     if not (0.0 < r_max < 1.0):
         raise DomainError("r_max must lie in (0, 1)")
+    x01, w01 = gauss_legendre_rule(nodes_per_panel)
     prev = None
     panels = panels0
     for _ in range(max_doublings + 1):
         edges = 1.0 - np.geomspace(1.0, 1.0 - r_max, panels + 1)
-        rs, wr = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            x, wq = gauss_legendre_nodes(a, b, nodes_per_panel)
-            rs.append(x)
-            wr.append(wq)
-        r = np.concatenate(rs)
-        wq = np.concatenate(wr)
+        # gauss_legendre_nodes on every panel at once
+        a, b = edges[:-1, None], edges[1:, None]
+        r = (0.5 * (b - a) * x01 + 0.5 * (a + b)).ravel()
+        wq = (0.5 * (b - a) * w01).ravel()
         if radial:
             fp = np.asarray(field(r.astype(complex)), dtype=float) ** p
         else:
@@ -661,7 +695,7 @@ def _atomic_muhat_lp_integral(
     if np.any(overlap):
         return _gridded_muhat_lp_integral(w, mu, delta, p, r_max)
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    x01, w01 = np.polynomial.legendre.leggauss(n_rad)
+    x01, w01 = gauss_legendre_rule(n_rad)
     total = 0.0
     for xi, m in zip(pts, masses):
         rho = _atom_region_radii(w, xi, delta, theta)
@@ -748,10 +782,8 @@ def berezin_lp_norm(
     kw.setdefault("tol", 1e-4)
     kw.setdefault("n_theta", 32)
     radial = isinstance(mu, RadialDensityMeasure)
-
-    def field(zs):
-        return berezin_many(bt, mu, zs)
-
+    # the factor (or the radial symbols t_n) is built once, not per doubling
+    field = _berezin_field(bt, mu)
     return lp_lambda_tau_norm(bt.weight, field, p, r_max, radial=radial, **kw)
 
 

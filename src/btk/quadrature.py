@@ -8,6 +8,8 @@ located first.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
@@ -218,9 +220,21 @@ def simpson_doubling(f, a: float, b: float, tol: float = 1e-9,
     raise ConvergenceError(f"simpson doubling failed to reach tol={tol}")
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

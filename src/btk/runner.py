@@ -154,15 +154,23 @@ def _sample_points(r_cap: float, count: int) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+def kernel_ratio_range(bt: BasisTable, radii: np.ndarray) -> tuple[float, float, float]:
+    """(min, max, max/min) over radii of ||K_r||^2 omega(r) tau(r)^2.
+
+    The kernel-norm estimate says this ratio is bounded above and below, so
+    its spread max/min is the kernel_estimates check.
+    """
+    w = bt.weight
+    log_ratio = kernel_norm_sq_many(bt, radii) + w.log_weight(radii) + 2.0 * w.log_tau(radii)
+    lo, hi = np.min(log_ratio), np.max(log_ratio)
+    return float(np.exp(lo)), float(np.exp(hi)), float(np.exp(hi - lo))
+
+
 def _weight_level_row(s: Scenario, bt: BasisTable, lat: Lattice) -> ReportRow:
     """Checks that depend only on the weight: kernel ratio spread, lattice cert."""
     row = ReportRow(s.scenario_id, "(weight)")
-    w = s.weight
     if "kernel_estimates" in s.checks:
-        radii = np.linspace(0.0, s.lattice_r_max, 200)
-        log_k2 = kernel_norm_sq_many(bt, radii)
-        log_ratio = log_k2 + w.log_weight(radii) + 2.0 * w.log_tau(radii)
-        spread = float(np.exp(np.max(log_ratio) - np.min(log_ratio)))
+        _, _, spread = kernel_ratio_range(bt, np.linspace(0.0, s.lattice_r_max, 200))
         row.quantities["kernel_ratio_spread"] = spread
         row.flags["kernel_estimates"] = spread <= s.windows["kernel_ratio_spread"]
     if "lattice_cert" in s.checks:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisTable, kernel, kernel_norm_sq
+from .basis import BasisTable, basis_columns, kernel, kernel_norm_sq
 from .errors import DomainError, ParameterError, PSDViolationError
 from .jacobi import jacobi_eigvalsh
 from .measures import (
@@ -68,32 +68,6 @@ def _log_sqrt_h(bt: BasisTable, dim: int) -> np.ndarray:
     return 0.5 * bt.log_h[:dim]
 
 
-def _basis_columns(bt: BasisTable, pts: np.ndarray, dim: int) -> np.ndarray:
-    """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)), computed in log space."""
-    pts = np.asarray(pts, dtype=complex)
-    n = np.arange(dim)
-    # one complex array exponentiated in place: the finite-rank Gram asks for
-    # every degree of the table, where (degree_max+1) x J temporaries would
-    # set its peak memory
-    u = np.empty((dim, pts.size), dtype=complex)
-    np.multiply.outer(n, np.angle(pts), out=u.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = np.where(pts == 0, -np.inf, np.log(np.abs(pts)))
-        u.real = (
-            n[:, None] * log_abs[None, :]
-            - _log_sqrt_h(bt, dim)[:, None]
-            - bt.weight.phi(np.abs(pts))[None, :]
-        )
-        # 0 * log 0 is nan in the n = 0 row of a zero point; that column is
-        # overwritten below
-        np.exp(u, out=u)
-    if np.any(pts == 0):
-        zero = pts == 0
-        u[:, zero] = 0.0
-        u[0, zero] = np.exp(-_log_sqrt_h(bt, 1)[0] - bt.weight.phi(0.0))
-    return u
-
-
 def _hermitianize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -120,7 +94,7 @@ def _assemble_finite_rank(bt: BasisTable, mu: AtomicMeasure, dim: int):
     # some pair's series is inadequate.
     outer = pts[np.argmax(np.abs(pts))]
     kernel(bt, outer, outer)
-    y = _basis_columns(bt, pts, bt.degree_max + 1)
+    y = basis_columns(bt, pts, bt.degree_max + 1)
     y *= np.sqrt(mu.masses)
     gram = _hermitianize(y.conj().T @ y)
     return ToeplitzMatrix(bt, dim, "finite_rank", gram=gram, factor=y[:dim].copy())
@@ -132,35 +106,14 @@ def _weighted_outer(u: np.ndarray, wts: np.ndarray) -> np.ndarray:
 
 
 def _atomic_dense(bt: BasisTable, mu: AtomicMeasure, dim: int) -> np.ndarray:
-    u = _basis_columns(bt, mu.points, dim)
+    u = basis_columns(bt, mu.points, dim)
     return _weighted_outer(u, mu.masses)
 
 
 def _grid_dense(bt: BasisTable, mu: GridDensityMeasure, dim: int) -> np.ndarray:
-    # 2x2 interior samples per cell, radially area-weighted, like the Berezin
-    # quadrature for grid measures
-    offs = np.array([0.25, 0.75])
-    pts, wts = [], []
-    re, te = mu.r_edges, mu.t_edges
-    for i in range(mu.nr):
-        row = mu.cells[i]
-        if not row.any():
-            continue
-        rs = re[i] + (re[i + 1] - re[i]) * offs
-        rw = rs / np.sum(rs) / 2.0
-        for j in range(mu.ntheta):
-            if row[j] == 0.0:
-                continue
-            ts = te[j] + (te[j + 1] - te[j]) * offs
-            p = rs[:, None] * np.exp(1j * ts)[None, :]
-            pts.append(p.ravel())
-            wts.append(row[j] * np.repeat(rw, 2))
-    if not pts:
-        return np.zeros((dim, dim), dtype=complex)
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    u = _basis_columns(bt, pts, dim)
-    return _weighted_outer(u, wts)
+    # the grid's cell rule, shared with its Berezin transform
+    pts, wts = mu.nodes()
+    return _weighted_outer(basis_columns(bt, pts, dim), wts)
 
 
 def _radial_dense(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
@@ -184,7 +137,7 @@ def _radial_dense(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
     wq = np.concatenate(wr) * 2.0 * r * mu.g(r) / n_t
     pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     wts = np.repeat(wq, n_t)
-    u = _basis_columns(bt, pts, dim)
+    u = basis_columns(bt, pts, dim)
     return _weighted_outer(u, wts)
 
 

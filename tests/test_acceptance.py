@@ -13,7 +13,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 import btk
-from btk.basis import build_basis_table, kernel, kernel_norm_sq, kernel_norm_sq_many
+from btk.basis import (
+    basis_columns,
+    build_basis_table,
+    kernel,
+    kernel_norm_sq,
+    kernel_norm_sq_many,
+)
 from btk.errors import TruncationError
 from btk.jacobi import jacobi_eigvalsh
 from btk.lattice import build_lattice, certify_lattice, count_in_ball, partition_separated
@@ -32,7 +38,6 @@ from btk.measures import (
 from btk.quadrature import simpson_doubling
 from btk.runner import _sample_points
 from btk.toeplitz import (
-    _basis_columns,
     assemble_toeplitz,
     berezin_operator,
     schatten_norm,
@@ -244,7 +249,7 @@ def test_criterion_05_toeplitz_oracles(bt2000, w1):
     def truncated_nonzero(dim):
         # dense = Y Y^H with Y[n, k] = conj(u[n, k]) sqrt(m_k), so the nonzero
         # spectrum is that of the J x J matrix Y^H Y
-        u = _basis_columns(bt2000, atoms, dim)
+        u = basis_columns(bt2000, atoms, dim)
         g = np.sqrt(np.outer(masses, masses)) * (u.T @ np.conj(u))
         g = 0.5 * (g + g.conj().T)
         return np.sort(jacobi_eigvalsh(g))[::-1]

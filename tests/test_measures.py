@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btk
-from btk.errors import DomainError, ParameterError
+from btk.basis import kernel_at_points, kernel_norm_sq, kernel_norm_sq_many
+from btk.errors import DomainError, ParameterError, TruncationError
 from btk.measures import (
     AtomicMeasure,
     GridDensityMeasure,
@@ -231,6 +232,100 @@ def test_berezin_atomic_formula(bt400, w1):
     la, _ = normalized_kernel(bt400, z, xi)
     expect = m * np.exp(2.0 * la + float(w1.log_weight(abs(xi))))
     assert berezin_measure(bt400, mu, z) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def bt60(w1):
+    """Degree-60 table: its kernel series stop being adequate near |w| = 0.44."""
+    return btk.build_basis_table(w1, 60)
+
+
+def _tail_threshold(bt):
+    """Largest |w| (to bisection precision) where the series passes its tail check."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            kernel_norm_sq(bt, np.sqrt(mid))
+            lo = mid
+        except TruncationError:
+            hi = mid
+    return lo
+
+
+def _per_point_checks_raise(bt, nodes, zs):
+    """The per-point truncation checks that berezin_many's two-call guard replaced."""
+    try:
+        kernel_norm_sq_many(bt, np.abs(zs))
+        for xi in nodes:
+            kernel_at_points(bt, xi, zs)
+    except TruncationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
+@pytest.mark.parametrize("kind", ["atoms", "grid", "z_atomic", "z_radial"])
+def test_berezin_many_guard_matches_per_point_checks(bt60, kind, side):
+    w_crit = _tail_threshold(bt60)
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+    if kind == "atoms":
+        # the pair (outer atom, outer z) crosses the threshold; |z|^2 does not
+        mu = AtomicMeasure([0.9 * np.exp(0.3j), 0.2, -0.5j], [1.0, 0.5, 0.25])
+        nodes = mu.points
+        r_z = side * w_crit / 0.9
+    elif kind == "grid":
+        mu = GridDensityMeasure(np.ones((4, 6)), r_outer=0.95)
+        nodes, _ = mu.nodes()
+        r_z = side * w_crit / np.max(np.abs(nodes))
+    else:
+        # |z|^2 crosses the threshold; every (node, z) pair stays far inside
+        mu = (AtomicMeasure([0.1, 0.05j], [1.0, 1.0]) if kind == "z_atomic"
+              else power_density(2.0))
+        nodes = mu.points if kind == "z_atomic" else []
+        r_z = np.sqrt(side * w_crit)
+    zs = np.concatenate([[0.0], 0.3 * ring, r_z * ring])
+    expect = _per_point_checks_raise(bt60, nodes, zs)
+    assert expect == (side > 1.0)
+    if expect:
+        with pytest.raises(TruncationError):
+            berezin_many(bt60, mu, zs)
+    else:
+        assert np.all(np.isfinite(berezin_many(bt60, mu, zs)))
+
+
+def _cell_rule_loop(mu):
+    """The per-cell loop that GridDensityMeasure.nodes() replaced."""
+    offs = np.array([0.25, 0.75])
+    re, te = mu.r_edges, mu.t_edges
+    pts, wts = [], []
+    for i in range(mu.nr):
+        row = mu.cells[i]
+        if not row.any():
+            continue
+        rs = re[i] + (re[i + 1] - re[i]) * offs
+        rw = rs / np.sum(rs) / 2.0
+        for j in range(mu.ntheta):
+            if row[j] == 0.0:
+                continue
+            ts = te[j] + (te[j + 1] - te[j]) * offs
+            pts.append((rs[:, None] * np.exp(1j * ts)[None, :]).ravel())
+            wts.append(row[j] * np.repeat(rw, 2))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def test_grid_nodes_match_cell_loop(rng):
+    cells = rng.random((5, 7))
+    cells[1] = 0.0
+    cells[3, 2] = 0.0
+    mu = GridDensityMeasure(cells, r_outer=0.9)
+    pts, wts = mu.nodes()
+    ref_pts, ref_wts = _cell_rule_loop(mu)
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert wts.tobytes() == ref_wts.tobytes()
+    assert np.sum(wts) == pytest.approx(mu.total_mass, rel=1e-13)
+    area = GridDensityMeasure.area_measure(nr=12, ntheta=16, r_outer=0.7)
+    assert np.sum(area.nodes()[1]) == pytest.approx(area.total_mass, rel=1e-13)
 
 
 def test_berezin_zero_measure(bt400):

@@ -5,6 +5,7 @@ from btk.errors import DomainError
 from btk.quadrature import (
     disk_nodes,
     gauss_legendre_nodes,
+    gauss_legendre_rule,
     log_monomial_norms,
     radial_log_moments,
     simpson_doubling,
@@ -100,3 +101,17 @@ def test_parameter_validation(w1):
         log_monomial_norms(w1, 5, tol=1e-3)
     with pytest.raises(DomainError):
         radial_log_moments(w1, 5, support=(0.7, 0.2))
+
+
+def test_gauss_legendre_rule_cached_bitwise_and_read_only():
+    for a, b, n in ((0.0, 1.0, 16), (-0.3, 0.7, 5), (0.2, 0.95, 64)):
+        x, w = gauss_legendre_nodes(a, b, n)
+        x0, w0 = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == (0.5 * (b - a) * x0 + 0.5 * (a + b)).tobytes()
+        assert w.tobytes() == (0.5 * (b - a) * w0).tobytes()
+    x, w = gauss_legendre_rule(16)
+    assert gauss_legendre_rule(16)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
