@@ -71,6 +71,7 @@ def _cmd_lattice(args) -> int:
             "covering_misses": cert.covering_misses,
             "probes_checked": cert.probes_checked,
             "multiplicity_observed": cert.multiplicity_observed,
+            "repairs_failed": lat.repairs_failed,
             "passed": cert.passed,
         }
     )

@@ -8,6 +8,7 @@ A low-discrepancy probe pass then repairs any residual coverage slivers.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,6 +21,9 @@ from .weights import RadialWeight
 
 _GOLDEN = 0.6180339887498949
 _SEP_SLACK = 1.0 - 1e-12
+# ball and pair queries use radii widened by this factor, so that the exact
+# comparisons on the returned pairs, not the tree's rounding, decide
+_BALL_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,7 @@ class Lattice:
     points: np.ndarray            # complex, construction order, points[0] == 0
     multiplicity_observed: int
     taus: np.ndarray = field(repr=False)  # tau(|z_j|), cached
+    repairs_failed: int = 0       # repair insertions that found no position
 
     def __len__(self) -> int:
         return len(self.points)
@@ -42,6 +47,7 @@ class Lattice:
             "r_max": self.r_max,
             "weight": self.weight.to_json(),
             "multiplicity_observed": self.multiplicity_observed,
+            "repairs_failed": self.repairs_failed,
             "points": [[float(p.real), float(p.imag)] for p in self.points],
         }
 
@@ -55,6 +61,7 @@ def lattice_from_json(data: dict, w: RadialWeight) -> Lattice:
         points=pts,
         multiplicity_observed=int(data.get("multiplicity_observed", -1)),
         taus=w.tau(np.abs(pts)),
+        repairs_failed=int(data.get("repairs_failed", 0)),
     )
 
 
@@ -88,56 +95,79 @@ def _probe_points(r_max: float, count: int) -> np.ndarray:
 
 
 class _GreedyState:
-    """Accepted points with a periodically rebuilt KD-tree plus a live buffer."""
+    """Accepted points with a periodically rebuilt KD-tree plus a live buffer.
+
+    Points live in one (capacity, 3) array of x, y and tau that doubles when
+    it fills.  The tree covers rows [0, buf_start); the rows after it are the
+    live buffer.  Candidates are tested in batches: one ball query against
+    each, then the exact separation test on the returned pairs.
+    """
 
     def __init__(self, rebuild_every: int = 2048):
-        self.xs: list[float] = []
-        self.ys: list[float] = []
-        self.taus: list[float] = []
+        self.data = np.empty((4096, 3))
+        self.n = 0
         self.tree = None
-        self.tree_taus = None
         self.buf_start = 0
         self.rebuild_every = rebuild_every
 
     def __len__(self):
-        return len(self.xs)
+        return self.n
+
+    @property
+    def xy(self) -> np.ndarray:
+        return self.data[: self.n, :2]
+
+    @property
+    def taus(self) -> np.ndarray:
+        return self.data[: self.n, 2]
 
     def maybe_rebuild(self):
-        if len(self.xs) - self.buf_start >= self.rebuild_every:
+        if self.n - self.buf_start >= self.rebuild_every:
             self.rebuild()
 
     def rebuild(self):
-        if self.xs:
-            self.tree = cKDTree(np.column_stack([self.xs, self.ys]))
-            self.tree_taus = np.array(self.taus)
-            self.buf_start = len(self.xs)
+        if self.n:
+            self.tree = cKDTree(self.xy)
+            self.buf_start = self.n
 
-    def conflicts(self, x: float, y: float, tau_c: float, delta: float) -> bool:
-        # any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?
+    def conflicts(self, x, y, tau_c, delta: float) -> np.ndarray:
+        """Per candidate: any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?"""
+        x, y = np.atleast_1d(x), np.atleast_1d(y)
+        tau_c = np.broadcast_to(tau_c, x.shape)
+        xy = np.column_stack([x, y])
+        c = j = np.empty(0, dtype=np.intp)
         if self.tree is not None:
-            idx = self.tree.query_ball_point([x, y], 1.5 * delta * tau_c)
-            if idx:
-                tj = self.tree_taus[idx]
-                pts = self.tree.data[idx]
-                d2 = (pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2
-                lim = delta * np.maximum(tau_c, tj)
-                if np.any(d2 < (lim * lim)):
-                    return True
-        n = len(self.xs)
-        if n > self.buf_start:
-            bx = np.array(self.xs[self.buf_start :])
-            by = np.array(self.ys[self.buf_start :])
-            bt = np.array(self.taus[self.buf_start :])
-            d2 = (bx - x) ** 2 + (by - y) ** 2
-            lim = delta * np.maximum(tau_c, bt)
-            if np.any(d2 < (lim * lim)):
-                return True
-        return False
+            # the tree is searched only within 1.5 delta tau_c: that radius is
+            # part of the acceptance rule, and the lattice's points depend on it
+            c, j = _flat_pairs(
+                self.tree.query_ball_point(xy, 1.5 * delta * tau_c, return_sorted=False)
+            )
+        if self.n > self.buf_start:
+            # the buffer is searched at the largest limit, so its test is exact
+            buf = self.data[self.buf_start : self.n]
+            reach = delta * max(tau_c.max(), buf[:, 2].max()) * _BALL_SLACK
+            bc, bj = _flat_pairs(
+                cKDTree(buf[:, :2]).query_ball_point(xy, reach, return_sorted=False)
+            )
+            c, j = np.concatenate([c, bc]), np.concatenate([j, bj + self.buf_start])
+        pts = self.data[j]
+        d2 = (pts[:, 0] - x[c]) ** 2 + (pts[:, 1] - y[c]) ** 2
+        lim = delta * np.maximum(tau_c[c], pts[:, 2])
+        hit = np.zeros(x.shape, dtype=bool)
+        hit[c[d2 < lim * lim]] = True
+        return hit
 
-    def add(self, x: float, y: float, tau_c: float):
-        self.xs.append(x)
-        self.ys.append(y)
-        self.taus.append(tau_c)
+    def add(self, x, y, tau_c):
+        x = np.atleast_1d(x)
+        end = self.n + len(x)
+        if end > len(self.data):
+            grown = np.empty((max(end, 2 * len(self.data)), 3))
+            grown[: self.n] = self.data[: self.n]
+            self.data = grown
+        self.data[self.n : end, 0] = x
+        self.data[self.n : end, 1] = y
+        self.data[self.n : end, 2] = tau_c
+        self.n = end
 
 
 def build_lattice(
@@ -179,46 +209,64 @@ def build_lattice(
         thetas = (np.arange(n_ang) + offs) * (2.0 * np.pi / n_ang)
         xs = r * np.cos(thetas)
         ys = r * np.sin(thetas)
-        for x, y in zip(xs, ys):
-            if not state.conflicts(x, y, tau_ring, delta):
-                state.add(x, y, tau_ring)
-                if len(state) > max_points:
-                    raise ResourceError(
-                        f"lattice exceeded cap of {max_points} points "
-                        f"(r_max={r_max} too close to 1 for delta={delta})"
-                    )
+        # the ring's candidates are tested together against the points of
+        # earlier rings; only conflicts inside the ring are resolved in order
+        free = np.flatnonzero(~state.conflicts(xs, ys, tau_ring, delta))
+        keep = free[_first_fit(xs[free], ys[free], delta * tau_ring)]
+        state.add(xs[keep], ys[keep], tau_ring)
+        if len(state) > max_points:
+            raise ResourceError(
+                f"lattice exceeded cap of {max_points} points "
+                f"(r_max={r_max} too close to 1 for delta={delta})"
+            )
         state.maybe_rebuild()
 
     # covering repair: insert uncovered probes (innermost first) and re-probe
     probes = _probe_points(r_max, probe_count)
     probes = probes[np.argsort(np.abs(probes))]
-    probe_xy = _xy(probes)
+    probe_tree = cKDTree(_xy(probes))
     tau_probes = w.tau(np.abs(probes))
+    repairs_failed = 0
     for _ in range(20):
         state.rebuild()
-        pts = state.tree.data
-        taus = state.tree_taus
-        uncovered = ~_covered_mask(state.tree, taus, probe_xy, tau_probes, delta, w)
-        if not uncovered.any():
+        covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
+        if covered.all():
             break
-        for p, tau_p in zip(probes[uncovered], tau_probes[uncovered]):
-            if not state.conflicts(p.real, p.imag, float(tau_p), delta):
+        for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
+            if not state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
                 state.add(p.real, p.imag, float(tau_p))
-            else:
-                _insert_covering_neighbor(state, w, p, float(tau_p), delta, r_max)
+            elif not _insert_covering_neighbor(state, w, p, float(tau_p), delta, r_max):
+                repairs_failed += 1
         state.rebuild()
+    else:
+        covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
 
-    pts = state.tree.data[:, 0] + 1j * state.tree.data[:, 1]
-    taus = state.tree_taus
-    mult = _observed_multiplicity(state.tree, taus, probe_xy, tau_probes, delta, w)
     return Lattice(
         weight=w,
         delta=delta,
         r_max=r_max,
-        points=pts,
-        multiplicity_observed=mult,
-        taus=taus,
+        points=state.xy[:, 0] + 1j * state.xy[:, 1],
+        multiplicity_observed=int(counts.max(initial=0)),
+        taus=state.taus.copy(),
+        repairs_failed=repairs_failed,
     )
+
+
+def _first_fit(x: np.ndarray, y: np.ndarray, lim: float) -> np.ndarray:
+    """Keep candidates in order unless closer than lim to an earlier kept one."""
+    n = len(x)
+    pairs = cKDTree(np.column_stack([x, y])).query_pairs(
+        lim * _BALL_SLACK, output_type="ndarray"
+    )
+    i, j = pairs[:, 0], pairs[:, 1]
+    d2 = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+    earlier = [[] for _ in range(n)]
+    for a, b in pairs[d2 < lim * lim].tolist():  # a < b
+        earlier[b].append(a)
+    keep = [False] * n
+    for k in range(n):
+        keep[k] = not any(keep[a] for a in earlier[k])
+    return np.array(keep, dtype=bool)
 
 
 def _insert_covering_neighbor(state, w, p, tau_p, delta, r_max) -> bool:
@@ -238,31 +286,39 @@ def _insert_covering_neighbor(state, w, p, tau_p, delta, r_max) -> bool:
             tau_q = float(w.tau(aq))
             if abs(q - p) >= delta * tau_q:
                 continue  # would not cover the probe
-            if not state.conflicts(q.real, q.imag, tau_q, delta):
+            if not state.conflicts(q.real, q.imag, tau_q, delta)[0]:
                 state.add(q.real, q.imag, tau_q)
                 return True
     return False
 
 
-def _covered_mask(tree, taus, probe_xy, tau_probes, delta, w, k: int = 48):
-    """probe covered  <=>  |p - z_j| < delta * tau(z_j) for some j."""
-    k = min(k, len(taus))
-    d, idx = tree.query(probe_xy, k=k)
-    if k == 1:
-        d = d[:, None]
-        idx = idx[:, None]
-    return np.any(d < delta * taus[idx], axis=1)
+def _flat_pairs(lists) -> tuple[np.ndarray, np.ndarray]:
+    """(query index, tree index) of every hit of a query_ball_point result."""
+    lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    hits = np.fromiter(
+        itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lens.sum())
+    )
+    return np.repeat(np.arange(len(lists)), lens), hits
 
 
-def _observed_multiplicity(tree, taus, probe_xy, tau_probes, delta, w, k: int = 128):
-    """Max over probes of #{j : |p - z_j| < 3 delta tau(z_j)}."""
-    k = min(k, len(taus))
-    d, idx = tree.query(probe_xy, k=k)
-    if k == 1:
-        d = d[:, None]
-        idx = idx[:, None]
-    counts = np.sum(d < 3.0 * delta * taus[idx], axis=1)
-    return int(np.max(counts))
+def _probe_coverage(probe_tree, xy, taus, delta):
+    """Covered mask and exact multiplicity of every probe, from one ball query.
+
+    A probe p is covered when |p - z_j| < delta tau_j for some j, and its
+    multiplicity is #{j : |p - z_j| < 3 delta tau_j}.  One query from each z_j
+    at radius 3 delta tau_j returns every pair either test needs; the radius is
+    widened by a rounding margin so that the exact comparisons decide.
+    """
+    reach = 3.0 * delta * taus
+    j, p = _flat_pairs(
+        probe_tree.query_ball_point(xy, reach * _BALL_SLACK, return_sorted=False)
+    )
+    diff = probe_tree.data[p] - xy[j]
+    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    covered = np.zeros(probe_tree.n, dtype=bool)
+    covered[p[d < delta * taus[j]]] = True
+    counts = np.bincount(p[d < reach[j]], minlength=probe_tree.n)
+    return covered, counts
 
 
 @dataclass(frozen=True)
@@ -284,35 +340,25 @@ class LatticeCertification:
 
 def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertification:
     """Re-run separation/covering/multiplicity checks on a built lattice."""
-    w = lat.weight
     pts = lat.points
     taus = lat.taus
-    tree = cKDTree(_xy(pts))
-
-    min_ratio = np.inf
-    sep_ok = True
-    neighbor_lists = tree.query_ball_point(_xy(pts), 1.5 * lat.delta * taus)
-    for j, idx in enumerate(neighbor_lists):
-        idx = [i for i in idx if i != j]
-        if not idx:
-            continue
-        d = np.abs(pts[idx] - pts[j])
-        lim = lat.delta * np.maximum(taus[idx], taus[j])
-        ratio = float(np.min(d / lim))
-        min_ratio = min(min_ratio, ratio)
-        if ratio < _SEP_SLACK:
-            sep_ok = False
+    xy = _xy(pts)
+    j, i = _flat_pairs(
+        cKDTree(xy).query_ball_point(xy, 1.5 * lat.delta * taus, return_sorted=False)
+    )
+    other = i != j
+    i, j = i[other], j[other]
+    d = np.abs(pts[i] - pts[j])
+    ratio = d / (lat.delta * np.maximum(taus[i], taus[j]))
 
     probes = _probe_points(lat.r_max, probe_count)
-    tau_probes = w.tau(np.abs(probes))
-    covered = _covered_mask(tree, taus, _xy(probes), tau_probes, lat.delta, w)
-    mult = _observed_multiplicity(tree, taus, _xy(probes), tau_probes, lat.delta, w)
+    covered, counts = _probe_coverage(cKDTree(_xy(probes)), xy, taus, lat.delta)
     return LatticeCertification(
-        separation_ok=sep_ok,
-        min_separation_ratio=float(min_ratio),
+        separation_ok=not np.any(ratio < _SEP_SLACK),
+        min_separation_ratio=float(np.min(ratio, initial=np.inf)),
         covering_misses=int(np.sum(~covered)),
         probes_checked=len(probes),
-        multiplicity_observed=mult,
+        multiplicity_observed=int(counts.max(initial=0)),
     )
 
 

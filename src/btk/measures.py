@@ -36,6 +36,9 @@ from .lattice import Lattice
 from .quadrature import gauss_legendre_nodes, gauss_legendre_rule, radial_log_moments
 from .weights import RadialWeight
 
+#: centres x nonzero cells per chunk of GridDensityMeasure.disk_mass_many
+GRID_PAIR_CHUNK = 1 << 18
+
 # ---------------------------------------------------------------------------
 # measure types
 # ---------------------------------------------------------------------------
@@ -245,61 +248,91 @@ class GridDensityMeasure(Measure):
         dt = 2.0 * np.pi / ntheta
         return cls(np.outer(cell_r, np.full(ntheta, dt)), r_outer=r_outer)
 
-    def _cell_fraction(self, r1, r2, t1, t2, center, rho, depth) -> float:
-        """Fraction of the sector's area inside D(center, rho)."""
-        rs = np.array([r1, 0.5 * (r1 + r2), r2])
-        ts = np.array([t1, 0.5 * (t1 + t2), t2])
-        pts = rs[:, None] * np.exp(1j * ts)[None, :]
-        inside = np.abs(pts - center) < rho
-        diam = (r2 - r1) + r2 * (t2 - t1)
-        if inside.all():
-            return 1.0
-        if not inside.any() and diam <= rho:
-            return 0.0
-        if depth >= self.MAX_DEPTH:
-            rq = np.linspace(r1, r2, 9)[1::2]
-            tq = np.linspace(t1, t2, 9)[1::2]
-            sq = rq[:, None] * np.exp(1j * tq)[None, :]
-            return float(np.mean(np.abs(sq - center) < rho))
-        rm, tm = 0.5 * (r1 + r2), 0.5 * (t1 + t2)
-        quads = [(r1, rm, t1, tm), (r1, rm, tm, t2), (rm, r2, t1, tm), (rm, r2, tm, t2)]
-        # sub-cells of an annular sector do not have equal area: weight by area
-        fr, total = 0.0, 0.0
-        for q in quads:
-            a = (q[1] ** 2 - q[0] ** 2) * (q[3] - q[2])
-            fr += a * self._cell_fraction(*q, center, rho, depth + 1)
-            total += a
-        return fr / total
-
     def disk_mass(self, center: complex, rho: float) -> float:
-        if rho <= 0.0 or self.total_mass == 0.0:
-            return 0.0
-        dr = self.r_edges[1] - self.r_edges[0]
-        if rho < dr:
+        return float(self.disk_mass_many(np.array([center]), np.array([rho]))[0])
+
+    def disk_mass_many(self, centers, rhos) -> np.ndarray:
+        """mu(D(center, rho)) per centre, by recursive cell classification.
+
+        A (centre, cell) pair counts fully when all 3x3 corner and midpoint
+        samples of the cell lie in the disk, and not at all when none does
+        and the cell's diameter is at most rho.  Otherwise the cell splits
+        into four area-weighted quadrants, down to MAX_DEPTH, where the share
+        of a 4x4 grid of interior samples inside the disk counts.  The levels
+        run breadth-first over arrays of pairs.  Pairs outside the radial
+        band |center| -/+ rho are never formed, and pairs whose angular gap
+        puts every point of the cell outside the disk are dropped first.
+        """
+        centers = np.asarray(centers, dtype=complex).ravel()
+        rhos = np.broadcast_to(np.asarray(rhos, dtype=float).ravel(), centers.shape)
+        out = np.zeros(len(centers))
+        if self.total_mass == 0.0:
+            return out
+        if np.any((rhos > 0.0) & (rhos < self.r_edges[1] - self.r_edges[0])):
             warnings.warn(
                 "query disk smaller than the grid's radial cell size; "
                 "mass resolved only to cell resolution",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        d = abs(center)
-        total = 0.0
-        i_lo = np.searchsorted(self.r_edges, max(d - rho, 0.0), side="right") - 1
-        i_hi = np.searchsorted(self.r_edges, min(d + rho, self.r_outer), side="left")
-        for i in range(max(i_lo, 0), min(i_hi, self.nr)):
-            r1, r2 = self.r_edges[i], self.r_edges[i + 1]
-            for j in range(self.ntheta):
-                if self.cells[i, j] == 0.0:
-                    continue
-                t1, t2 = self.t_edges[j], self.t_edges[j + 1]
-                f = self._cell_fraction(r1, r2, t1, t2, center, rho, 0)
-                if f > 0.0:
-                    total += self.cells[i, j] * f
-        return total
+        ci, cj = np.nonzero(self.cells)
+        re, te = self.r_edges, self.t_edges
+        d = np.abs(centers)
+        phi = np.angle(centers)
+        i_lo = np.searchsorted(re, np.maximum(d - rhos, 0.0), side="right") - 1
+        i_hi = np.searchsorted(re, np.minimum(d + rhos, self.r_outer), side="left")
+        step = max(1, GRID_PAIR_CHUNK // len(ci))
+        for s in range(0, len(centers), step):
+            k = slice(s, s + step)
+            near = (ci >= i_lo[k, None]) & (ci < i_hi[k, None]) & (rhos[k, None] > 0.0)
+            pc, cell = np.nonzero(near)
+            pc += s
+            i, j = ci[cell], cj[cell]
+            # every point of the sector lies at least sqrt(2 r1 |c| (1 - cos gap))
+            # from c, computed as 4 r1 |c| sin^2(gap / 2) to avoid cancellation;
+            # the gap and rho carry a rounding margin, so no dropped pair could
+            # have had a sample inside the disk
+            mid, half = 0.5 * (te[j] + te[j + 1]), 0.5 * (te[j + 1] - te[j])
+            dev = np.abs(np.mod(phi[pc] - mid + np.pi, 2.0 * np.pi) - np.pi)
+            gap = np.maximum(dev - half - 1e-12, 0.0)
+            far = 4.0 * re[i] * d[pc] * np.sin(0.5 * gap) ** 2 > rhos[pc] ** 2 * (1.0 + 1e-9)
+            pc, i, j = pc[~far], i[~far], j[~far]
+            out[k] = self._pair_masses(
+                centers[pc], rhos[pc], pc - s, re[i], re[i + 1], te[j], te[j + 1],
+                self.cells[i, j], len(out[k]),
+            )
+        return out
 
-    def disk_mass_many(self, centers, rhos) -> np.ndarray:
-        rhos = np.broadcast_to(np.asarray(rhos, dtype=float), np.shape(centers))
-        return np.array([self.disk_mass(c, p) for c, p in zip(centers, rhos)])
+    def _pair_masses(self, c, rho, owner, r1, r2, t1, t2, wgt, n) -> np.ndarray:
+        """Per owner, the sum of wgt times the sector's area fraction in D(c, rho)."""
+        total = np.zeros(n)
+        for depth in range(self.MAX_DEPTH + 1):
+            rm, tm = 0.5 * (r1 + r2), 0.5 * (t1 + t2)
+            inside = _polar_samples_inside(
+                np.stack([r1, rm, r2], axis=1), np.stack([t1, tm, t2], axis=1), c, rho
+            )
+            n_in = np.sum(inside, axis=(1, 2))
+            diam = (r2 - r1) + r2 * (t2 - t1)
+            full = n_in == 9
+            split = ~full & ((n_in > 0) | (diam > rho))
+            total += np.bincount(owner[full], weights=wgt[full], minlength=n)
+            c, rho, owner, wgt = c[split], rho[split], owner[split], wgt[split]
+            r1, r2, t1, t2, rm, tm = (v[split] for v in (r1, r2, t1, t2, rm, tm))
+            if depth == self.MAX_DEPTH:
+                rq = np.linspace(r1, r2, 9, axis=1)[:, 1::2]
+                tq = np.linspace(t1, t2, 9, axis=1)[:, 1::2]
+                inside = _polar_samples_inside(rq, tq, c, rho)
+                total += np.bincount(owner, weights=wgt * np.mean(inside, axis=(1, 2)),
+                                     minlength=n)
+                break
+            # sub-cells of an annular sector do not have equal area: weight by area
+            quads = ((r1, rm, t1, tm), (r1, rm, tm, t2), (rm, r2, t1, tm), (rm, r2, tm, t2))
+            areas = [(q[1] ** 2 - q[0] ** 2) * (q[3] - q[2]) for q in quads]
+            area = sum(areas)
+            r1, r2, t1, t2 = (np.concatenate(v) for v in zip(*quads))
+            wgt = np.concatenate([wgt * a / area for a in areas])
+            c, rho, owner = np.tile(c, 4), np.tile(rho, 4), np.tile(owner, 4)
+        return total
 
     def nodes(self):
         """Cell quadrature: 2x2 interior samples per nonzero cell.
@@ -330,6 +363,12 @@ class GridDensityMeasure(Measure):
             "r_outer": self.r_outer,
             "cells": self.cells.ravel().tolist(),
         }
+
+
+def _polar_samples_inside(rs, ts, c, rho) -> np.ndarray:
+    """inside[k, a, b] = |rs[k, a] e^(i ts[k, b]) - c[k]| < rho[k]."""
+    pts = rs[:, :, None] * np.exp(1j * ts)[:, None, :]
+    return np.abs(pts - c[:, None, None]) < rho[:, None, None]
 
 
 # built-in radial density families -----------------------------------------

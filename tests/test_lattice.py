@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import btk
 from btk.errors import DomainError, ParameterError, ResourceError
 from btk.lattice import (
+    Lattice,
+    _probe_points,
     build_lattice,
     certify_lattice,
     count_in_ball,
@@ -145,3 +149,67 @@ def test_build_is_deterministic(w1, delta1):
     a = build_lattice(w1, delta1, 0.25, probe_count=2_000)
     b = build_lattice(w1, delta1, 0.25, probe_count=2_000)
     np.testing.assert_array_equal(a.points, b.points)
+
+
+def test_build_matches_recorded_digest(w1, delta1):
+    # sha256 of the points as built before the array-backed sweep; the same
+    # digest is perfbench/reference.json's disk_geometry lattice digest
+    lat = build_lattice(w1, delta1, 0.5, probe_count=10_000)
+    digest = hashlib.sha256(np.ascontiguousarray(lat.points, dtype=complex).tobytes())
+    assert digest.hexdigest() == (
+        "e94cbca49554646f752eec1b7343bffdb9de7265cff096f879afe0bdad0ef1ee"
+    )
+    assert lat.multiplicity_observed == 25
+
+
+def test_multiplicity_gate_can_fail(w1, delta1):
+    # 300 points crowd one probe: the exact count must see all of them
+    probe = _probe_points(0.3, 1_000)[0]
+    tau = float(w1.tau(abs(probe)))
+    ring = np.exp(2j * np.pi * np.arange(300) / 300)
+    pts = np.concatenate([[0.0], probe + 0.5 * delta1 * tau * ring])
+    lat = Lattice(weight=w1, delta=delta1, r_max=0.3, points=pts,
+                  multiplicity_observed=0, taus=w1.tau(np.abs(pts)))
+    cert = certify_lattice(lat, probe_count=1_000)
+    assert cert.multiplicity_observed > 256
+    assert cert.passed is False
+
+
+def test_failed_repairs_are_counted(w1, delta1, monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        return False
+
+    monkeypatch.setattr(btk.lattice, "_insert_covering_neighbor", refuse)
+    lat = build_lattice(w1, delta1, 0.25, probe_count=2_000)
+    assert calls and lat.repairs_failed == len(calls)
+    again = lattice_from_json(lat.to_json(), w1)
+    assert again.repairs_failed == lat.repairs_failed
+    old = lat.to_json()
+    del old["repairs_failed"]
+    assert lattice_from_json(old, w1).repairs_failed == 0
+
+
+def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
+    from btk.lattice import _probe_coverage, _xy
+    from scipy.spatial import cKDTree
+
+    # probes at exactly delta*tau and 3*delta*tau from lattice points sit on
+    # the boundaries of both tests
+    k = np.arange(0, len(lat_tiny), 3)
+    unit = np.exp(2j * np.pi * 0.37 * k)
+    probes = np.concatenate([
+        _probe_points(0.3, 3_000),
+        lat_tiny.points[k] + delta1 * lat_tiny.taus[k] * unit,
+        lat_tiny.points[k] + 3.0 * delta1 * lat_tiny.taus[k] * unit,
+    ])
+    covered, counts = _probe_coverage(
+        cKDTree(_xy(probes)), _xy(lat_tiny.points), lat_tiny.taus, delta1
+    )
+    # the distance as the KD-tree computes it, sqrt(dx^2 + dy^2), not hypot
+    diff = probes[:, None] - lat_tiny.points[None, :]
+    d = np.sqrt(diff.real**2 + diff.imag**2)
+    np.testing.assert_array_equal(covered, np.any(d < delta1 * lat_tiny.taus, axis=1))
+    np.testing.assert_array_equal(counts, np.sum(d < 3.0 * delta1 * lat_tiny.taus, axis=1))

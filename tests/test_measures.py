@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,87 @@ def test_grid_warns_when_under_resolved():
     grid = GridDensityMeasure.area_measure(nr=16, ntheta=16)
     with pytest.warns(RuntimeWarning):
         grid.disk_mass(0.3, 1e-3)
+
+
+def _cell_fraction(mu, r1, r2, t1, t2, center, rho, depth):
+    """The recursive per-cell classification that disk_mass_many batches."""
+    rs = np.array([r1, 0.5 * (r1 + r2), r2])
+    ts = np.array([t1, 0.5 * (t1 + t2), t2])
+    pts = rs[:, None] * np.exp(1j * ts)[None, :]
+    inside = np.abs(pts - center) < rho
+    diam = (r2 - r1) + r2 * (t2 - t1)
+    if inside.all():
+        return 1.0
+    if not inside.any() and diam <= rho:
+        return 0.0
+    if depth >= mu.MAX_DEPTH:
+        rq = np.linspace(r1, r2, 9)[1::2]
+        tq = np.linspace(t1, t2, 9)[1::2]
+        sq = rq[:, None] * np.exp(1j * tq)[None, :]
+        return float(np.mean(np.abs(sq - center) < rho))
+    rm, tm = 0.5 * (r1 + r2), 0.5 * (t1 + t2)
+    quads = [(r1, rm, t1, tm), (r1, rm, tm, t2), (rm, r2, t1, tm), (rm, r2, tm, t2)]
+    fr, total = 0.0, 0.0
+    for q in quads:
+        a = (q[1] ** 2 - q[0] ** 2) * (q[3] - q[2])
+        fr += a * _cell_fraction(mu, *q, center, rho, depth + 1)
+        total += a
+    return fr / total
+
+
+def _grid_disk_mass_loop(mu, center, rho):
+    """The per-centre, per-cell loop that disk_mass_many replaced."""
+    if rho <= 0.0 or mu.total_mass == 0.0:
+        return 0.0
+    d = abs(center)
+    i_lo = np.searchsorted(mu.r_edges, max(d - rho, 0.0), side="right") - 1
+    i_hi = np.searchsorted(mu.r_edges, min(d + rho, mu.r_outer), side="left")
+    total = 0.0
+    for i in range(max(i_lo, 0), min(i_hi, mu.nr)):
+        for j in range(mu.ntheta):
+            if mu.cells[i, j] == 0.0:
+                continue
+            f = _cell_fraction(mu, mu.r_edges[i], mu.r_edges[i + 1],
+                               mu.t_edges[j], mu.t_edges[j + 1], center, rho, 0)
+            total += mu.cells[i, j] * f
+    return total
+
+
+def test_grid_disk_mass_matches_cell_loop(rng, monkeypatch):
+    cells = rng.random((8, 12))
+    cells[2] = 0.0
+    cells[5, 3:7] = 0.0
+    mu = GridDensityMeasure(cells, r_outer=0.95)
+    seam = [0.4 * np.exp(s * 1j) for s in (0.0, 1e-13, -1e-13, 2.0 * np.pi - 1e-13)]
+    centers = np.concatenate([
+        0.95 * np.sqrt(rng.random(60)) * np.exp(2j * np.pi * rng.random(60)),
+        [0.0, 0.0, -0.3 + 0.0j, -0.3 - 0.0j], seam,
+    ])
+    rhos = np.concatenate([
+        rng.uniform(0.01, 0.5, 60), [0.05, 0.7, 0.2, 0.2], [0.15, 0.15, 0.05, 0.3],
+    ])
+    # under-resolved: smaller than the radial cell size 0.95 / 8
+    rhos[::9] = 0.02
+    with pytest.warns(RuntimeWarning):
+        got = mu.disk_mass_many(centers, rhos)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = np.array([_grid_disk_mass_loop(mu, c, p) for c, p in zip(centers, rhos)])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert np.any(ref == 0.0) and np.any(ref > 0.0)
+        # several chunks give what one call per centre gives
+        one = np.array([mu.disk_mass(c, p) for c, p in zip(centers, rhos)])
+        monkeypatch.setattr(btk.measures, "GRID_PAIR_CHUNK", 5 * np.count_nonzero(cells))
+        np.testing.assert_allclose(mu.disk_mass_many(centers, rhos), one, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, one, rtol=1e-12, atol=0.0)
+
+
+def test_grid_disk_mass_zero_cells_and_radii():
+    empty = GridDensityMeasure(np.zeros((4, 6)))
+    assert np.all(empty.disk_mass_many(np.array([0.0, 0.3j]), 0.5) == 0.0)
+    grid = GridDensityMeasure.area_measure(nr=8, ntheta=8)
+    np.testing.assert_array_equal(grid.disk_mass_many(np.array([0.2, 0.5]), [0.0, -1.0]), 0.0)
+    assert grid.disk_mass_many(np.array([], dtype=complex), 0.3).shape == (0,)
 
 
 def test_scaling_homogeneity(dA):

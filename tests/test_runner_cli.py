@@ -215,6 +215,7 @@ def test_cli_lattice(cli_files, capsys):
     w = btk.weight_from_json({"family": "exponential", "alpha": 1.0})
     lat = btk.lattice.load_lattice(str(out_path), w)
     assert len(lat) == out["points"]
+    assert lat.repairs_failed == out["repairs_failed"]
 
 
 def test_cli_kernel_check(cli_files, capsys):
