@@ -1,9 +1,9 @@
 """Toeplitz operators: assembly, spectra, Schatten norms, Berezin symbols.
 
-Assembles truncated Toeplitz matrices for radial and atomic measures (each
-through its structure-aware fast path), diagonalizes them with the built-in
-Jacobi eigensolver, and relates operator norms and Schatten sums back to the
-measure functionals.
+Assembles truncated Toeplitz matrices for radial and atomic measures (a
+diagonal, and a weighted basis factor), takes their spectra (the diagonal, and
+the squared singular values of the factor), and relates operator norms and
+Schatten sums back to the measure functionals.
 """
 
 import numpy as np

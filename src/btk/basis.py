@@ -56,7 +56,7 @@ def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=complex).ravel()
     n = np.arange(n_terms)
-    # one complex array exponentiated in place: the finite-rank Gram asks for
+    # one complex array exponentiated in place: the atomic factor asks for
     # every degree of the table, where (degree_max+1) x J temporaries would
     # set its peak memory
     u = np.empty((n_terms, pts.size), dtype=complex)

@@ -6,8 +6,9 @@ one.  Pivots are visited in round-robin (Brent-Luk) order: a sweep is n - 1
 rounds of floor(n/2) disjoint pairs (odd n gets a phantom index whose pairs
 are dropped, so n rounds), and the rotations of one round commute, so they
 are applied together as gathers and scatters on the paired columns, then on
-the paired rows.  Used for all spectra in the operator layer; numpy's
-eigvalsh serves as an independent cross-check in the tests only.
+the paired rows.  Nothing in the library calls it: ``btk.toeplitz`` takes
+spectra from the factor, whose singular values keep the relative accuracy
+that two-sided Jacobi on a Gram matrix loses.
 """
 
 from __future__ import annotations

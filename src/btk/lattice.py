@@ -381,27 +381,23 @@ def partition_separated(lat: Lattice, m: int) -> list[np.ndarray]:
     if m < 2:
         raise ParameterError("m must be >= 2")
     thresh = (2.0**m) * lat.delta
-    pts = lat.points
-    taus = lat.taus
-    tree = cKDTree(_xy(pts))
-    neighbor_lists = tree.query_ball_point(_xy(pts), thresh * taus)
-    colors = np.full(len(pts), -1, dtype=int)
-    part_lists: list[list[int]] = []
-    for j in range(len(pts)):
-        used = set()
-        for i in neighbor_lists[j]:
-            if i == j or colors[i] < 0:
-                continue
-            if np.abs(pts[i] - pts[j]) < thresh * min(taus[i], taus[j]):
-                used.add(colors[i])
-        c = 0
-        while c in used:
-            c += 1
-        colors[j] = c
-        if c == len(part_lists):
-            part_lists.append([])
-        part_lists[c].append(j)
-    return [pts[np.array(idx)] for idx in part_lists]
+    pts, taus = lat.points, lat.taus
+    xy = _xy(pts)
+    j, i = _flat_pairs(cKDTree(xy).query_ball_point(xy, thresh * taus))
+    pair = i < j
+    i, j = i[pair], j[pair]
+    pair = np.abs(pts[i] - pts[j]) < thresh * np.minimum(taus[i], taus[j])
+    # j is ascending, so the pairs are CSR rows by the later point:
+    # earlier[start[k]:start[k + 1]] are the earlier points conflicting with k
+    earlier, j = i[pair], j[pair]
+    start = np.searchsorted(j, np.arange(len(pts) + 1))
+    colors = np.empty(len(pts), dtype=np.intp)
+    for k in range(len(pts)):
+        used = colors[earlier[start[k] : start[k + 1]]]
+        taken = np.zeros(len(used) + 1, dtype=bool)
+        taken[used[used <= len(used)]] = True
+        colors[k] = taken.argmin()
+    return [pts[colors == c] for c in range(colors.max(initial=-1) + 1)]
 
 
 def save_lattice(lat: Lattice, path: str) -> None:

@@ -1,18 +1,20 @@
 """Toeplitz operator matrices in the monomial basis, spectra, Schatten norms.
 
-Entry (m, n) is int e_n(xi) conj(e_m(xi)) omega(xi) d mu(xi).  Three assembly
-structures:
+Entry (m, n) is int e_n(xi) conj(e_m(xi)) omega(xi) d mu(xi).  A radial
+measure gives a diagonal: the angular integral kills off-diagonals
+analytically and the diagonal reduces to a radial moment integral.  Every
+other measure is a quadrature or sum over nodes xi_k with weights w_k, and
+gives a factor F[n, k] = e_n(xi_k) sqrt(omega(xi_k) w_k) with T = conj(F) F^T:
 
-* ``diagonal`` — radial measures; the angular integral kills off-diagonals
-  analytically and the diagonal reduces to a radial moment integral.
-* ``finite_rank`` — atomic measures; with the weighted basis columns
-  Y[n, k] = e_n(xi_k) sqrt(m_k omega(xi_k)) over every degree of the table,
-  the J x J Gram matrix Y^H Y (entry (j, k) is
-  sqrt(m_j omega(xi_j) m_k omega(xi_k)) K_{xi_j}(xi_k)) carries the full
-  nonzero spectrum with no basis truncation, and the dim-row factor Y[:dim]
-  gives the truncated matrix conj(Y) Y^T without forming it.
-* ``dense`` — generic (grid) measures, or truncated validation assemblies of
-  the other two.
+* atoms (label ``finite_rank``) keep F over every degree of the table, so
+  sigma(F)^2 is the full nonzero spectrum with no basis truncation, and the
+  dim-row block F[:dim] gives the truncated matrix;
+* grids (label ``dense``) keep F[:dim] over their cell quadrature nodes;
+* ``structure="dense"`` forces the same dim-row factor for atoms and for a
+  polar quadrature of radial measures, as validation oracles.
+
+The spectrum is sigma(F)^2, computed from the factor and never from the Gram
+F^H F, whose conditioning is the square of F's.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
 
 from .basis import BasisTable, basis_columns, kernel, kernel_norm_sq
-from .errors import DomainError, ParameterError, PSDViolationError
-from .jacobi import jacobi_eigvalsh
+from .errors import ConvergenceError, DomainError, ParameterError, PSDViolationError
+
+# jacobi_eigvalsh is not called here.  It stays a module attribute because
+# the benchmark's traced run (perfbench/layers.py) patches it at this module.
+from .jacobi import jacobi_eigvalsh  # noqa: F401
 from .measures import (
     AtomicMeasure,
     GridDensityMeasure,
@@ -33,43 +39,34 @@ from .measures import (
 )
 from .quadrature import gauss_legendre_nodes, radial_log_moments
 
-#: negative eigenvalues of magnitude below this fraction of the largest
-#: eigenvalue are clipped to 0; larger ones raise PSDViolationError
-CLIP_FRACTION = 1e-10
-
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
+    """diag(d) for radial measures, else conj(F) F^T from a factor F.
+
+    Exactly one of diag and factor is set.  The factor may hold more than dim
+    rows (atoms keep every degree of the table): the truncated matrix reads
+    factor[:dim], the spectrum every row.
+    """
+
     basis: BasisTable
     dim: int
     structure: str                      # "diagonal" | "finite_rank" | "dense"
-    diag: np.ndarray | None = None      # (dim,) real, radial fast path
-    gram: np.ndarray | None = None      # (J, J) Hermitian, atomic fast path
-    factor: np.ndarray | None = None    # (dim, J) Y[:dim], atomic fast path
-    dense: np.ndarray | None = None     # (dim, dim) Hermitian
+    diag: np.ndarray | None = None      # (dim,) real
+    factor: np.ndarray | None = None    # (rows >= dim, J) complex
 
     def entries(self) -> np.ndarray:
-        """The dim x dim Hermitian matrix (truncated for finite_rank)."""
-        if self.structure == "diagonal":
+        """The dim x dim Hermitian matrix."""
+        if self.diag is not None:
             return np.diag(self.diag.astype(complex))
-        if self.structure == "finite_rank":
-            return _hermitianize(self.factor.conj() @ self.factor.T)
-        return self.dense
+        f = self.factor[: self.dim]
+        m = f.conj() @ f.T
+        return 0.5 * (m + m.conj().T)
 
     def matrix_trace(self) -> float:
-        if self.structure == "diagonal":
+        if self.diag is not None:
             return float(np.sum(self.diag))
-        if self.structure == "finite_rank":
-            return float(np.sum(np.abs(self.factor) ** 2))
-        return float(np.trace(self.dense).real)
-
-
-def _log_sqrt_h(bt: BasisTable, dim: int) -> np.ndarray:
-    return 0.5 * bt.log_h[:dim]
-
-
-def _hermitianize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+        return float(np.sum(np.abs(self.factor[: self.dim]) ** 2))
 
 
 def _assemble_diagonal(bt: BasisTable, mu: RadialDensityMeasure, dim: int):
@@ -85,40 +82,32 @@ def _assemble_diagonal(bt: BasisTable, mu: RadialDensityMeasure, dim: int):
     return ToeplitzMatrix(bt, dim, "diagonal", diag=diag)
 
 
-def _assemble_finite_rank(bt: BasisTable, mu: AtomicMeasure, dim: int):
-    pts = mu.points
+def _weighted_factor(bt: BasisTable, pts: np.ndarray, wts: np.ndarray,
+                     n_terms: int) -> np.ndarray:
+    """F[n, k] = e_n(pts_k) sqrt(omega(pts_k) wts_k) for n < n_terms."""
+    if np.any(wts < 0.0):
+        raise PSDViolationError(
+            f"negative mass or weight {float(np.min(wts)):.3e}: T_mu is not PSD"
+        )
+    f = basis_columns(bt, pts, n_terms)
+    f *= np.sqrt(wts)
+    return f
+
+
+def _atomic_factor(bt: BasisTable, mu: AtomicMeasure, n_terms: int) -> np.ndarray:
     # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
     # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
     # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
     # modulus is the worst: checking it raises TruncationError exactly when
     # some pair's series is inadequate.
-    outer = pts[np.argmax(np.abs(pts))]
+    outer = mu.points[np.argmax(np.abs(mu.points))]
     kernel(bt, outer, outer)
-    y = basis_columns(bt, pts, bt.degree_max + 1)
-    y *= np.sqrt(mu.masses)
-    gram = _hermitianize(y.conj().T @ y)
-    return ToeplitzMatrix(bt, dim, "finite_rank", gram=gram, factor=y[:dim].copy())
+    return _weighted_factor(bt, mu.points, mu.masses, n_terms)
 
 
-def _weighted_outer(u: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """entries[m, n] = sum_k wts_k u[n, k] conj(u[m, k])  (= <T e_n, e_m>)."""
-    return _hermitianize((u.conj() * wts[None, :]) @ u.T)
-
-
-def _atomic_dense(bt: BasisTable, mu: AtomicMeasure, dim: int) -> np.ndarray:
-    u = basis_columns(bt, mu.points, dim)
-    return _weighted_outer(u, mu.masses)
-
-
-def _grid_dense(bt: BasisTable, mu: GridDensityMeasure, dim: int) -> np.ndarray:
-    # the grid's cell rule, shared with its Berezin transform
-    pts, wts = mu.nodes()
-    return _weighted_outer(basis_columns(bt, pts, dim), wts)
-
-
-def _radial_dense(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
-                  n_r: int = 512) -> np.ndarray:
-    """Truncated polar-quadrature assembly of a radial measure.
+def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
+                   n_r: int = 512) -> np.ndarray:
+    """Truncated polar-quadrature factor of a radial measure.
 
     The angular rule has 2*dim+3 uniform nodes, which integrates every
     e_n conj(e_m) phase factor exactly, so off-diagonals vanish to rounding.
@@ -136,9 +125,7 @@ def _radial_dense(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
     r = np.concatenate(rs)
     wq = np.concatenate(wr) * 2.0 * r * mu.g(r) / n_t
     pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    wts = np.repeat(wq, n_t)
-    u = basis_columns(bt, pts, dim)
-    return _weighted_outer(u, wts)
+    return _weighted_factor(bt, pts, np.repeat(wq, n_t), dim)
 
 
 def assemble_toeplitz(
@@ -146,42 +133,59 @@ def assemble_toeplitz(
 ) -> ToeplitzMatrix:
     """Assemble the truncated Toeplitz matrix of mu in the monomial basis.
 
-    structure overrides the fast-path choice; "dense" forces the truncated
-    quadrature/sum assembly used as a validation oracle.
+    structure overrides the fast-path choice; "dense" forces the dim-row
+    quadrature/sum factor used as a validation oracle.
     """
     if not (1 <= dim <= bt.degree_max + 1):
         raise DomainError(f"dim must lie in [1, {bt.degree_max + 1}]")
+    if structure not in (None, "diagonal", "finite_rank", "dense"):
+        raise ParameterError(f"unknown structure {structure!r}")
     if mu.is_zero:
         return ToeplitzMatrix(bt, dim, "diagonal", diag=np.zeros(dim))
-    if structure == "dense":
-        if isinstance(mu, AtomicMeasure):
-            dense = _atomic_dense(bt, mu, dim)
-        elif isinstance(mu, RadialDensityMeasure):
-            dense = _radial_dense(bt, mu, dim)
-        elif isinstance(mu, GridDensityMeasure):
-            dense = _grid_dense(bt, mu, dim)
-        else:
-            raise ParameterError(f"unsupported measure type {type(mu).__name__}")
-        return ToeplitzMatrix(bt, dim, "dense", dense=dense)
-    if structure not in (None, "diagonal", "finite_rank"):
-        raise ParameterError(f"unknown structure {structure!r}")
-    if isinstance(mu, RadialDensityMeasure):
-        return _assemble_diagonal(bt, mu, dim)
-    if isinstance(mu, AtomicMeasure):
-        return _assemble_finite_rank(bt, mu, dim)
     if isinstance(mu, GridDensityMeasure):
-        return ToeplitzMatrix(bt, dim, "dense", dense=_grid_dense(bt, mu, dim))
+        pts, wts = mu.nodes()   # the grid's cell rule, shared with its Berezin
+        return ToeplitzMatrix(bt, dim, "dense",
+                              factor=_weighted_factor(bt, pts, wts, dim))
+    if isinstance(mu, AtomicMeasure):
+        if structure == "dense":
+            return ToeplitzMatrix(bt, dim, "dense", factor=_atomic_factor(bt, mu, dim))
+        return ToeplitzMatrix(bt, dim, "finite_rank",
+                              factor=_atomic_factor(bt, mu, bt.degree_max + 1))
+    if isinstance(mu, RadialDensityMeasure):
+        if structure == "dense":
+            return ToeplitzMatrix(bt, dim, "dense", factor=_radial_factor(bt, mu, dim))
+        return _assemble_diagonal(bt, mu, dim)
     raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+
+
+def _singular_values(f: np.ndarray) -> np.ndarray:
+    """sigma(f), descending, with LAPACK's preconditioned Jacobi SVD.
+
+    A wide f is transposed and a tall one reduced to its triangular factor
+    R by QR.  dgejsv (Drmac-Veselic 2008) keeps the small singular values
+    relatively accurate; it is real-only, so it runs on the embedding
+    [[Re R, -Im R], [Im R, Re R]], in which every singular value of R appears
+    twice.  No vectors are computed, jobp=0 leaves tiny entries as they are,
+    and work[1] / work[0] undoes the routine's internal scaling.
+    """
+    if f.shape[0] < f.shape[1]:
+        f = f.T
+    r = np.linalg.qr(f, mode="r")
+    emb = np.asfortranarray(np.block([[r.real, -r.imag], [r.imag, r.real]]))
+    sva, _, _, work, _, info = dgejsv(emb, jobu=3, jobv=3, jobp=0, overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError(f"dgejsv returned info = {info}")
+    return np.sort(sva)[::-1][::2] * (work[1] / work[0])
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Clipped nonnegative eigenvalues (descending) plus truncation metadata."""
+    """Nonnegative eigenvalues (descending) plus truncation metadata."""
 
     eigenvalues: np.ndarray = field(repr=False)
     dim: int
     structure: str
-    clip_magnitude: float       # largest negative eigenvalue clipped to 0
+    clip_magnitude: float       # 0: sigma^2 and radial moments are never negative
     tail_estimate: float        # smallest retained eigenvalue times dim
 
     @property
@@ -198,32 +202,20 @@ class SpectrumReport:
         return total > 0.0 and self.tail_estimate**p * self.dim > 0.01 * total
 
 
-def spectrum(tm: ToeplitzMatrix, jacobi_tol: float = 1e-12) -> SpectrumReport:
-    if tm.structure == "diagonal":
+def spectrum(tm: ToeplitzMatrix) -> SpectrumReport:
+    """Eigenvalues of T: the diagonal, or sigma(F)^2 padded with zeros to dim."""
+    if tm.diag is not None:
         ev = np.array(tm.diag, dtype=float)
-    elif tm.structure == "finite_rank":
-        ev = jacobi_eigvalsh(tm.gram, tol=jacobi_tol)
-        ev = np.concatenate([ev, np.zeros(max(tm.dim - len(ev), 0))])
     else:
-        ev = jacobi_eigvalsh(tm.dense, tol=jacobi_tol)
+        ev = _singular_values(tm.factor) ** 2
+    ev = np.concatenate([ev, np.zeros(max(tm.dim - len(ev), 0))])
     ev = np.sort(ev)[::-1].copy()
-    scale = float(np.max(np.abs(ev))) if len(ev) else 0.0
-    clip = 0.0
-    if scale > 0.0 and ev[-1] < 0.0:
-        worst = float(-ev[-1])
-        if worst > CLIP_FRACTION * scale:
-            raise PSDViolationError(
-                f"eigenvalue {-worst:.3e} below -{CLIP_FRACTION:g} * {scale:.3e}; "
-                "the assembled matrix is not numerically PSD"
-            )
-        clip = worst
-        ev = np.maximum(ev, 0.0)
     tail = float(ev[-1]) * tm.dim if len(ev) else 0.0
     return SpectrumReport(
         eigenvalues=ev,
         dim=tm.dim,
         structure=tm.structure,
-        clip_magnitude=clip,
+        clip_magnitude=0.0,
         tail_estimate=tail,
     )
 
@@ -246,15 +238,13 @@ def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
     with np.errstate(divide="ignore"):
         log_abs_v = (
             (n * np.log(a) if a > 0 else np.where(n == 0, 0.0, -np.inf))
-            - _log_sqrt_h(bt, dim)
+            - 0.5 * bt.log_h[:dim]
             - 0.5 * kernel_norm_sq(bt, z)
         )
     v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
-    if tm.structure == "diagonal":
+    if tm.diag is not None:
         return float(np.dot(tm.diag, np.abs(v) ** 2))
-    if tm.structure == "finite_rank":
-        return float(np.sum(np.abs(tm.factor.T @ v) ** 2))
-    return float(np.real(np.vdot(v, tm.dense @ v)))
+    return float(np.sum(np.abs(tm.factor[:dim].T @ v) ** 2))
 
 
 def spectrum_to_json(report: SpectrumReport, ps=(0.5, 1.0, 2.0)) -> dict:

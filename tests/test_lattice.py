@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import btk
 from btk.errors import DomainError, ParameterError, ResourceError
@@ -116,6 +118,46 @@ def test_partition_separated(lat_half, delta1, w1):
     assert len(parts) <= max_count + 1
 
 
+
+def _partition_loop(lat, m):
+    """Oracle: first-fit colouring filtering each neighbour list per index."""
+    thresh = (2.0**m) * lat.delta
+    pts, taus = lat.points, lat.taus
+    xy = np.column_stack([pts.real, pts.imag])
+    neighbor_lists = cKDTree(xy).query_ball_point(xy, thresh * taus)
+    colors = np.full(len(pts), -1, dtype=int)
+    part_lists = []
+    for j in range(len(pts)):
+        used = set()
+        for i in neighbor_lists[j]:
+            if i == j or colors[i] < 0:
+                continue
+            if np.abs(pts[i] - pts[j]) < thresh * min(taus[i], taus[j]):
+                used.add(colors[i])
+        c = 0
+        while c in used:
+            c += 1
+        colors[j] = c
+        if c == len(part_lists):
+            part_lists.append([])
+        part_lists[c].append(j)
+    return [pts[np.array(idx)] for idx in part_lists]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("outward", [True, False], ids=["stored", "reversed"])
+def test_partition_matches_per_index_loop(lat_half, m, outward):
+    # in stored (outward) order an earlier point has the larger tau, so only
+    # the reversed order exercises the min(tau_i, tau_j) radius
+    lat = lat_half if outward else dataclasses.replace(
+        lat_half, points=lat_half.points[::-1], taus=lat_half.taus[::-1]
+    )
+    got = partition_separated(lat, m)
+    want = _partition_loop(lat, m)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
 def test_partition_m_validation(lat_half):
     with pytest.raises(ParameterError):
         partition_separated(lat_half, 1)
@@ -194,7 +236,6 @@ def test_failed_repairs_are_counted(w1, delta1, monkeypatch):
 
 def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
     from btk.lattice import _probe_coverage, _xy
-    from scipy.spatial import cKDTree
 
     # probes at exactly delta*tau and 3*delta*tau from lattice points sit on
     # the boundaries of both tests

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btk
-from btk.basis import kernel, kernel_norm_sq
+from btk.basis import basis_columns, kernel, kernel_norm_sq
 from btk.errors import (
     ConvergenceError,
     DomainError,
@@ -23,7 +23,6 @@ from btk.measures import (
 from btk.quadrature import simpson_doubling
 from btk.toeplitz import (
     SpectrumReport,
-    ToeplitzMatrix,
     assemble_toeplitz,
     berezin_operator,
     schatten_norm,
@@ -92,8 +91,7 @@ def test_radial_dense_oracle_matches_diagonal(bt400):
     mu = indicator_density(0.2, 0.6)
     dim = 48
     fast = assemble_toeplitz(bt400, mu, dim)
-    dense = assemble_toeplitz(bt400, mu, dim, structure="dense")
-    m = dense.dense
+    m = assemble_toeplitz(bt400, mu, dim, structure="dense").entries()
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(m)))
     np.testing.assert_allclose(np.diag(m).real, fast.diag, rtol=1e-8)
@@ -123,16 +121,41 @@ def test_finite_rank_gram_matches_per_pair_kernel_loop(bt400, w1):
         for k, xk in enumerate(pts):
             la, ph = kernel(bt400, xj, xk)
             oracle[j, k] = np.exp(log_scale[j] + log_scale[k] + la + 1j * ph)
-    np.testing.assert_allclose(tm.gram, oracle, rtol=1e-13)
+    gram = tm.factor.conj().T @ tm.factor
+    np.testing.assert_allclose(gram, oracle, rtol=1e-13)
 
 
 def test_finite_rank_factor_matches_dense_oracle(bt400):
     mu = AtomicMeasure([0.3, -0.15 + 0.2j, 0.6j], [1.0, 0.6, 0.25])
     tm = assemble_toeplitz(bt400, mu, 48)
-    dense = assemble_toeplitz(bt400, mu, 48, structure="dense").dense
+    dense = assemble_toeplitz(bt400, mu, 48, structure="dense").entries()
     scale = np.max(np.abs(dense))
     np.testing.assert_allclose(tm.entries(), dense, atol=1e-14 * scale)
     assert tm.matrix_trace() == pytest.approx(np.trace(dense).real, rel=1e-13)
+
+
+def test_atomic_spectrum_relatively_accurate_against_mpmath(w1):
+    # 24 atoms on a degree-2000 table: the eigenvalues span 1.7e10, so those
+    # taken from the Gram Y^H Y carry absolute errors near eps * lambda_1 and
+    # the smallest lose relative accuracy (8.9e-8 for Jacobi on the Gram).
+    # The oracle diagonalizes the exact Gram of the same double-precision
+    # factor in 60 digits, with rows below 1e-40 of the peak dropped.
+    import mpmath
+
+    bt = btk.build_basis_table(w1, 2000)
+    rng = np.random.default_rng(7)
+    pts = 0.8 * np.sqrt(rng.random(24)) * np.exp(2j * np.pi * rng.random(24))
+    mu = AtomicMeasure(pts, np.full(24, 1.0 / 24))
+    got = spectrum(assemble_toeplitz(bt, mu, 64)).eigenvalues[:24]
+
+    y = basis_columns(bt, pts, bt.degree_max + 1) * np.sqrt(mu.masses)
+    rows = np.max(np.abs(y), axis=1) > 1e-40 * np.max(np.abs(y))
+    with mpmath.workdps(60):
+        ym = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in y[rows].tolist()])
+        exact = mpmath.eighe(ym.H * ym, eigvals_only=True)
+        exact = np.sort([float(e) for e in exact])[::-1]
+    assert exact[-1] < 1e-9 * exact[0]
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0.0)
 
 
 def _raises_truncation(fn, *args) -> bool:
@@ -162,7 +185,7 @@ def test_atomic_dense_truncation_converges(bt400):
     gaps = []
     for dim in (16, 32, 64):
         tm = assemble_toeplitz(bt400, mu, dim, structure="dense")
-        ev = spectrum(tm).eigenvalues[:3]
+        ev = np.linalg.eigvalsh(tm.entries())[::-1][:3]
         gaps.append(np.max(np.abs(ev - exact) / exact))
     assert gaps[-1] <= gaps[0]
     assert gaps[-1] < 1e-8
@@ -172,9 +195,9 @@ def test_linearity_for_atomic_measures(bt400):
     a = AtomicMeasure([0.3], [1.0])
     b = AtomicMeasure([-0.4j], [0.5])
     ab = AtomicMeasure([0.3, -0.4j], [1.0, 0.5])
-    da = assemble_toeplitz(bt400, a, 32, structure="dense").dense
-    db = assemble_toeplitz(bt400, b, 32, structure="dense").dense
-    dab = assemble_toeplitz(bt400, ab, 32, structure="dense").dense
+    da = assemble_toeplitz(bt400, a, 32, structure="dense").entries()
+    db = assemble_toeplitz(bt400, b, 32, structure="dense").entries()
+    dab = assemble_toeplitz(bt400, ab, 32, structure="dense").entries()
     np.testing.assert_allclose(dab, da + db, atol=1e-14 * np.max(np.abs(dab)))
 
 
@@ -262,19 +285,31 @@ def test_schatten_validation():
         schatten_norm(_report([1.0]), 0.0)
 
 
-def test_spectrum_clips_roundoff_negatives(bt400):
-    tm = ToeplitzMatrix(bt400, 2, "dense",
-                        dense=np.diag([1.0, -1e-12]).astype(complex))
-    rep = spectrum(tm)
-    assert rep.clip_magnitude == pytest.approx(1e-12)
-    assert np.all(rep.eigenvalues >= 0.0)
+def test_spectrum_raises_when_svd_fails(bt400, monkeypatch):
+    tm = assemble_toeplitz(bt400, AtomicMeasure([0.3, -0.2j], [1.0, 0.5]), 16)
+    assert spectrum(tm).clip_magnitude == 0.0
+    real = btk.toeplitz.dgejsv
 
+    def failing(*args, **kwargs):
+        return (*real(*args, **kwargs)[:5], 1)
 
-def test_spectrum_rejects_indefinite(bt400):
-    tm = ToeplitzMatrix(bt400, 2, "dense",
-                        dense=np.diag([1.0, -1e-3]).astype(complex))
-    with pytest.raises(PSDViolationError):
+    monkeypatch.setattr(btk.toeplitz, "dgejsv", failing)
+    with pytest.raises(ConvergenceError):
         spectrum(tm)
+
+
+@pytest.mark.parametrize(
+    "structure", [None, "dense"], ids=["fast_path", "dense_oracle"]
+)
+def test_negative_mass_raises_psd_violation(bt400, structure):
+    # the constructors reject negative input, so corrupt the measures afterwards
+    atoms = AtomicMeasure([0.3, -0.2j], [1.0, 0.5])
+    atoms.masses[0] = -1.0
+    grid = GridDensityMeasure.area_measure(nr=4, ntheta=6, r_outer=0.6)
+    grid.cells[0, 0] = -1.0
+    for mu in (atoms, grid):
+        with pytest.raises(PSDViolationError):
+            assemble_toeplitz(bt400, mu, 16, structure=structure)
 
 
 def test_tail_flag_behavior():
