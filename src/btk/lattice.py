@@ -384,12 +384,12 @@ def partition_separated(lat: Lattice, m: int) -> list[np.ndarray]:
     pts, taus = lat.points, lat.taus
     xy = _xy(pts)
     j, i = _flat_pairs(cKDTree(xy).query_ball_point(xy, thresh * taus))
-    pair = i < j
-    i, j = i[pair], j[pair]
-    pair = np.abs(pts[i] - pts[j]) < thresh * np.minimum(taus[i], taus[j])
+    conflict = (i < j) & (
+        np.abs(pts[i] - pts[j]) < thresh * np.minimum(taus[i], taus[j])
+    )
     # j is ascending, so the pairs are CSR rows by the later point:
     # earlier[start[k]:start[k + 1]] are the earlier points conflicting with k
-    earlier, j = i[pair], j[pair]
+    earlier, j = i[conflict], j[conflict]
     start = np.searchsorted(j, np.arange(len(pts) + 1))
     colors = np.empty(len(pts), dtype=np.intp)
     for k in range(len(pts)):
