@@ -42,6 +42,7 @@ from .measures import (
     measure_from_json,
     mu_hat,
     mu_hat_lp_norm,
+    polar_points,
     power_density,
     zero_measure,
 )

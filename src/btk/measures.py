@@ -574,69 +574,124 @@ def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
     return float(np.sum(wts * np.exp(log_k2 + w.log_weight(np.abs(pts)))))
 
 
-#: entries of one chunk of weighted basis columns in berezin_many (~8 MB)
+#: entries of one chunk of weighted basis columns (berezin_many), or of the
+#: radial columns and of the folded (n_theta, chunk, K) product (the polar field)
 _BEREZIN_CHUNK_ENTRIES = 2**19
 
 
-def _berezin_field(bt: BasisTable, mu: Measure):
-    """zs -> B(zs) for a nonzero measure, its basis factor built once.
+def _berezin_factor(bt: BasisTable, mu: Measure):
+    """(y, t, outer) for a nonzero measure, built once per Berezin field.
 
     The nodes xi_j with weights m_j are the atoms and their masses, or the
-    grid's cell rule.  With u = basis_columns(z) and the node factor
-    Y[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) over every degree of the table,
-    (Y^H u)_j = conj(K_z(xi_j)) sqrt(m_j omega(xi_j) omega(z)) and
-    sum_n |u_n|^2 = omega(z) ||K_z||^2, so
-    B(z) = sum_j |(Y^H u)_j|^2 / sum_n |u_n|^2.  A radial measure has the
-    diagonal symbol t_n instead: B(z) = sum_n t_n |u_n|^2 / sum_n |u_n|^2.
+    grid's cell rule.  y[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) over every
+    degree of the table, and outer is the largest-modulus node.  A radial
+    measure has the diagonal symbols t_n instead, and y = outer = None.
     """
-    n_terms = bt.degree_max + 1
     if isinstance(mu, RadialDensityMeasure):
-        y = outer = None
-        t = np.exp(_radial_berezin_log_t(bt, mu))
-    elif isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
+        return None, np.exp(_radial_berezin_log_t(bt, mu)), None
+    if isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
         nodes, wts = (mu.points, mu.masses) if isinstance(mu, AtomicMeasure) else mu.nodes()
-        outer = nodes[np.argmax(np.abs(nodes))]
-        y = basis_columns(bt, nodes, n_terms)
+        y = basis_columns(bt, nodes, bt.degree_max + 1)
         y *= np.sqrt(wts)
-    else:
-        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
-    chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+        return y, None, nodes[np.argmax(np.abs(nodes))]
+    raise ParameterError(f"unsupported measure type {type(mu).__name__}")
 
-    def field(zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        if flat.size == 0:
-            return np.zeros(zs.shape)
-        # The tail ratio of a kernel series grows with |w| (see
-        # toeplitz._assemble_finite_rank), so the largest |z| is the worst
-        # point for ||K_z||^2 and, with the largest-modulus node, the worst
-        # pair for K_z(xi): these two checks raise TruncationError exactly
-        # when some point's series is inadequate.
-        z_out = flat[np.argmax(np.abs(flat))]
-        kernel_norm_sq(bt, z_out)
-        if y is not None:
-            kernel(bt, outer, z_out)
-        out = np.empty(flat.shape)
-        for s0 in range(0, flat.size, chunk):
-            u = basis_columns(bt, flat[s0 : s0 + chunk], n_terms)
-            u2 = u.real**2 + u.imag**2
-            if y is None:
-                num = t @ u2
-            else:
-                g = y.conj().T @ u
-                num = np.sum(g.real**2 + g.imag**2, axis=0)
-            out[s0 : s0 + chunk] = num / np.sum(u2, axis=0)
-        return out.reshape(zs.shape)
 
-    return field
+def _check_berezin_truncation(bt: BasisTable, z_out: complex, outer) -> None:
+    """Raise TruncationError when some point with |z| <= |z_out| is inadequate.
+
+    The tail ratio of a kernel series depends only on |w| and grows with it
+    (see toeplitz._atomic_factor), so the largest |z| is the worst point for
+    ||K_z||^2 and, with the largest-modulus node, the worst pair for
+    K_z(xi): these two checks raise exactly when some point's series is.
+    """
+    kernel_norm_sq(bt, z_out)
+    if outer is not None:
+        kernel(bt, outer, z_out)
 
 
 def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:
-    """Berezin transform at many points, from the weighted basis factor."""
+    """Berezin transform at many points, from the weighted basis factor.
+
+    With u = basis_columns(z) and the node factor y of _berezin_factor,
+    (y^H u)_j = conj(K_z(xi_j)) sqrt(m_j omega(xi_j) omega(z)) and
+    sum_n |u_n|^2 = omega(z) ||K_z||^2, so
+    B(z) = sum_j |(y^H u)_j|^2 / sum_n |u_n|^2.  A radial measure has
+    B(z) = sum_n t_n |u_n|^2 / sum_n |u_n|^2.
+    """
     zs = np.asarray(zs, dtype=complex)
-    if mu.is_zero:
+    flat = zs.ravel()
+    if mu.is_zero or flat.size == 0:
         return np.zeros(zs.shape)
-    return _berezin_field(bt, mu)(zs)
+    y, t, outer = _berezin_factor(bt, mu)
+    _check_berezin_truncation(bt, flat[np.argmax(np.abs(flat))], outer)
+    n_terms = bt.degree_max + 1
+    chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+    out = np.empty(flat.shape)
+    for s0 in range(0, flat.size, chunk):
+        u = basis_columns(bt, flat[s0 : s0 + chunk], n_terms)
+        u2 = u.real**2 + u.imag**2
+        if y is None:
+            num = t @ u2
+        else:
+            g = y.conj().T @ u
+            num = np.sum(g.real**2 + g.imag**2, axis=0)
+        out[s0 : s0 + chunk] = num / np.sum(u2, axis=0)
+    return out.reshape(zs.shape)
+
+
+def polar_points(r: np.ndarray, n_theta: int) -> np.ndarray:
+    """The (len(r), n_theta) grid r_i e^(2 pi i j / n_theta) of lp_lambda_tau_norm."""
+    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    return np.asarray(r, dtype=float)[:, None] * np.exp(1j * theta)[None, :]
+
+
+def _berezin_polar_field(bt: BasisTable, mu: Measure):
+    """(r, n_theta) -> B on polar_points(r, n_theta), by folding the angles.
+
+    On the polar grid u[n, (i, j)] = a[n, i] e^(i n theta_j) with the real
+    radial columns a = basis_columns(r).  So sum_n |u|^2 depends on r_i
+    only, and (y^H u)[k, (i, j)] = sum_m C[m, i, k] e^(i m theta_j) with
+    C[m, i, k] = sum_{n = m mod n_theta} a[n, i] conj(y[n, k]): one batched
+    GEMM over the degrees zero-padded to a multiple of n_theta, then an
+    unnormalised inverse FFT over m.  A radial measure needs no angles and
+    returns one column.
+    """
+    y, t, outer = _berezin_factor(bt, mu)
+    n_terms = bt.degree_max + 1
+
+    def field(r: np.ndarray, n_theta: int) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        out = np.empty((r.size, 1 if y is None else n_theta))
+        if r.size == 0:
+            return out
+        _check_berezin_truncation(bt, complex(np.max(r)), outer)
+        if y is None:
+            chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+        else:
+            # conj(y) as interleaved (re, im) pairs with degree n at
+            # [n mod n_theta, n // n_theta], so the GEMM's real output is C
+            # viewed as complex
+            rows = -(-n_terms // n_theta)
+            yc = np.zeros((rows * n_theta, y.shape[1]), dtype=complex)
+            yc[:n_terms] = y.conj()
+            yf = yc.view(float).reshape(rows, n_theta, -1).transpose(1, 0, 2)
+            chunk = max(1, _BEREZIN_CHUNK_ENTRIES // (n_theta * max(rows, y.shape[1])))
+        for s0 in range(0, r.size, chunk):
+            a = basis_columns(bt, r[s0 : s0 + chunk], n_terms).real
+            a2 = a * a
+            if y is None:
+                num = (t @ a2)[:, None]
+            else:
+                ap = np.zeros((rows * n_theta, a.shape[1]))
+                ap[:n_terms] = a
+                c = np.matmul(ap.reshape(rows, n_theta, -1).transpose(1, 2, 0), yf)
+                g = np.fft.ifft(c.view(complex), axis=0, norm="forward").view(float)
+                num = np.einsum("jik,jik->ij", g, g)
+            out[s0 : s0 + chunk] = num / np.sum(a2, axis=0)[:, None]
+        return out
+
+    return field
 
 
 def lp_lambda_tau_norm(
@@ -644,18 +699,18 @@ def lp_lambda_tau_norm(
     field,
     p: float,
     r_max: float,
-    radial: bool = False,
     n_theta: int = 64,
     tol: float = 1e-6,
     panels0: int = 24,
     nodes_per_panel: int = 16,
     max_doublings: int = 4,
 ) -> float:
-    """(int_{|z|<=r_max} field(z)^p tau(z)^(-2) dA)^(1/p).
+    """(int_{|z|<=r_max} field^p tau(z)^(-2) dA)^(1/p).
 
-    field maps a complex array to nonnegative reals.  Radial panels are graded
-    geometrically toward r_max; panel count doubles until the integral changes
-    by less than tol relative.  radial=True skips the angular average.
+    field(r, n_theta) returns the nonnegative field on polar_points(r,
+    n_theta) as a (len(r), n_theta) array, or as (len(r), 1) for a radial
+    field.  Radial panels are graded geometrically toward r_max; panel count
+    doubles until the integral changes by less than tol relative.
     """
     if p <= 0.0:
         raise ParameterError("p must be positive")
@@ -670,15 +725,7 @@ def lp_lambda_tau_norm(
         a, b = edges[:-1, None], edges[1:, None]
         r = (0.5 * (b - a) * x01 + 0.5 * (a + b)).ravel()
         wq = (0.5 * (b - a) * w01).ravel()
-        if radial:
-            fp = np.asarray(field(r.astype(complex)), dtype=float) ** p
-        else:
-            theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-            pts = r[:, None] * np.exp(1j * theta)[None, :]
-            fp = np.mean(
-                np.asarray(field(pts.ravel()), dtype=float).reshape(pts.shape) ** p,
-                axis=1,
-            )
+        fp = np.mean(np.asarray(field(r, n_theta), dtype=float) ** p, axis=1)
         tau = w.tau(r)
         cur = float(np.dot(wq, fp * 2.0 * r / (tau * tau)))
         if prev is not None:
@@ -802,10 +849,13 @@ def mu_hat_lp_norm(
         kw.setdefault("n_theta", 32)
     radial = isinstance(mu, RadialDensityMeasure)
 
-    def field(zs):
-        return mu_hat_many(w, mu, delta, zs)
+    def field(r, n_theta):
+        if radial:
+            return mu_hat_many(w, mu, delta, r.astype(complex))[:, None]
+        pts = polar_points(r, n_theta)
+        return mu_hat_many(w, mu, delta, pts.ravel()).reshape(pts.shape)
 
-    return lp_lambda_tau_norm(w, field, p, r_max, radial=radial, **kw)
+    return lp_lambda_tau_norm(w, field, p, r_max, **kw)
 
 
 def berezin_lp_norm(
@@ -820,10 +870,9 @@ def berezin_lp_norm(
         return 0.0
     kw.setdefault("tol", 1e-4)
     kw.setdefault("n_theta", 32)
-    radial = isinstance(mu, RadialDensityMeasure)
     # the factor (or the radial symbols t_n) is built once, not per doubling
-    field = _berezin_field(bt, mu)
-    return lp_lambda_tau_norm(bt.weight, field, p, r_max, radial=radial, **kw)
+    field = _berezin_polar_field(bt, mu)
+    return lp_lambda_tau_norm(bt.weight, field, p, r_max, **kw)
 
 
 def lattice_lp_sum(

@@ -27,7 +27,6 @@ from .measures import (
     berezin_many,
     carleson_constant,
     lattice_lp_sum,
-    lp_lambda_tau_norm,
     measure_from_json,
     mu_hat_lp_norm,
     mu_hat_many,

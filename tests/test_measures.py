@@ -13,6 +13,7 @@ from btk.measures import (
     GridDensityMeasure,
     RadialDensityMeasure,
     _atomic_muhat_lp_integral,
+    _berezin_polar_field,
     _gridded_muhat_lp_integral,
     berezin_many,
     berezin_measure,
@@ -26,6 +27,7 @@ from btk.measures import (
     mu_hat,
     mu_hat_lp_norm,
     mu_hat_many,
+    polar_points,
     power_density,
     save_measure,
     zero_measure,
@@ -347,26 +349,29 @@ def _per_point_checks_raise(bt, nodes, zs):
     return False
 
 
-@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
-@pytest.mark.parametrize("kind", ["atoms", "grid", "z_atomic", "z_radial"])
-def test_berezin_many_guard_matches_per_point_checks(bt60, kind, side):
-    w_crit = _tail_threshold(bt60)
-    ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+def _guard_case(bt, kind, side):
+    """(measure, its nodes, largest |z|) on either side of bt's tail threshold."""
+    w_crit = _tail_threshold(bt)
     if kind == "atoms":
         # the pair (outer atom, outer z) crosses the threshold; |z|^2 does not
         mu = AtomicMeasure([0.9 * np.exp(0.3j), 0.2, -0.5j], [1.0, 0.5, 0.25])
-        nodes = mu.points
-        r_z = side * w_crit / 0.9
-    elif kind == "grid":
+        return mu, mu.points, side * w_crit / 0.9
+    if kind == "grid":
         mu = GridDensityMeasure(np.ones((4, 6)), r_outer=0.95)
         nodes, _ = mu.nodes()
-        r_z = side * w_crit / np.max(np.abs(nodes))
-    else:
-        # |z|^2 crosses the threshold; every (node, z) pair stays far inside
-        mu = (AtomicMeasure([0.1, 0.05j], [1.0, 1.0]) if kind == "z_atomic"
-              else power_density(2.0))
-        nodes = mu.points if kind == "z_atomic" else []
-        r_z = np.sqrt(side * w_crit)
+        return mu, nodes, side * w_crit / np.max(np.abs(nodes))
+    # |z|^2 crosses the threshold; every (node, z) pair stays far inside
+    if kind == "z_atomic":
+        mu = AtomicMeasure([0.1, 0.05j], [1.0, 1.0])
+        return mu, mu.points, np.sqrt(side * w_crit)
+    return power_density(2.0), [], np.sqrt(side * w_crit)
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
+@pytest.mark.parametrize("kind", ["atoms", "grid", "z_atomic", "z_radial"])
+def test_berezin_many_guard_matches_per_point_checks(bt60, kind, side):
+    mu, nodes, r_z = _guard_case(bt60, kind, side)
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
     zs = np.concatenate([[0.0], 0.3 * ring, r_z * ring])
     expect = _per_point_checks_raise(bt60, nodes, zs)
     assert expect == (side > 1.0)
@@ -375,6 +380,53 @@ def test_berezin_many_guard_matches_per_point_checks(bt60, kind, side):
             berezin_many(bt60, mu, zs)
     else:
         assert np.all(np.isfinite(berezin_many(bt60, mu, zs)))
+
+
+def _raises_truncation(fn, *args):
+    try:
+        fn(*args)
+    except TruncationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
+@pytest.mark.parametrize("kind", ["atoms", "grid", "z_atomic", "z_radial"])
+def test_berezin_polar_field_guard_matches_berezin_many(bt60, kind, side):
+    mu, _, r_z = _guard_case(bt60, kind, side)
+    r = np.array([0.0, 0.3, r_z])
+    expect = _raises_truncation(berezin_many, bt60, mu, polar_points(r, 7))
+    assert expect == (side > 1.0)
+    field = _berezin_polar_field(bt60, mu)
+    assert _raises_truncation(field, r, 7) == expect
+    if not expect:
+        assert np.all(np.isfinite(field(r, 7)))
+
+
+@pytest.mark.parametrize("kind", ["atoms", "grid", "radial"])
+@pytest.mark.parametrize("table", ["bt60", "bt400"])
+def test_berezin_polar_field_matches_berezin_many(request, monkeypatch, table, kind):
+    bt = request.getfixturevalue(table)
+    n_terms = bt.degree_max + 1
+    rng = np.random.default_rng(11)
+    if kind == "atoms":
+        mu = AtomicMeasure(0.6 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5)),
+                           0.1 + rng.random(5))
+    elif kind == "grid":
+        mu = GridDensityMeasure(rng.random((3, 5)), r_outer=0.6)
+    else:
+        mu = power_density(2.0)
+    # r_max inside each table's adequate range
+    r = np.linspace(0.0, 0.6 if table == "bt60" else 0.9, 40)
+    # n_theta dividing degree_max + 1, not dividing it, and exceeding it
+    expect = {n: berezin_many(bt, mu, polar_points(r, n)) for n in (n_terms, 32, n_terms + 9)}
+    # a small chunk budget makes every case span several chunks of radii
+    monkeypatch.setattr(btk.measures, "_BEREZIN_CHUNK_ENTRIES", 2**11)
+    field = _berezin_polar_field(bt, mu)
+    for n_theta, ref in expect.items():
+        got = field(r, n_theta)
+        assert got.shape == (r.size, 1 if kind == "radial" else n_theta)
+        np.testing.assert_allclose(np.broadcast_to(got, ref.shape), ref, rtol=1e-13, atol=0)
 
 
 def _cell_rule_loop(mu):
@@ -426,27 +478,33 @@ def _lambda_tau_mass(w, r_max):
     )
 
 
+def _ones(r, n_theta):
+    return np.ones((len(r), n_theta))
+
+
 def test_lp_norm_constant_field(w1):
     lam = _lambda_tau_mass(w1, 0.9)
-    got = lp_lambda_tau_norm(w1, lambda z: np.ones(np.shape(z)), 1.0, 0.9)
+    got = lp_lambda_tau_norm(w1, _ones, 1.0, 0.9)
     assert got == pytest.approx(lam, rel=1e-8)
     # p = 2: norm = sqrt of the same mass
-    got2 = lp_lambda_tau_norm(w1, lambda z: np.ones(np.shape(z)), 2.0, 0.9)
+    got2 = lp_lambda_tau_norm(w1, _ones, 2.0, 0.9)
     assert got2 == pytest.approx(np.sqrt(lam), rel=1e-8)
 
 
 def test_lp_norm_radial_flag_consistent(w1):
-    field = lambda z: np.abs(z) ** 2 + 0.1
-    a = lp_lambda_tau_norm(w1, field, 1.0, 0.8, radial=False, n_theta=32)
-    b = lp_lambda_tau_norm(w1, field, 1.0, 0.8, radial=True)
+    # a radial field may return one column instead of n_theta equal ones
+    radial = lambda r, n_theta: (r**2 + 0.1)[:, None]
+    full = lambda r, n_theta: np.repeat(radial(r, n_theta), n_theta, axis=1)
+    a = lp_lambda_tau_norm(w1, full, 1.0, 0.8, n_theta=32)
+    b = lp_lambda_tau_norm(w1, radial, 1.0, 0.8)
     assert a == pytest.approx(b, rel=1e-8)
 
 
 def test_lp_norm_validation(w1):
     with pytest.raises(ParameterError):
-        lp_lambda_tau_norm(w1, lambda z: np.ones(np.shape(z)), 0.0, 0.5)
+        lp_lambda_tau_norm(w1, _ones, 0.0, 0.5)
     with pytest.raises(DomainError):
-        lp_lambda_tau_norm(w1, lambda z: np.ones(np.shape(z)), 1.0, 1.5)
+        lp_lambda_tau_norm(w1, _ones, 1.0, 1.5)
 
 
 def test_muhat_lp_area_measure(w1, delta1, dA):
