@@ -21,18 +21,41 @@ from .weights import RadialWeight
 #: the magnitude sum
 TAIL_FRACTION = 1e-15
 
+#: entries (points x degrees) of one chunk of a kernel series, and the chunk
+#: budget of the Berezin fields in measures; read at call time, so that tests
+#: can shrink it
+CHUNK_ENTRIES = 2**19
+
+
+def table_fingerprint(w: RadialWeight, degree_max: int, tol: float) -> str:
+    """Key of the monomial norm table of w up to degree_max at quadrature tol."""
+    return f"{w.fingerprint()}-d{degree_max}-t{tol:g}"
+
 
 @dataclass(frozen=True)
 class BasisTable:
-    """Monomial norm table log h_n, n = 0..degree_max, for one weight."""
+    """Monomial norm table log h_n, n = 0..degree_max, for one weight.
+
+    Raises DomainError unless log_h holds degree_max + 1 strictly decreasing
+    values, whether they were computed or loaded from a cache.
+    """
 
     weight: RadialWeight
     degree_max: int
     log_h: np.ndarray
     quad_tolerance: float
 
+    def __post_init__(self):
+        if len(self.log_h) != self.degree_max + 1:
+            raise DomainError(
+                f"monomial norm table has {len(self.log_h)} entries, "
+                f"not degree_max + 1 = {self.degree_max + 1}"
+            )
+        if not np.all(np.diff(self.log_h) < 0.0):
+            raise DomainError("monomial norms are not strictly decreasing")
+
     def fingerprint(self) -> str:
-        return f"{self.weight.fingerprint()}-d{self.degree_max}-t{self.quad_tolerance:g}"
+        return table_fingerprint(self.weight, self.degree_max, self.quad_tolerance)
 
 
 def build_basis_table(
@@ -41,8 +64,6 @@ def build_basis_table(
     if degree_max < 0:
         raise DomainError("degree_max must be >= 0")
     log_h = log_monomial_norms(w, degree_max, tol=tol)
-    if degree_max >= 1 and not np.all(np.diff(log_h) < 0.0):
-        raise DomainError("computed monomial norms are not strictly decreasing")
     return BasisTable(weight=w, degree_max=degree_max, log_h=log_h, quad_tolerance=tol)
 
 
@@ -84,119 +105,86 @@ def _require_in_disk(*zs):
             raise DomainError(f"point {z} is not in the open unit disk")
 
 
-def _series_log_terms(bt: BasisTable, log_w_abs: float, n_terms: int):
-    n = np.arange(n_terms)
-    return n * log_w_abs - bt.log_h[:n_terms]
+def _series(bt: BasisTable, log_w: np.ndarray, arg_w: np.ndarray | None, caller: str):
+    """sum_n w^n / h_n over every degree of the table, per point, in log space.
+
+    log_w holds log|w| (-inf for w = 0) and arg_w holds arg w, or is None
+    when every w >= 0, which skips the phase.  Returns (log_abs, phase)
+    arrays shaped like log_w; phase is None when arg_w is.  Points are
+    summed in chunks of at most CHUNK_ENTRIES terms (one point at least),
+    and TruncationError, naming caller, is raised when some point's last
+    term exceeds TAIL_FRACTION of its magnitude sum.
+    """
+    n = np.arange(bt.degree_max + 1)
+    log_abs = np.empty(log_w.shape)
+    phase = None if arg_w is None else np.empty(log_w.shape)
+    chunk = max(1, CHUNK_ENTRIES // n.size)
+    for s0 in range(0, log_w.size, chunk):
+        cut = slice(s0, s0 + chunk)
+        with np.errstate(invalid="ignore"):
+            t = n * log_w[cut, None] - bt.log_h
+        # the n = 0 term is 1 / h_0 for every w; 0 * log 0 made it nan
+        t[:, 0] = -bt.log_h[0]
+        m = np.max(t, axis=1)
+        mag = np.exp(t - m[:, None])
+        mag_sum = np.sum(mag, axis=1)
+        bad = mag[:, -1] > TAIL_FRACTION * mag_sum
+        if np.any(bad):
+            raise TruncationError(
+                f"{caller}: last series term above {TAIL_FRACTION:g} of the magnitude "
+                f"sum at point {s0 + int(np.argmax(bad))}; increase degree_max or "
+                "move off the boundary"
+            )
+        if arg_w is None:
+            log_abs[cut] = m + np.log(mag_sum)
+        else:
+            s = np.einsum("ij,ij->i", mag, np.exp(1j * n * arg_w[cut, None]))
+            with np.errstate(divide="ignore"):
+                log_abs[cut] = m + np.log(np.abs(s))
+            phase[cut] = np.angle(s)
+    return log_abs, phase
 
 
-def _check_tail(t: np.ndarray, context: str) -> None:
-    m = np.max(t)
-    log_mag_sum = m + np.log(np.sum(np.exp(t - m)))
-    if t[-1] > np.log(TAIL_FRACTION) + log_mag_sum:
-        raise TruncationError(
-            f"{context}: last series term is {np.exp(t[-1] - log_mag_sum):.2e} "
-            "of the magnitude sum; increase degree_max or move off the boundary"
-        )
-
-
-def kernel(bt: BasisTable, z: complex, zeta: complex, n_terms: int | None = None):
+def kernel(bt: BasisTable, z: complex, zeta: complex):
     """K_z(zeta) as (log_abs, phase).
 
     Raises TruncationError when the truncated series is inadequate at (z, zeta).
     """
     _require_in_disk(z, zeta)
-    n_terms = bt.degree_max + 1 if n_terms is None else n_terms
-    w = zeta * np.conj(z)
-    if w == 0:
-        return (-float(bt.log_h[0]), 0.0)
-    t = _series_log_terms(bt, np.log(abs(w)), n_terms)
-    _check_tail(t, "kernel")
-    m = float(np.max(t))
-    s = np.sum(np.exp(t - m) * np.exp(1j * np.arange(n_terms) * np.angle(w)))
-    if s == 0:
-        return (-np.inf, 0.0)
-    return (m + float(np.log(abs(s))), float(np.angle(s)))
+    w = np.array([zeta * np.conj(z)])
+    with np.errstate(divide="ignore"):
+        la, ph = _series(bt, np.log(np.abs(w)), np.angle(w), "kernel")
+    return float(la[0]), float(ph[0])
 
 
-def kernel_at_points(
-    bt: BasisTable,
-    z: complex,
-    pts: np.ndarray,
-    n_terms: int | None = None,
-    chunk: int = 4096,
-):
+def kernel_at_points(bt: BasisTable, z: complex, pts: np.ndarray):
     """Vectorized K_z(pt) for an array of points; returns (log_abs, phase) arrays."""
     _require_in_disk(z)
     pts = np.asarray(pts, dtype=complex)
     if np.any(np.abs(pts) >= 1.0):
         raise DomainError("evaluation points must lie in the open unit disk")
-    n_terms = bt.degree_max + 1 if n_terms is None else n_terms
-    n = np.arange(n_terms)
-    log_h = bt.log_h[:n_terms]
-    out_la = np.empty(pts.shape, dtype=float)
-    out_ph = np.empty(pts.shape, dtype=float)
-    flat = pts.ravel()
-    la = out_la.ravel()
-    ph = out_ph.ravel()
-    for s0 in range(0, flat.size, chunk):
-        wv = flat[s0 : s0 + chunk] * np.conj(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_abs_w = np.where(wv == 0, -np.inf, np.log(np.abs(wv)))
-            t = n[None, :] * log_abs_w[:, None] - log_h[None, :]
-        t = np.where(np.isnan(t), -np.inf, t)
-        t[wv == 0, 0] = -log_h[0]
-        m = np.max(t, axis=1)
-        mag = np.exp(t - m[:, None])
-        # adequacy on the worst point of the chunk
-        mag_sum = np.sum(mag, axis=1)
-        bad = mag[:, -1] > TAIL_FRACTION * mag_sum
-        if np.any(bad):
-            raise TruncationError(
-                f"kernel_at_points: truncation inadequate at "
-                f"{int(np.sum(bad))} of {wv.size} points"
-            )
-        s = np.einsum("ij,ij->i", mag, np.exp(1j * n[None, :] * np.angle(wv)[:, None]))
-        la[s0 : s0 + chunk] = m + np.log(np.abs(s))
-        ph[s0 : s0 + chunk] = np.angle(s)
-    return out_la, out_ph
+    w = pts.ravel() * np.conj(z)
+    with np.errstate(divide="ignore"):
+        la, ph = _series(bt, np.log(np.abs(w)), np.angle(w), "kernel_at_points")
+    return la.reshape(pts.shape), ph.reshape(pts.shape)
 
 
-def kernel_norm_sq(bt: BasisTable, z: complex, n_terms: int | None = None) -> float:
+def kernel_norm_sq(bt: BasisTable, z: complex) -> float:
     """log ||K_z||^2 = log K_z(z) = log sum |z|^(2n) / h_n."""
     _require_in_disk(z)
-    n_terms = bt.degree_max + 1 if n_terms is None else n_terms
-    a = abs(z)
-    if a == 0:
-        return -float(bt.log_h[0])
-    t = _series_log_terms(bt, 2.0 * np.log(a), n_terms)
-    _check_tail(t, "kernel_norm_sq")
-    m = float(np.max(t))
-    return m + float(np.log(np.sum(np.exp(t - m))))
+    with np.errstate(divide="ignore"):
+        la, _ = _series(bt, 2.0 * np.log([abs(z)]), None, "kernel_norm_sq")
+    return float(la[0])
 
 
-def kernel_norm_sq_many(bt: BasisTable, radii: np.ndarray, chunk: int = 512) -> np.ndarray:
+def kernel_norm_sq_many(bt: BasisTable, radii: np.ndarray) -> np.ndarray:
     """Vectorized log ||K_r||^2 over an array of radii in [0, 1)."""
     radii = np.asarray(radii, dtype=float)
     if np.any(radii >= 1.0) or np.any(radii < 0.0):
         raise DomainError("radii must lie in [0, 1)")
-    n = np.arange(bt.degree_max + 1)
-    out = np.empty(radii.shape)
-    flat = radii.ravel()
-    o = out.ravel()
-    for s0 in range(0, flat.size, chunk):
-        r = flat[s0 : s0 + chunk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lw = np.where(r == 0, -np.inf, 2.0 * np.log(r))
-            t = n[None, :] * lw[:, None] - bt.log_h[None, :]
-        t = np.where(np.isnan(t), -np.inf, t)
-        t[r == 0, 0] = -bt.log_h[0]
-        m = np.max(t, axis=1)
-        mag = np.exp(t - m[:, None])
-        ssum = np.sum(mag, axis=1)
-        if np.any(mag[:, -1] > TAIL_FRACTION * ssum):
-            raise TruncationError("kernel_norm_sq_many: truncation inadequate")
-        o[s0 : s0 + chunk] = m + np.log(ssum)
-    return out
+    with np.errstate(divide="ignore"):
+        la, _ = _series(bt, 2.0 * np.log(radii.ravel()), None, "kernel_norm_sq_many")
+    return la.reshape(radii.shape)
 
 
 def normalized_kernel(bt: BasisTable, z: complex, zeta: complex):
@@ -205,12 +193,10 @@ def normalized_kernel(bt: BasisTable, z: complex, zeta: complex):
     return (la - 0.5 * kernel_norm_sq(bt, z), ph)
 
 
-def log_normalized_kernel_sq_at(
-    bt: BasisTable, z: complex, pts: np.ndarray, n_terms: int | None = None
-) -> np.ndarray:
+def log_normalized_kernel_sq_at(bt: BasisTable, z: complex, pts: np.ndarray) -> np.ndarray:
     """log |k_z(pt)|^2, vectorized over pts."""
-    la, _ = kernel_at_points(bt, z, pts, n_terms=n_terms)
-    return 2.0 * la - kernel_norm_sq(bt, z, n_terms=n_terms)
+    la, _ = kernel_at_points(bt, z, pts)
+    return 2.0 * la - kernel_norm_sq(bt, z)
 
 
 def _log_abs_poly(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:

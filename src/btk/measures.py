@@ -23,6 +23,7 @@ import numpy as np
 # module attributes because the benchmark's traced run (perfbench/layers.py)
 # patches them at this module, as it does radial_log_moments.
 from .basis import (
+    CHUNK_ENTRIES,
     BasisTable,
     basis_columns,
     kernel,
@@ -574,11 +575,6 @@ def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
     return float(np.sum(wts * np.exp(log_k2 + w.log_weight(np.abs(pts)))))
 
 
-#: entries of one chunk of weighted basis columns (berezin_many), or of the
-#: radial columns and of the folded (n_theta, chunk, K) product (the polar field)
-_BEREZIN_CHUNK_ENTRIES = 2**19
-
-
 def _berezin_factor(bt: BasisTable, mu: Measure):
     """(y, t, outer) for a nonzero measure, built once per Berezin field.
 
@@ -626,7 +622,7 @@ def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:
     y, t, outer = _berezin_factor(bt, mu)
     _check_berezin_truncation(bt, flat[np.argmax(np.abs(flat))], outer)
     n_terms = bt.degree_max + 1
-    chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+    chunk = max(1, CHUNK_ENTRIES // n_terms)
     out = np.empty(flat.shape)
     for s0 in range(0, flat.size, chunk):
         u = basis_columns(bt, flat[s0 : s0 + chunk], n_terms)
@@ -667,7 +663,7 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
             return out
         _check_berezin_truncation(bt, complex(np.max(r)), outer)
         if y is None:
-            chunk = max(1, _BEREZIN_CHUNK_ENTRIES // n_terms)
+            chunk = max(1, CHUNK_ENTRIES // n_terms)
         else:
             # conj(y) as interleaved (re, im) pairs with degree n at
             # [n mod n_theta, n // n_theta], so the GEMM's real output is C
@@ -676,7 +672,7 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
             yc = np.zeros((rows * n_theta, y.shape[1]), dtype=complex)
             yc[:n_terms] = y.conj()
             yf = yc.view(float).reshape(rows, n_theta, -1).transpose(1, 0, 2)
-            chunk = max(1, _BEREZIN_CHUNK_ENTRIES // (n_theta * max(rows, y.shape[1])))
+            chunk = max(1, CHUNK_ENTRIES // (n_theta * max(rows, y.shape[1])))
         for s0 in range(0, r.size, chunk):
             a = basis_columns(bt, r[s0 : s0 + chunk], n_terms).real
             a2 = a * a

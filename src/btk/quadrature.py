@@ -250,15 +250,3 @@ def disk_nodes(center: complex, rho: float, n_r: int = 48, n_t: int = 128):
     wts = (wr * r)[:, None] * np.full(n_t, 2.0 / n_t)[None, :]
     return pts.ravel(), wts.ravel()
 
-
-def unit_disk_nodes(r_cap: float, n_r: int = 256, n_t: int = 256):
-    """Tensor polar rule on {|z| <= r_cap} for the normalized area measure.
-
-    Uniform (trapezoidal) angular rule: exact for trigonometric polynomials of
-    degree < n_t, which makes monomial inner products exact in the angle.
-    """
-    r, wr = gauss_legendre_nodes(0.0, r_cap, n_r)
-    theta = np.arange(n_t) * (2.0 * np.pi / n_t)
-    pts = r[:, None] * np.exp(1j * theta)[None, :]
-    wts = (wr * r)[:, None] * np.full(n_t, 2.0 / n_t)[None, :]
-    return pts.ravel(), wts.ravel()

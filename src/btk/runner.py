@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisTable, build_basis_table, kernel_norm_sq_many
+from .basis import BasisTable, build_basis_table, kernel_norm_sq_many, table_fingerprint
 from .errors import ParameterError
 from .lattice import Lattice, build_lattice, certify_lattice
 from .measures import (
@@ -124,13 +124,17 @@ class ReportRow:
 def cached_basis_table(
     w: RadialWeight, degree_max: int, tol: float = 1e-9, cache_dir: str | None = None
 ) -> BasisTable:
-    """Build a basis table, or load it from the BTK_CACHE_DIR cache."""
+    """Build a basis table, or load it from the BTK_CACHE_DIR cache.
+
+    A loaded table is checked as a built one is: DomainError unless it holds
+    degree_max + 1 strictly decreasing values.
+    """
     if cache_dir is None:
         cache_dir = os.environ.get("BTK_CACHE_DIR")
     if not cache_dir:
         return build_basis_table(w, degree_max, tol=tol)
     os.makedirs(cache_dir, exist_ok=True)
-    key = f"basis-{w.fingerprint()}-d{degree_max}-t{tol:g}.npy"
+    key = f"basis-{table_fingerprint(w, degree_max, tol)}.npy"
     path = os.path.join(cache_dir, key)
     if os.path.exists(path):
         log_h = np.load(path)

@@ -10,8 +10,8 @@ gives a factor F[n, k] = e_n(xi_k) sqrt(omega(xi_k) w_k) with T = conj(F) F^T:
   sigma(F)^2 is the full nonzero spectrum with no basis truncation, and the
   dim-row block F[:dim] gives the truncated matrix;
 * grids (label ``dense``) keep F[:dim] over their cell quadrature nodes;
-* ``structure="dense"`` forces the same dim-row factor for atoms and for a
-  polar quadrature of radial measures, as validation oracles.
+* ``_radial_factor``, a dim-row factor from a polar quadrature of a radial
+  measure, is kept as the oracle that tests check the diagonal against.
 
 The spectrum is sigma(F)^2, computed from the factor and never from the Gram
 F^H F, whose conditioning is the square of F's.
@@ -94,7 +94,7 @@ def _weighted_factor(bt: BasisTable, pts: np.ndarray, wts: np.ndarray,
     return f
 
 
-def _atomic_factor(bt: BasisTable, mu: AtomicMeasure, n_terms: int) -> np.ndarray:
+def _atomic_factor(bt: BasisTable, mu: AtomicMeasure) -> np.ndarray:
     # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
     # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
     # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
@@ -102,7 +102,7 @@ def _atomic_factor(bt: BasisTable, mu: AtomicMeasure, n_terms: int) -> np.ndarra
     # some pair's series is inadequate.
     outer = mu.points[np.argmax(np.abs(mu.points))]
     kernel(bt, outer, outer)
-    return _weighted_factor(bt, mu.points, mu.masses, n_terms)
+    return _weighted_factor(bt, mu.points, mu.masses, bt.degree_max + 1)
 
 
 def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
@@ -128,18 +128,10 @@ def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
     return _weighted_factor(bt, pts, np.repeat(wq, n_t), dim)
 
 
-def assemble_toeplitz(
-    bt: BasisTable, mu: Measure, dim: int, structure: str | None = None
-) -> ToeplitzMatrix:
-    """Assemble the truncated Toeplitz matrix of mu in the monomial basis.
-
-    structure overrides the fast-path choice; "dense" forces the dim-row
-    quadrature/sum factor used as a validation oracle.
-    """
+def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
+    """Assemble the truncated Toeplitz matrix of mu in the monomial basis."""
     if not (1 <= dim <= bt.degree_max + 1):
         raise DomainError(f"dim must lie in [1, {bt.degree_max + 1}]")
-    if structure not in (None, "diagonal", "finite_rank", "dense"):
-        raise ParameterError(f"unknown structure {structure!r}")
     if mu.is_zero:
         return ToeplitzMatrix(bt, dim, "diagonal", diag=np.zeros(dim))
     if isinstance(mu, GridDensityMeasure):
@@ -147,13 +139,8 @@ def assemble_toeplitz(
         return ToeplitzMatrix(bt, dim, "dense",
                               factor=_weighted_factor(bt, pts, wts, dim))
     if isinstance(mu, AtomicMeasure):
-        if structure == "dense":
-            return ToeplitzMatrix(bt, dim, "dense", factor=_atomic_factor(bt, mu, dim))
-        return ToeplitzMatrix(bt, dim, "finite_rank",
-                              factor=_atomic_factor(bt, mu, bt.degree_max + 1))
+        return ToeplitzMatrix(bt, dim, "finite_rank", factor=_atomic_factor(bt, mu))
     if isinstance(mu, RadialDensityMeasure):
-        if structure == "dense":
-            return ToeplitzMatrix(bt, dim, "dense", factor=_radial_factor(bt, mu, dim))
         return _assemble_diagonal(bt, mu, dim)
     raise ParameterError(f"unsupported measure type {type(mu).__name__}")
 

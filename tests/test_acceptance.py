@@ -115,7 +115,7 @@ def test_criterion_01_kernel_norm_ratio():
     for alpha, deg in ADEQUATE_DEGREE.items():
         w = btk.make_exponential_weight(alpha)
         bt = build_basis_table(w, deg)
-        log_k2 = kernel_norm_sq_many(bt, radii, chunk=4)
+        log_k2 = kernel_norm_sq_many(bt, radii)
         log_ratio = log_k2 + w.log_weight(radii) + 2.0 * w.log_tau(radii)
         spreads[alpha] = float(np.exp(np.max(log_ratio) - np.min(log_ratio)))
 
@@ -255,7 +255,7 @@ def test_criterion_05_toeplitz_oracles(bt2000, w1):
         return np.sort(jacobi_eigvalsh(g))[::-1]
 
     dense64 = np.linalg.eigvalsh(
-        assemble_toeplitz(bt2000, mu_a, 64, structure="dense").entries()
+        assemble_toeplitz(bt2000, mu_a, 64).entries()
     )[::-1][:5]
     np.testing.assert_allclose(truncated_nonzero(64), dense64, rtol=1e-10)
 

@@ -14,7 +14,7 @@ from btk.basis import (
     normalized_kernel,
 )
 from btk.errors import DomainError, TruncationError
-from btk.quadrature import unit_disk_nodes
+from btk.quadrature import disk_nodes
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,29 @@ def test_kernel_norm_sq_many_matches_scalar(bt400):
         assert many[k] == pytest.approx(kernel_norm_sq(bt400, r), rel=1e-13)
 
 
+def test_series_chunk_boundaries(bt400, monkeypatch):
+    # three points per chunk: values must not depend on where the chunks
+    # split, and an inadequate point in a later chunk must still raise
+    rng = np.random.default_rng(5)
+    pts = 0.85 * np.sqrt(rng.random(10)) * np.exp(2j * np.pi * rng.random(10))
+    pts[4] = 0.0
+    z = 0.6 * np.exp(0.3j)
+    norms = kernel_norm_sq_many(bt400, np.abs(pts))
+    la, ph = kernel_at_points(bt400, z, pts)
+    monkeypatch.setattr(btk.basis, "CHUNK_ENTRIES", 3 * (bt400.degree_max + 1))
+    np.testing.assert_array_equal(kernel_norm_sq_many(bt400, np.abs(pts)), norms)
+    la3, ph3 = kernel_at_points(bt400, z, pts)
+    np.testing.assert_allclose(la3, la, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(np.exp(1j * ph3), np.exp(1j * ph), rtol=1e-14, atol=0)
+    # the degree-400 series is adequate up to |w| = 0.92^2 only
+    outer = pts.copy()
+    outer[7] = 0.95
+    with pytest.raises(TruncationError, match="point 7"):
+        kernel_norm_sq_many(bt400, np.abs(outer))
+    with pytest.raises(TruncationError, match="point 7"):
+        kernel_at_points(bt400, 0.95, outer)
+
+
 def test_norm_sq_equals_diagonal_kernel_value(bt400):
     z = 0.61 * np.exp(1.3j)
     la, ph = kernel(bt400, z, z)
@@ -87,11 +110,11 @@ def test_domain_validation(bt400):
 
 def test_reproducing_property_by_quadrature(bt60, w1):
     # <f, K_z>_omega = f(z) for f in the span; f = e_3 here.  The angular rule
-    # in unit_disk_nodes (256 nodes) is exact for the phase factors of degree
+    # of disk_nodes (256 nodes) is exact for the phase factors of degree
     # <= 60 and the weight kills the truncation radius r_cap.
     z = 0.35 * np.exp(0.4j)
     f = lambda pts: pts**3 / np.exp(0.5 * bt60.log_h[3])
-    pts, wts = unit_disk_nodes(0.9995, n_r=512, n_t=256)
+    pts, wts = disk_nodes(0.0, 0.9995, n_r=512, n_t=256)
     la, ph = kernel_at_points(bt60, z, pts)
     kz = np.exp(la) * np.exp(1j * ph)
     inner = np.sum(wts * f(pts) * np.conj(kz) * np.exp(w1.log_weight(np.abs(pts))))
@@ -101,7 +124,7 @@ def test_reproducing_property_by_quadrature(bt60, w1):
 def test_parseval_by_quadrature(bt60, w1):
     # int |K_z|^2 omega dA = K_z(z) for the truncated kernel
     z = 0.4 * np.exp(-0.9j)
-    pts, wts = unit_disk_nodes(0.9995, n_r=512, n_t=256)
+    pts, wts = disk_nodes(0.0, 0.9995, n_r=512, n_t=256)
     la, _ = kernel_at_points(bt60, z, pts)
     integral = np.sum(wts * np.exp(2.0 * la + w1.log_weight(np.abs(pts))))
     assert float(integral) == pytest.approx(

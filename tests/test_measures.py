@@ -421,7 +421,7 @@ def test_berezin_polar_field_matches_berezin_many(request, monkeypatch, table, k
     # n_theta dividing degree_max + 1, not dividing it, and exceeding it
     expect = {n: berezin_many(bt, mu, polar_points(r, n)) for n in (n_terms, 32, n_terms + 9)}
     # a small chunk budget makes every case span several chunks of radii
-    monkeypatch.setattr(btk.measures, "_BEREZIN_CHUNK_ENTRIES", 2**11)
+    monkeypatch.setattr(btk.measures, "CHUNK_ENTRIES", 2**11)
     field = _berezin_polar_field(bt, mu)
     for n_theta, ref in expect.items():
         got = field(r, n_theta)

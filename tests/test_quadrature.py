@@ -9,7 +9,6 @@ from btk.quadrature import (
     log_monomial_norms,
     radial_log_moments,
     simpson_doubling,
-    unit_disk_nodes,
 )
 
 # h_0 = 2 int_0^1 r exp(-1/(1-r^2)) dr for alpha = 1, frozen oracle
@@ -80,18 +79,14 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_disk_nodes_weight_normalization():
-    pts, wts = disk_nodes(0.3 + 0.1j, 0.2)
-    assert float(np.sum(wts)) == pytest.approx(0.04, rel=1e-12)
-    assert np.max(np.abs(pts - (0.3 + 0.1j))) <= 0.2
-
-
-def test_unit_disk_nodes_weight_normalization():
-    pts, wts = unit_disk_nodes(0.9, n_r=64, n_t=32)
-    assert float(np.sum(wts)) == pytest.approx(0.81, rel=1e-12)
-    # the rule integrates |z|^2 dA = r_cap^4 / 2 exactly
-    assert float(np.sum(wts * np.abs(pts) ** 2)) == pytest.approx(
-        0.9**4 / 2.0, rel=1e-12
-    )
+    for center, rho, n_r, n_t in ((0.3 + 0.1j, 0.2, 48, 128), (0.0, 0.9, 64, 32)):
+        pts, wts = disk_nodes(center, rho, n_r=n_r, n_t=n_t)
+        assert float(np.sum(wts)) == pytest.approx(rho**2, rel=1e-12)
+        assert np.max(np.abs(pts - center)) <= rho
+        # the rule integrates |z - center|^2 dA = rho^4 / 2 exactly
+        assert float(np.sum(wts * np.abs(pts - center) ** 2)) == pytest.approx(
+            rho**4 / 2.0, rel=1e-12
+        )
 
 
 def test_parameter_validation(w1):

@@ -6,7 +6,7 @@ import pytest
 
 import btk
 from btk.cli import main as cli_main
-from btk.errors import ParameterError
+from btk.errors import DomainError, ParameterError
 from btk.measures import AtomicMeasure, indicator_density, zero_measure
 from btk.runner import (
     Scenario,
@@ -161,6 +161,17 @@ def test_cached_basis_table_round_trip(w1, tmp_path):
     a = cached_basis_table(w1, 50, cache_dir=cache)
     b = cached_basis_table(w1, 50, cache_dir=cache)  # loaded from disk
     np.testing.assert_array_equal(a.log_h, b.log_h)
+
+
+def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path):
+    cache = tmp_path / "cache"
+    a = cached_basis_table(w1, 50, cache_dir=str(cache))
+    path = cache / f"basis-{a.fingerprint()}.npy"
+    assert path.exists()
+    for bad in (a.log_h[:-1], a.log_h[::-1]):  # wrong length, increasing
+        np.save(path, bad)
+        with pytest.raises(DomainError):
+            cached_basis_table(w1, 50, cache_dir=str(cache))
 
 
 # --- CLI --------------------------------------------------------------------

@@ -23,6 +23,8 @@ from btk.measures import (
 from btk.quadrature import simpson_doubling
 from btk.toeplitz import (
     SpectrumReport,
+    ToeplitzMatrix,
+    _radial_factor,
     assemble_toeplitz,
     berezin_operator,
     schatten_norm,
@@ -91,7 +93,7 @@ def test_radial_dense_oracle_matches_diagonal(bt400):
     mu = indicator_density(0.2, 0.6)
     dim = 48
     fast = assemble_toeplitz(bt400, mu, dim)
-    m = assemble_toeplitz(bt400, mu, dim, structure="dense").entries()
+    m = ToeplitzMatrix(bt400, dim, "dense", factor=_radial_factor(bt400, mu, dim)).entries()
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(m)))
     np.testing.assert_allclose(np.diag(m).real, fast.diag, rtol=1e-8)
@@ -126,12 +128,11 @@ def test_finite_rank_gram_matches_per_pair_kernel_loop(bt400, w1):
 
 
 def test_finite_rank_factor_matches_dense_oracle(bt400):
+    # the entries themselves are checked against per-pair kernel() series in
+    # test_finite_rank_gram_matches_per_pair_kernel_loop
     mu = AtomicMeasure([0.3, -0.15 + 0.2j, 0.6j], [1.0, 0.6, 0.25])
     tm = assemble_toeplitz(bt400, mu, 48)
-    dense = assemble_toeplitz(bt400, mu, 48, structure="dense").entries()
-    scale = np.max(np.abs(dense))
-    np.testing.assert_allclose(tm.entries(), dense, atol=1e-14 * scale)
-    assert tm.matrix_trace() == pytest.approx(np.trace(dense).real, rel=1e-13)
+    assert tm.matrix_trace() == pytest.approx(np.trace(tm.entries()).real, rel=1e-13)
 
 
 def test_atomic_spectrum_relatively_accurate_against_mpmath(w1):
@@ -184,7 +185,7 @@ def test_atomic_dense_truncation_converges(bt400):
     exact = spectrum(assemble_toeplitz(bt400, mu, 64)).eigenvalues[:3]
     gaps = []
     for dim in (16, 32, 64):
-        tm = assemble_toeplitz(bt400, mu, dim, structure="dense")
+        tm = assemble_toeplitz(bt400, mu, dim)
         ev = np.linalg.eigvalsh(tm.entries())[::-1][:3]
         gaps.append(np.max(np.abs(ev - exact) / exact))
     assert gaps[-1] <= gaps[0]
@@ -195,9 +196,9 @@ def test_linearity_for_atomic_measures(bt400):
     a = AtomicMeasure([0.3], [1.0])
     b = AtomicMeasure([-0.4j], [0.5])
     ab = AtomicMeasure([0.3, -0.4j], [1.0, 0.5])
-    da = assemble_toeplitz(bt400, a, 32, structure="dense").entries()
-    db = assemble_toeplitz(bt400, b, 32, structure="dense").entries()
-    dab = assemble_toeplitz(bt400, ab, 32, structure="dense").entries()
+    da = assemble_toeplitz(bt400, a, 32).entries()
+    db = assemble_toeplitz(bt400, b, 32).entries()
+    dab = assemble_toeplitz(bt400, ab, 32).entries()
     np.testing.assert_allclose(dab, da + db, atol=1e-14 * np.max(np.abs(dab)))
 
 
@@ -238,8 +239,6 @@ def test_assembly_validation(bt400):
         assemble_toeplitz(bt400, indicator_density(0.0, 1.0), 402)
     with pytest.raises(DomainError):
         assemble_toeplitz(bt400, indicator_density(0.0, 1.0), 0)
-    with pytest.raises(ParameterError):
-        assemble_toeplitz(bt400, indicator_density(0.0, 1.0), 8, structure="bogus")
 
 
 # --- spectra and Schatten norms --------------------------------------------
@@ -298,10 +297,7 @@ def test_spectrum_raises_when_svd_fails(bt400, monkeypatch):
         spectrum(tm)
 
 
-@pytest.mark.parametrize(
-    "structure", [None, "dense"], ids=["fast_path", "dense_oracle"]
-)
-def test_negative_mass_raises_psd_violation(bt400, structure):
+def test_negative_mass_raises_psd_violation(bt400):
     # the constructors reject negative input, so corrupt the measures afterwards
     atoms = AtomicMeasure([0.3, -0.2j], [1.0, 0.5])
     atoms.masses[0] = -1.0
@@ -309,7 +305,7 @@ def test_negative_mass_raises_psd_violation(bt400, structure):
     grid.cells[0, 0] = -1.0
     for mu in (atoms, grid):
         with pytest.raises(PSDViolationError):
-            assemble_toeplitz(bt400, mu, 16, structure=structure)
+            assemble_toeplitz(bt400, mu, 16)
 
 
 def test_tail_flag_behavior():
