@@ -78,15 +78,23 @@ def test_gauss_legendre_polynomial_exactness():
     assert float(np.dot(w, x**5)) == pytest.approx(2.0**6 / 6.0, rel=1e-13)
 
 
+def _check_disk_rule(center, rho, n_r, n_t):
+    pts, wts = disk_nodes(center, rho, n_r=n_r, n_t=n_t)
+    assert float(np.sum(wts)) == pytest.approx(rho**2, rel=1e-12)
+    assert np.max(np.abs(pts - center)) <= rho
+    # the rule integrates |z - center|^2 dA = rho^4 / 2 exactly
+    assert float(np.sum(wts * np.abs(pts - center) ** 2)) == pytest.approx(
+        rho**4 / 2.0, rel=1e-12
+    )
+
+
 def test_disk_nodes_weight_normalization():
-    for center, rho, n_r, n_t in ((0.3 + 0.1j, 0.2, 48, 128), (0.0, 0.9, 64, 32)):
-        pts, wts = disk_nodes(center, rho, n_r=n_r, n_t=n_t)
-        assert float(np.sum(wts)) == pytest.approx(rho**2, rel=1e-12)
-        assert np.max(np.abs(pts - center)) <= rho
-        # the rule integrates |z - center|^2 dA = rho^4 / 2 exactly
-        assert float(np.sum(wts * np.abs(pts - center) ** 2)) == pytest.approx(
-            rho**4 / 2.0, rel=1e-12
-        )
+    _check_disk_rule(0.3 + 0.1j, 0.2, n_r=48, n_t=128)
+
+
+def test_unit_disk_nodes_weight_normalization():
+    # the unit-disk rule is disk_nodes centred at 0
+    _check_disk_rule(0.0, 0.9, n_r=64, n_t=32)
 
 
 def test_parameter_validation(w1):
