@@ -7,6 +7,7 @@ shows how the same scenario is driven through the `btk verify` command line.
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -73,7 +74,7 @@ def main():
     spath = out / "scenario.json"
     spath.write_text(json.dumps(spec))
     proc = subprocess.run(
-        ["btk", "verify", str(spath), "--out", str(out / "cli")],
+        [sys.executable, "-m", "btk.cli", "verify", str(spath), "--out", str(out / "cli")],
         capture_output=True, text=True,
     )
     print(f"\nbtk verify exited {proc.returncode}")

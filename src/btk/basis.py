@@ -212,14 +212,13 @@ def check_submeanvalue(
     p: float,
     beta: float,
     delta: float,
-    n_r: int = 64,
-    n_t: int = 128,
 ) -> float:
     """Ratio of |f(z)|^p omega(z)^beta to its average over D(delta tau(z)).
 
     The average is (1 / (delta^2 tau^2)) * int_{D(delta tau(z))} |f|^p
     omega^beta dA; under the normalized area measure the disk has mass
-    delta^2 tau^2, so the ratio is exactly 1 for constant integrands.
+    delta^2 tau^2, so the ratio is exactly 1 for constant integrands.  The
+    disk rule has 64 radial and 128 angular nodes.
     """
     _require_in_disk(z)
     if p <= 0:
@@ -228,7 +227,7 @@ def check_submeanvalue(
     coeffs = np.asarray(f_coeffs, dtype=complex)
     tau_z = float(w.tau(abs(z)))
     rho = delta * tau_z
-    pts, wts = disk_nodes(z, rho, n_r=n_r, n_t=n_t)
+    pts, wts = disk_nodes(z, rho, n_r=64, n_t=128)
     log_num = p * float(_log_abs_poly(coeffs, np.array([z]))[0]) + beta * float(
         w.log_weight(abs(z))
     )

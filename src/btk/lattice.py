@@ -103,12 +103,11 @@ class _GreedyState:
     each, then the exact separation test on the returned pairs.
     """
 
-    def __init__(self, rebuild_every: int = 2048):
+    def __init__(self):
         self.data = np.empty((4096, 3))
         self.n = 0
         self.tree = None
         self.buf_start = 0
-        self.rebuild_every = rebuild_every
 
     def __len__(self):
         return self.n
@@ -122,7 +121,7 @@ class _GreedyState:
         return self.data[: self.n, 2]
 
     def maybe_rebuild(self):
-        if self.n - self.buf_start >= self.rebuild_every:
+        if self.n - self.buf_start >= 2048:
             self.rebuild()
 
     def rebuild(self):
@@ -176,17 +175,18 @@ def build_lattice(
     r_max: float,
     probe_count: int = 100_000,
     max_points: int = 2_000_000,
-    candidate_spacing: float = 0.45,
 ) -> Lattice:
     """Greedy annular-sweep lattice on {|z| <= r_max} with covering repair.
 
     Deterministic: fixed sweep order (rings outward, golden-ratio angular
-    offsets) and an unscrambled Halton probe grid.
+    offsets, ring and angular spacing 0.45 delta tau) and an unscrambled
+    Halton probe grid.
     """
     w.require_delta(delta)
     if not (0.0 < r_max < 1.0):
         raise DomainError(f"r_max must lie in (0, 1), got {r_max}")
 
+    candidate_spacing = 0.45
     state = _GreedyState()
     state.add(0.0, 0.0, float(w.tau(0.0)))
 

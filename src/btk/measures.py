@@ -32,7 +32,7 @@ from .basis import (
     kernel_norm_sq_many,
     log_normalized_kernel_sq_at,
 )
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, PSDViolationError
 from .lattice import Lattice
 from .quadrature import gauss_legendre_nodes, gauss_legendre_rule, radial_log_moments
 from .weights import RadialWeight
@@ -46,12 +46,15 @@ GRID_PAIR_CHUNK = 1 << 18
 
 
 class Measure:
-    """Base class; concrete subclasses implement disk_mass and to_json."""
+    """Base class; concrete subclasses implement disk_mass_many and to_json."""
 
     kind: str
     total_mass: float
 
     def disk_mass(self, center: complex, rho: float) -> float:
+        return float(self.disk_mass_many(np.array([center]), np.array([rho]))[0])
+
+    def disk_mass_many(self, centers: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def scaled(self, c: float) -> "Measure":
@@ -86,16 +89,15 @@ class AtomicMeasure(Measure):
         self.masses = masses
         self.total_mass = float(np.sum(masses))
 
-    def disk_mass(self, center: complex, rho: float) -> float:
-        if len(self.points) == 0:
-            return 0.0
-        return float(np.sum(self.masses[np.abs(self.points - center) < rho]))
-
     def disk_mass_many(self, centers: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         out = np.zeros(len(centers))
         for xi, m in zip(self.points, self.masses):
             out += m * (np.abs(centers - xi) < rhos)
         return out
+
+    def nodes(self):
+        """The atoms and their masses, as (nodes, weights)."""
+        return self.points, self.masses
 
     def scaled(self, c: float) -> "AtomicMeasure":
         return AtomicMeasure(self.points, c * self.masses)
@@ -135,7 +137,7 @@ class RadialDensityMeasure(Measure):
             vals = np.exp(self.log_g(np.clip(r, lo, hi)))
         return np.where((r >= lo) & (r <= hi), vals, 0.0)
 
-    def _mass_between(self, a: float, b: float, n: int = 256) -> float:
+    def _mass_between(self, a: float, b: float) -> float:
         # 2 * int_a^b g(r) r dr, composite Gauss-Legendre in two panels
         a = max(a, self.support[0])
         b = min(b, self.support[1])
@@ -144,16 +146,11 @@ class RadialDensityMeasure(Measure):
         total = 0.0
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            x, wq = gauss_legendre_nodes(lo, hi, n)
+            x, wq = gauss_legendre_nodes(lo, hi, 256)
             total += 2.0 * float(np.dot(wq, self.g(x) * x))
         return total
 
-    def disk_mass(self, center: complex, rho: float) -> float:
-        return float(self.disk_mass_many(np.array([center]), np.array([rho]))[0])
-
-    def disk_mass_many(
-        self, centers: np.ndarray, rhos: np.ndarray, n_nodes: int = 64
-    ) -> np.ndarray:
+    def disk_mass_many(self, centers: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         """mu(D(center, rho)) via the arc-angle reduction, vectorized.
 
         mu(D) = (1/pi) * int r g(r) Theta(r) dr with Theta the angular opening
@@ -170,7 +167,7 @@ class RadialDensityMeasure(Measure):
         full_hi = np.minimum(hi, rho - d)
         has_full = full_hi > lo
         if np.any(has_full):
-            x01, w01 = gauss_legendre_rule(n_nodes)
+            x01, w01 = gauss_legendre_rule(64)
             a = np.full(np.sum(has_full), lo)
             b = full_hi[has_full]
             r_nodes = 0.5 * (b - a)[:, None] * x01[None, :] + 0.5 * (a + b)[:, None]
@@ -187,7 +184,7 @@ class RadialDensityMeasure(Measure):
             with np.errstate(invalid="ignore"):
                 v_lo = np.arccos(np.clip((dd - r_hi[has_arc]) / rr, -1.0, 1.0))
                 v_hi = np.arccos(np.clip((dd - r_lo[has_arc]) / rr, -1.0, 1.0))
-            x01, w01 = gauss_legendre_rule(n_nodes)
+            x01, w01 = gauss_legendre_rule(64)
             v = 0.5 * (v_lo - v_hi)[:, None] * x01[None, :] + 0.5 * (v_lo + v_hi)[:, None]
             wv = 0.5 * (v_lo - v_hi)[:, None] * w01[None, :]
             r_nodes = dd[:, None] - rr[:, None] * np.cos(v)
@@ -248,9 +245,6 @@ class GridDensityMeasure(Measure):
         cell_r = (r[1:] ** 2 - r[:-1] ** 2) / (2.0 * np.pi)
         dt = 2.0 * np.pi / ntheta
         return cls(np.outer(cell_r, np.full(ntheta, dt)), r_outer=r_outer)
-
-    def disk_mass(self, center: complex, rho: float) -> float:
-        return float(self.disk_mass_many(np.array([center]), np.array([rho]))[0])
 
     def disk_mass_many(self, centers, rhos) -> np.ndarray:
         """mu(D(center, rho)) per centre, by recursive cell classification.
@@ -535,12 +529,37 @@ def carleson_constant(
     )
 
 
-def _radial_berezin_log_t(bt: BasisTable, mu: RadialDensityMeasure) -> np.ndarray:
-    """log of the diagonal symbols t_n = (2/h_n) int r^(2n+1) omega g dr."""
-    logmom = radial_log_moments(
-        bt.weight, bt.degree_max, log_density=mu.log_g, support=mu.support
-    )
-    return np.log(2.0) + logmom - bt.log_h
+def operator_factor(bt: BasisTable, mu: Measure, n_terms: int):
+    """(factor, diag, outer): the one node rule behind T_mu and B(mu).
+
+    The nodes xi_j with weights m_j are the atoms and their masses, or the
+    grid's cell rule.  factor[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) for
+    n < n_terms, so that T_mu = conj(F) F^T, and outer is the largest-modulus
+    node; a negative weight raises PSDViolationError.  A radial measure has
+    the diagonal symbols diag[n] = 2 M_n / h_n instead, with the radial
+    moment M_n = int r^(2n+1) omega g dr, and factor = outer = None.
+    """
+    if isinstance(mu, RadialDensityMeasure):
+        logmom = radial_log_moments(
+            bt.weight, n_terms - 1, log_density=mu.log_g, support=mu.support
+        )
+        with np.errstate(over="raise"):
+            diag = np.where(
+                np.isfinite(logmom),
+                np.exp(np.log(2.0) + logmom - bt.log_h[:n_terms]),
+                0.0,
+            )
+        return None, diag, None
+    if not isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
+        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    nodes, wts = mu.nodes()
+    if np.any(wts < 0.0):
+        raise PSDViolationError(
+            f"negative mass or weight {float(np.min(wts)):.3e}: T_mu is not PSD"
+        )
+    factor = basis_columns(bt, nodes, n_terms)
+    factor *= np.sqrt(wts)
+    return factor, None, nodes[np.argmax(np.abs(nodes))]
 
 
 def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
@@ -552,52 +571,28 @@ def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
         raise DomainError("z must lie in the open unit disk")
     if mu.is_zero:
         return 0.0
-    w = bt.weight
     if isinstance(mu, RadialDensityMeasure):
         # <T_mu k_z, k_z> for a diagonal symbol: sum t_n |z|^(2n)/h_n / ||K_z||^2
-        log_t = _radial_berezin_log_t(bt, mu)
+        _, t, _ = operator_factor(bt, mu, bt.degree_max + 1)
         a = abs(z)
         n = np.arange(bt.degree_max + 1)
         if a == 0.0:
             base = np.where(n == 0, -bt.log_h, -np.inf)
         else:
             base = n * (2.0 * np.log(a)) - bt.log_h
-        num = base + log_t
-        m = max(np.max(base), np.max(num))
-        return float(np.sum(np.exp(num - m)) / np.sum(np.exp(base - m)))
-    if isinstance(mu, AtomicMeasure):
-        pts, wts = mu.points, mu.masses
-    elif isinstance(mu, GridDensityMeasure):
-        pts, wts = mu.nodes()
-    else:
-        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+        terms = np.exp(base - np.max(base))
+        return float(np.sum(t * terms) / np.sum(terms))
+    # the node rule of operator_factor, summed one kernel series per node
+    pts, wts = mu.nodes()
     log_k2 = log_normalized_kernel_sq_at(bt, z, pts)
-    return float(np.sum(wts * np.exp(log_k2 + w.log_weight(np.abs(pts)))))
-
-
-def _berezin_factor(bt: BasisTable, mu: Measure):
-    """(y, t, outer) for a nonzero measure, built once per Berezin field.
-
-    The nodes xi_j with weights m_j are the atoms and their masses, or the
-    grid's cell rule.  y[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) over every
-    degree of the table, and outer is the largest-modulus node.  A radial
-    measure has the diagonal symbols t_n instead, and y = outer = None.
-    """
-    if isinstance(mu, RadialDensityMeasure):
-        return None, np.exp(_radial_berezin_log_t(bt, mu)), None
-    if isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
-        nodes, wts = (mu.points, mu.masses) if isinstance(mu, AtomicMeasure) else mu.nodes()
-        y = basis_columns(bt, nodes, bt.degree_max + 1)
-        y *= np.sqrt(wts)
-        return y, None, nodes[np.argmax(np.abs(nodes))]
-    raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    return float(np.sum(wts * np.exp(log_k2 + bt.weight.log_weight(np.abs(pts)))))
 
 
 def _check_berezin_truncation(bt: BasisTable, z_out: complex, outer) -> None:
     """Raise TruncationError when some point with |z| <= |z_out| is inadequate.
 
     The tail ratio of a kernel series depends only on |w| and grows with it
-    (see toeplitz._atomic_factor), so the largest |z| is the worst point for
+    (see toeplitz.assemble_toeplitz), so the largest |z| is the worst point for
     ||K_z||^2 and, with the largest-modulus node, the worst pair for
     K_z(xi): these two checks raise exactly when some point's series is.
     """
@@ -609,7 +604,7 @@ def _check_berezin_truncation(bt: BasisTable, z_out: complex, outer) -> None:
 def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:
     """Berezin transform at many points, from the weighted basis factor.
 
-    With u = basis_columns(z) and the node factor y of _berezin_factor,
+    With u = basis_columns(z) and the node factor y of operator_factor,
     (y^H u)_j = conj(K_z(xi_j)) sqrt(m_j omega(xi_j) omega(z)) and
     sum_n |u_n|^2 = omega(z) ||K_z||^2, so
     B(z) = sum_j |(y^H u)_j|^2 / sum_n |u_n|^2.  A radial measure has
@@ -619,9 +614,9 @@ def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:
     flat = zs.ravel()
     if mu.is_zero or flat.size == 0:
         return np.zeros(zs.shape)
-    y, t, outer = _berezin_factor(bt, mu)
-    _check_berezin_truncation(bt, flat[np.argmax(np.abs(flat))], outer)
     n_terms = bt.degree_max + 1
+    y, t, outer = operator_factor(bt, mu, n_terms)
+    _check_berezin_truncation(bt, flat[np.argmax(np.abs(flat))], outer)
     chunk = max(1, CHUNK_ENTRIES // n_terms)
     out = np.empty(flat.shape)
     for s0 in range(0, flat.size, chunk):
@@ -653,8 +648,8 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
     unnormalised inverse FFT over m.  A radial measure needs no angles and
     returns one column.
     """
-    y, t, outer = _berezin_factor(bt, mu)
     n_terms = bt.degree_max + 1
+    y, t, outer = operator_factor(bt, mu, n_terms)
 
     def field(r: np.ndarray, n_theta: int) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -697,24 +692,23 @@ def lp_lambda_tau_norm(
     r_max: float,
     n_theta: int = 64,
     tol: float = 1e-6,
-    panels0: int = 24,
-    nodes_per_panel: int = 16,
     max_doublings: int = 4,
 ) -> float:
     """(int_{|z|<=r_max} field^p tau(z)^(-2) dA)^(1/p).
 
     field(r, n_theta) returns the nonnegative field on polar_points(r,
     n_theta) as a (len(r), n_theta) array, or as (len(r), 1) for a radial
-    field.  Radial panels are graded geometrically toward r_max; panel count
-    doubles until the integral changes by less than tol relative.
+    field.  Radial panels of 16 Gauss-Legendre nodes are graded geometrically
+    toward r_max; their count starts at 24 and doubles until the integral
+    changes by less than tol relative.
     """
     if p <= 0.0:
         raise ParameterError("p must be positive")
     if not (0.0 < r_max < 1.0):
         raise DomainError("r_max must lie in (0, 1)")
-    x01, w01 = gauss_legendre_rule(nodes_per_panel)
+    x01, w01 = gauss_legendre_rule(16)
     prev = None
-    panels = panels0
+    panels = 24
     for _ in range(max_doublings + 1):
         edges = 1.0 - np.geomspace(1.0, 1.0 - r_max, panels + 1)
         # gauss_legendre_nodes on every panel at once
@@ -755,8 +749,6 @@ def _atomic_muhat_lp_integral(
     delta: float,
     p: float,
     r_max: float,
-    n_theta: int = 256,
-    n_rad: int = 48,
 ) -> float:
     """int mu_hat^p d lambda_tau for an atomic measure.
 
@@ -764,7 +756,8 @@ def _atomic_muhat_lp_integral(
     D(delta tau(z))), so smooth quadrature cannot converge.  When the atoms'
     influence regions are pairwise disjoint the field is m_j^p on the region
     of atom j and the integral splits; each region is integrated in polar
-    coordinates around its atom with the boundary radius solved exactly.
+    coordinates around its atom with the boundary radius solved exactly on
+    256 rays, and 48 Gauss-Legendre nodes along each.
     Overlapping regions fall back to a deterministic midpoint grid.
     """
     pts, masses = mu.points, mu.masses
@@ -776,8 +769,8 @@ def _atomic_muhat_lp_integral(
     np.fill_diagonal(overlap, False)
     if np.any(overlap):
         return _gridded_muhat_lp_integral(w, mu, delta, p, r_max)
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    x01, w01 = gauss_legendre_rule(n_rad)
+    theta = np.arange(256) * (2.0 * np.pi / 256)
+    x01, w01 = gauss_legendre_rule(48)
     total = 0.0
     for xi, m in zip(pts, masses):
         rho = _atom_region_radii(w, xi, delta, theta)
@@ -797,18 +790,20 @@ def _atomic_muhat_lp_integral(
 
 
 def _gridded_muhat_lp_integral(
-    w: RadialWeight, mu: AtomicMeasure, delta: float, p: float, r_max: float,
-    n: int = 1200,
+    w: RadialWeight, mu: AtomicMeasure, delta: float, p: float, r_max: float
 ) -> float:
-    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions."""
+    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions.
+
+    The grid has 1200 x 1200 cells on the atoms' bounding box.
+    """
     taus = w.tau(np.abs(mu.points))
     r_out = (4.0 / 3.0) * delta * taus
     lo_x = float(np.min(mu.points.real - r_out))
     hi_x = float(np.max(mu.points.real + r_out))
     lo_y = float(np.min(mu.points.imag - r_out))
     hi_y = float(np.max(mu.points.imag + r_out))
-    xs = np.linspace(lo_x, hi_x, n + 1)
-    ys = np.linspace(lo_y, hi_y, n + 1)
+    xs = np.linspace(lo_x, hi_x, 1201)
+    ys = np.linspace(lo_y, hi_y, 1201)
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) / np.pi

@@ -43,20 +43,15 @@ def _log_simpson_rows(logf_rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(raw_peak[:, 0]), out, -np.inf)
 
 
-def log_monomial_norms(
-    w: RadialWeight,
-    degree_max: int,
-    tol: float = 1e-9,
-    chunk: int = 20_000,
-    max_doublings: int = 20,
-) -> np.ndarray:
+def log_monomial_norms(w: RadialWeight, degree_max: int, tol: float = 1e-9) -> np.ndarray:
     """log h_n for n = 0..degree_max, h_n = 2 * int_0^1 r^(2n+1) omega(r) dr.
 
     The integrand exp((2n+1) log r - 2 phi(r)) is single-peaked; its maximizer
     is found by vectorized bisection on the derivative, and the integral is
     taken on a window around the peak (the integrand vanishes to below
-    exp(peak - 60) at the window edges), doubling Simpson panels until the
-    relative change drops below tol.
+    exp(peak - 60) at the window edges), doubling Simpson panels (at most 20
+    times) until the relative change drops below tol.  Degrees are processed
+    in chunks of 20000.
     """
     if degree_max < 0:
         raise DomainError("degree_max must be >= 0")
@@ -64,13 +59,13 @@ def log_monomial_norms(
         raise DomainError("tol must lie in (0, 1e-6]")
     degrees = np.arange(degree_max + 1)
     out = np.empty(degree_max + 1)
-    for start in range(0, degree_max + 1, chunk):
-        ns = degrees[start : start + chunk].astype(float)
-        out[start : start + chunk] = _log_norm_chunk(w, ns, tol, max_doublings)
+    for start in range(0, degree_max + 1, 20_000):
+        ns = degrees[start : start + 20_000].astype(float)
+        out[start : start + 20_000] = _log_norm_chunk(w, ns, tol)
     return out
 
 
-def _log_norm_chunk(w, ns, tol, max_doublings):
+def _log_norm_chunk(w, ns, tol):
     def logf(r, n_col):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = (2.0 * n_col + 1.0) * np.log(r) - 2.0 * w.phi(r)
@@ -114,7 +109,7 @@ def _log_norm_chunk(w, ns, tol, max_doublings):
     widths = win_hi - win_lo
     m = 32
     prev = None
-    for attempt in range(max_doublings + 1):
+    for attempt in range(21):
         t = np.linspace(0.0, 1.0, m + 1)
         nodes = win_lo[:, None] + widths[:, None] * t[None, :]
         cur = _log_simpson_rows(logf(nodes, n_col), widths)
@@ -123,28 +118,22 @@ def _log_norm_chunk(w, ns, tol, max_doublings):
         prev = cur
         m *= 2
     raise ConvergenceError(
-        f"monomial norm quadrature failed to reach tol={tol} after "
-        f"{max_doublings} doublings"
+        f"monomial norm quadrature failed to reach tol={tol} after 20 doublings"
     )
 
 
 def radial_log_moments(
-    w: RadialWeight,
-    degree_max: int,
-    log_density=None,
-    support=(0.0, 1.0),
-    tol: float = 1e-10,
-    max_doublings: int = 16,
-    n_panels: int = 48,
-    row_chunk: int = 512,
+    w: RadialWeight, degree_max: int, log_density=None, support=(0.0, 1.0)
 ) -> np.ndarray:
     """log of int_a^b r^(2n+1) omega(r) g(r) dr for n = 0..degree_max.
 
     log_density(r) is the log of a nonnegative radial density g (None means
     g = 1).  The integrand of row n concentrates in a layer of width
-    ~ b/(2n+1) at the outer support edge, so the panels are graded
+    ~ b/(2n+1) at the outer support edge, so 48 panels are graded
     geometrically toward b down to that scale; each panel then resolves a
     bounded dynamic range and per-panel Simpson converges with few nodes.
+    Rows run in chunks of 512, and each chunk doubles its Simpson nodes (at
+    most 16 times) until every log moment changes by less than 1e-10.
     Rows that integrate to zero (empty effective support) come back as -inf.
     """
     a, b = float(support[0]), float(support[1])
@@ -152,6 +141,7 @@ def radial_log_moments(
         raise DomainError(f"bad radial support [{a}, {b}]")
     b = min(b, 1.0 - 1e-15)
 
+    n_panels = 48
     eps = min(0.25, 1.0 / (2.0 * degree_max + 3.0))
     grade = np.geomspace(1.0, eps, n_panels)
     edges = np.concatenate([b - (b - a) * grade, [b]])
@@ -168,12 +158,12 @@ def radial_log_moments(
 
     out = np.empty(degree_max + 1)
     degrees = np.arange(degree_max + 1, dtype=float)
-    for start in range(0, degree_max + 1, row_chunk):
-        ns_col = degrees[start : start + row_chunk][:, None]
+    for start in range(0, degree_max + 1, 512):
+        ns_col = degrees[start : start + 512][:, None]
         k = ns_col.shape[0]
         m = 8
         prev = None
-        for attempt in range(max_doublings + 1):
+        for attempt in range(17):
             t = np.linspace(0.0, 1.0, m + 1)
             nodes = edges[:-1, None] + panel_w[:, None] * t[None, :]
             lf = logf(nodes.ravel(), ns_col).reshape(k * n_panels, m + 1)
@@ -181,7 +171,7 @@ def radial_log_moments(
             cur = np.logaddexp.reduce(vals.reshape(k, n_panels), axis=1)
             if prev is not None:
                 with np.errstate(invalid="ignore"):
-                    done = np.abs(cur - prev) < tol
+                    done = np.abs(cur - prev) < 1e-10
                 done |= ~np.isfinite(cur) & ~np.isfinite(prev)
                 if np.all(done):
                     out[start : start + k] = cur
@@ -190,8 +180,7 @@ def radial_log_moments(
             m *= 2
         else:
             raise ConvergenceError(
-                f"radial moment quadrature failed to reach tol={tol} after "
-                f"{max_doublings} doublings"
+                "radial moment quadrature failed to reach tol=1e-10 after 16 doublings"
             )
     return out
 

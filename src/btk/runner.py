@@ -122,13 +122,15 @@ class ReportRow:
 
 
 def cached_basis_table(
-    w: RadialWeight, degree_max: int, tol: float = 1e-9, cache_dir: str | None = None
+    w: RadialWeight, degree_max: int, cache_dir: str | None = None
 ) -> BasisTable:
-    """Build a basis table, or load it from the BTK_CACHE_DIR cache.
+    """Build a basis table at quadrature tol 1e-9, or load it from the cache.
 
-    A loaded table is checked as a built one is: DomainError unless it holds
-    degree_max + 1 strictly decreasing values.
+    The cache directory is cache_dir, else BTK_CACHE_DIR.  A loaded table is
+    checked as a built one is: DomainError unless it holds degree_max + 1
+    strictly decreasing values.
     """
+    tol = 1e-9
     if cache_dir is None:
         cache_dir = os.environ.get("BTK_CACHE_DIR")
     if not cache_dir:
@@ -211,6 +213,7 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
         q["tail_decayed"] = decayed
         row.flags["compactness"] = nonincreasing
 
+    tm = None
     need_spectrum = {"boundedness", "schatten_equivalence"} & set(s.checks)
     if need_spectrum:
         tm = assemble_toeplitz(bt, mu, s.dim)
@@ -246,7 +249,8 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
             pts = np.concatenate([pts, mu.points])
         bm = berezin_many(bt, mu, pts)
         if isinstance(mu, AtomicMeasure):
-            tm = assemble_toeplitz(bt, mu, s.dim)
+            if tm is None:
+                tm = assemble_toeplitz(bt, mu, s.dim)
             bo = np.array([berezin_operator(bt, tm, z) for z in pts])
             denom = np.maximum(np.abs(bm), 1e-300)
             rel = float(np.max(np.abs(bo - bm) / denom))

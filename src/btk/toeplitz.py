@@ -4,7 +4,9 @@ Entry (m, n) is int e_n(xi) conj(e_m(xi)) omega(xi) d mu(xi).  A radial
 measure gives a diagonal: the angular integral kills off-diagonals
 analytically and the diagonal reduces to a radial moment integral.  Every
 other measure is a quadrature or sum over nodes xi_k with weights w_k, and
-gives a factor F[n, k] = e_n(xi_k) sqrt(omega(xi_k) w_k) with T = conj(F) F^T:
+gives a factor F[n, k] = e_n(xi_k) sqrt(omega(xi_k) w_k) with T = conj(F) F^T.
+The diagonal and the factor both come from ``measures.operator_factor``, the
+node rule that the Berezin transform of the measure shares:
 
 * atoms (label ``finite_rank``) keep F over every degree of the table, so
   sigma(F)^2 is the full nonzero spectrum with no basis truncation, and the
@@ -26,18 +28,15 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .basis import BasisTable, basis_columns, kernel, kernel_norm_sq
-from .errors import ConvergenceError, DomainError, ParameterError, PSDViolationError
+from .errors import ConvergenceError, DomainError, ParameterError
 
-# jacobi_eigvalsh is not called here.  It stays a module attribute because
-# the benchmark's traced run (perfbench/layers.py) patches it at this module.
+# jacobi_eigvalsh and radial_log_moments are not called here.  They stay
+# module attributes because the benchmark's traced run (perfbench/layers.py)
+# patches them at this module.
 from .jacobi import jacobi_eigvalsh  # noqa: F401
-from .measures import (
-    AtomicMeasure,
-    GridDensityMeasure,
-    Measure,
-    RadialDensityMeasure,
-)
-from .quadrature import gauss_legendre_nodes, radial_log_moments
+from .measures import AtomicMeasure, Measure, RadialDensityMeasure, operator_factor
+from .quadrature import gauss_legendre_nodes
+from .quadrature import radial_log_moments  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,48 +68,12 @@ class ToeplitzMatrix:
         return float(np.sum(np.abs(self.factor[: self.dim]) ** 2))
 
 
-def _assemble_diagonal(bt: BasisTable, mu: RadialDensityMeasure, dim: int):
-    logmom = radial_log_moments(
-        bt.weight, dim - 1, log_density=mu.log_g, support=mu.support
-    )
-    with np.errstate(over="raise"):
-        diag = np.where(
-            np.isfinite(logmom),
-            np.exp(np.log(2.0) + logmom - bt.log_h[:dim]),
-            0.0,
-        )
-    return ToeplitzMatrix(bt, dim, "diagonal", diag=diag)
-
-
-def _weighted_factor(bt: BasisTable, pts: np.ndarray, wts: np.ndarray,
-                     n_terms: int) -> np.ndarray:
-    """F[n, k] = e_n(pts_k) sqrt(omega(pts_k) wts_k) for n < n_terms."""
-    if np.any(wts < 0.0):
-        raise PSDViolationError(
-            f"negative mass or weight {float(np.min(wts)):.3e}: T_mu is not PSD"
-        )
-    f = basis_columns(bt, pts, n_terms)
-    f *= np.sqrt(wts)
-    return f
-
-
-def _atomic_factor(bt: BasisTable, mu: AtomicMeasure) -> np.ndarray:
-    # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
-    # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
-    # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
-    # modulus is the worst: checking it raises TruncationError exactly when
-    # some pair's series is inadequate.
-    outer = mu.points[np.argmax(np.abs(mu.points))]
-    kernel(bt, outer, outer)
-    return _weighted_factor(bt, mu.points, mu.masses, bt.degree_max + 1)
-
-
-def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
-                   n_r: int = 512) -> np.ndarray:
+def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int) -> np.ndarray:
     """Truncated polar-quadrature factor of a radial measure.
 
     The angular rule has 2*dim+3 uniform nodes, which integrates every
-    e_n conj(e_m) phase factor exactly, so off-diagonals vanish to rounding.
+    e_n conj(e_m) phase factor exactly, so off-diagonals vanish to rounding;
+    the radial rule has 256 Gauss-Legendre nodes on each half of the support.
     Exists to validate the diagonal fast path.
     """
     lo, hi = mu.support
@@ -119,13 +82,15 @@ def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int,
     rs, wr = [], []
     mid = 0.5 * (lo + hi)
     for a, b in ((lo, mid), (mid, hi)):
-        x, wq = gauss_legendre_nodes(a, b, n_r // 2)
+        x, wq = gauss_legendre_nodes(a, b, 256)
         rs.append(x)
         wr.append(wq)
     r = np.concatenate(rs)
     wq = np.concatenate(wr) * 2.0 * r * mu.g(r) / n_t
     pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    return _weighted_factor(bt, pts, np.repeat(wq, n_t), dim)
+    f = basis_columns(bt, pts, dim)
+    f *= np.sqrt(np.repeat(wq, n_t))
+    return f
 
 
 def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
@@ -134,15 +99,19 @@ def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
         raise DomainError(f"dim must lie in [1, {bt.degree_max + 1}]")
     if mu.is_zero:
         return ToeplitzMatrix(bt, dim, "diagonal", diag=np.zeros(dim))
-    if isinstance(mu, GridDensityMeasure):
-        pts, wts = mu.nodes()   # the grid's cell rule, shared with its Berezin
-        return ToeplitzMatrix(bt, dim, "dense",
-                              factor=_weighted_factor(bt, pts, wts, dim))
-    if isinstance(mu, AtomicMeasure):
-        return ToeplitzMatrix(bt, dim, "finite_rank", factor=_atomic_factor(bt, mu))
-    if isinstance(mu, RadialDensityMeasure):
-        return _assemble_diagonal(bt, mu, dim)
-    raise ParameterError(f"unsupported measure type {type(mu).__name__}")
+    atomic = isinstance(mu, AtomicMeasure)
+    factor, diag, outer = operator_factor(bt, mu, bt.degree_max + 1 if atomic else dim)
+    if diag is not None:
+        return ToeplitzMatrix(bt, dim, "diagonal", diag=diag)
+    if not atomic:
+        return ToeplitzMatrix(bt, dim, "dense", factor=factor)
+    # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
+    # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
+    # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
+    # modulus is the worst: checking it raises TruncationError exactly when
+    # some pair's series is inadequate.
+    kernel(bt, outer, outer)
+    return ToeplitzMatrix(bt, dim, "finite_rank", factor=factor)
 
 
 def _singular_values(f: np.ndarray) -> np.ndarray:

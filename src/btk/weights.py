@@ -38,9 +38,7 @@ class RadialWeight:
     phi_prime: Callable[[np.ndarray], np.ndarray]
     log_laplacian_phi: Callable[[np.ndarray], np.ndarray]
     log_tau_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    tau_prime_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    tau_prime_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     c1: float = 0.0
     c2: float = 0.0
 
@@ -58,15 +56,9 @@ class RadialWeight:
     def log_tau(self, r):
         return self.log_tau_fn(np.asarray(r, dtype=float))
 
-    def tau_prime(self, r, step: float = 1e-7):
-        """d tau / dr, closed form when available, else central differences."""
-        r = np.asarray(r, dtype=float)
-        if self.tau_prime_fn is not None:
-            return self.tau_prime_fn(r)
-        h = step * np.maximum(1.0 - r, 1e-9)
-        return (self.tau(r + h) - self.tau(np.maximum(r - h, 0.0))) / (
-            h + np.minimum(r, h)
-        )
+    def tau_prime(self, r):
+        """d tau / dr: a closed form, or central differences of log tau."""
+        return self.tau_prime_fn(np.asarray(r, dtype=float))
 
     def require_delta(self, delta: float) -> None:
         if not (0.0 < delta < self.m_tau):
@@ -203,10 +195,10 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
     def log_tau(r):
         return -0.5 * log_lap(r)
 
-    c1, c2 = _estimate_constants(
-        log_tau,
-        lambda r: _central_tau_prime(log_tau, r),
-    )
+    def tau_prime(r):
+        return _central_tau_prime(log_tau, r)
+
+    c1, c2 = _estimate_constants(log_tau, tau_prime)
     return RadialWeight(
         family="double_exponential",
         params={"alpha": a, "beta": b, "gamma": g},
@@ -214,15 +206,15 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
         phi_prime=phi_prime,
         log_laplacian_phi=log_lap,
         log_tau_fn=log_tau,
-        tau_prime_fn=None,
+        tau_prime_fn=tau_prime,
         c1=c1,
         c2=c2,
     )
 
 
-def _central_tau_prime(log_tau, r, step=1e-7):
+def _central_tau_prime(log_tau, r):
     r = np.asarray(r, dtype=float)
-    h = step * np.maximum(1.0 - r, 1e-9)
+    h = 1e-7 * np.maximum(1.0 - r, 1e-9)
     lo = np.maximum(r - h, 1e-12)
     return (np.exp(log_tau(r + h)) - np.exp(log_tau(lo))) / (r + h - lo)
 
@@ -257,7 +249,7 @@ def make_custom_weight(
         phi_prime=missing,
         log_laplacian_phi=log_lap,
         log_tau_fn=log_tau,
-        tau_prime_fn=None,
+        tau_prime_fn=lambda r: _central_tau_prime(log_tau, r),
         c1=float(c1),
         c2=float(c2),
     )

@@ -1,5 +1,8 @@
 import filecmp
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +216,17 @@ def test_cli_certify_weight(cli_files, capsys):
     code, out = _run(capsys, ["certify-weight", str(cli_files / "weight.json")])
     assert code == 0
     assert out["passed"] is True
+
+
+def test_cli_module_entry_point_runs_from_source(cli_files):
+    # `python -m btk.cli` from the directory holding the package, uninstalled
+    src = Path(btk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "btk.cli", "certify-weight", str(cli_files / "weight.json")],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_cli_lattice(cli_files, capsys):

@@ -16,6 +16,8 @@ from btk.jacobi import jacobi_eigvalsh
 from btk.measures import (
     AtomicMeasure,
     GridDensityMeasure,
+    berezin_lp_norm,
+    berezin_many,
     indicator_density,
     power_density,
     zero_measure,
@@ -306,6 +308,11 @@ def test_negative_mass_raises_psd_violation(bt400):
     for mu in (atoms, grid):
         with pytest.raises(PSDViolationError):
             assemble_toeplitz(bt400, mu, 16)
+    # the Berezin transform shares the node rule, and its check
+    with pytest.raises(PSDViolationError):
+        berezin_many(bt400, atoms, np.array([0.1, 0.2j]))
+    with pytest.raises(PSDViolationError):
+        berezin_lp_norm(bt400, grid, 2.0, 0.5)
 
 
 def test_tail_flag_behavior():
@@ -338,12 +345,20 @@ def test_berezin_operator_identity(bt400):
 def test_berezin_operator_matches_measure_for_atoms(bt400):
     from btk.measures import berezin_measure
 
+    zs = np.array([0.0, 0.1, 0.4 * np.exp(0.9j), -0.5j, 0.7 * np.exp(-2.0j)])
     mu = AtomicMeasure([0.3, -0.15 + 0.2j], [1.0, 0.6])
     tm = assemble_toeplitz(bt400, mu, 256)
-    for z in (0.1, 0.4 * np.exp(0.9j), -0.5j):
+    for z in zs[1:4]:
         assert berezin_operator(bt400, tm, z) == pytest.approx(
             berezin_measure(bt400, mu, z), rel=1e-10
         )
+    # at dim = degree_max + 1 the operator's Berezin symbol and berezin_many
+    # read one operator_factor, for every measure kind
+    for mu in (mu, GridDensityMeasure.area_measure(nr=6, ntheta=8, r_outer=0.8),
+               power_density(2.0, (0.0, 0.7))):
+        tm = assemble_toeplitz(bt400, mu, bt400.degree_max + 1)
+        got = np.array([berezin_operator(bt400, tm, z) for z in zs])
+        np.testing.assert_allclose(got, berezin_many(bt400, mu, zs), rtol=1e-12, atol=0)
 
 
 def test_berezin_operator_bounded_by_norm(bt400):
