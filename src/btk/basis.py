@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .quadrature import disk_nodes, log_monomial_norms
+from .quadrature import MONOMIAL_NORM_TOL, disk_nodes, log_monomial_norms
 from .weights import RadialWeight
 
 #: a truncated series is adequate when its last term is below this fraction of
@@ -27,9 +27,9 @@ TAIL_FRACTION = 1e-15
 CHUNK_ENTRIES = 2**19
 
 
-def table_fingerprint(w: RadialWeight, degree_max: int, tol: float) -> str:
-    """Key of the monomial norm table of w up to degree_max at quadrature tol."""
-    return f"{w.fingerprint()}-d{degree_max}-t{tol:g}"
+def table_fingerprint(w: RadialWeight, degree_max: int) -> str:
+    """Key of the monomial norm table of w up to degree_max: weight, degree, tolerance."""
+    return f"{w.fingerprint()}-d{degree_max}-t{MONOMIAL_NORM_TOL:g}"
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class BasisTable:
     weight: RadialWeight
     degree_max: int
     log_h: np.ndarray
-    quad_tolerance: float
 
     def __post_init__(self):
         if len(self.log_h) != self.degree_max + 1:
@@ -55,16 +54,11 @@ class BasisTable:
             raise DomainError("monomial norms are not strictly decreasing")
 
     def fingerprint(self) -> str:
-        return table_fingerprint(self.weight, self.degree_max, self.quad_tolerance)
+        return table_fingerprint(self.weight, self.degree_max)
 
 
-def build_basis_table(
-    w: RadialWeight, degree_max: int = 2000, tol: float = 1e-9
-) -> BasisTable:
-    if degree_max < 0:
-        raise DomainError("degree_max must be >= 0")
-    log_h = log_monomial_norms(w, degree_max, tol=tol)
-    return BasisTable(weight=w, degree_max=degree_max, log_h=log_h, quad_tolerance=tol)
+def build_basis_table(w: RadialWeight, degree_max: int = 2000) -> BasisTable:
+    return BasisTable(w, degree_max, log_monomial_norms(w, degree_max))
 
 
 def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:

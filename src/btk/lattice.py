@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .errors import DomainError, ParameterError, ResourceError
 from .weights import RadialWeight
@@ -79,15 +78,29 @@ def _xy(pts: np.ndarray) -> np.ndarray:
     return np.column_stack([pts.real, pts.imag])
 
 
+def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput points of the indices idx in base b, digits added least
+    significant first as scipy's unscrambled Halton adds them, so bit for bit."""
+    out = np.zeros(len(idx))
+    b2r = 1.0 / base
+    while np.any(idx):
+        idx, digit = np.divmod(idx, base)
+        out += digit * b2r
+        b2r /= base
+    return out
+
+
 def _probe_points(r_max: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy probes filling {|z| <= r_max}."""
-    sampler = qmc.Halton(d=2, scramble=False)
+    """Deterministic low-discrepancy probes filling {|z| <= r_max}: the
+    unscrambled Halton sequence in bases 2 and 3, scaled onto [-r_max, r_max]^2."""
     pts = []
     need = count
+    start = 0
     while need > 0:
-        raw = sampler.random(int(need * 1.5) + 64)
-        z = (2.0 * raw[:, 0] - 1.0) + 1j * (2.0 * raw[:, 1] - 1.0)
-        z = r_max * z
+        idx = np.arange(start, start + int(need * 1.5) + 64)
+        start = idx[-1] + 1
+        x, y = 2.0 * _radical_inverse(idx, 2) - 1.0, 2.0 * _radical_inverse(idx, 3) - 1.0
+        z = r_max * (x + 1j * y)
         z = z[np.abs(z) <= r_max]
         pts.append(z)
         need = count - sum(len(p) for p in pts)

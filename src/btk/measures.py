@@ -57,6 +57,10 @@ class Measure:
     def disk_mass_many(self, centers: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def nodes(self):
+        """(nodes, weights) of the measure's node rule, when it has one."""
+        raise ParameterError(f"{type(self).__name__} has no node rule")
+
     def scaled(self, c: float) -> "Measure":
         raise NotImplementedError
 
@@ -378,7 +382,7 @@ def power_density(beta: float, support=(0.0, 1.0)) -> RadialDensityMeasure:
     )
 
 
-def indicator_density(r_lo: float, r_hi: float) -> RadialDensityMeasure:
+def indicator_density(r_lo: float = 0.0, r_hi: float = 1.0) -> RadialDensityMeasure:
     """g = 1 on the annulus r_lo <= |z| <= r_hi."""
     return RadialDensityMeasure(
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
@@ -412,24 +416,26 @@ def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
         pts = [complex(x, y) for x, y, _ in atoms]
         ms = [m for _, _, m in atoms]
         return AtomicMeasure(pts, ms)
+    # optional keys are passed only when given, so the constructors' defaults hold
     if kind == "radial":
         dens = data["density"]
-        support = tuple(data.get("support", (0.0, 1.0)))
+        opt = {"support": tuple(data["support"])} if "support" in data else {}
         scale = float(data.get("scale", 1.0))
         if dens == "power":
-            mu = power_density(float(data["beta"]), support)
+            mu = power_density(float(data["beta"]), **opt)
         elif dens == "indicator":
-            mu = indicator_density(*support)
+            mu = indicator_density(*opt.get("support", ()))
         elif dens == "compensated":
             if w is None:
                 raise ParameterError("compensated density needs the weight")
-            mu = compensated_density(w, float(data["s"]), float(data["beta"]), support)
+            mu = compensated_density(w, float(data["s"]), float(data["beta"]), **opt)
         else:
             raise ParameterError(f"unknown radial density family {dens!r}")
         return mu.scaled(scale) if scale != 1.0 else mu
     if kind == "grid":
         cells = np.array(data["cells"], dtype=float).reshape(data["nr"], data["ntheta"])
-        return GridDensityMeasure(cells, r_outer=float(data.get("r_outer", 1.0 - 1e-9)))
+        opt = {"r_outer": float(data["r_outer"])} if "r_outer" in data else {}
+        return GridDensityMeasure(cells, **opt)
     raise ParameterError(f"unknown measure kind {kind!r}")
 
 
@@ -448,20 +454,19 @@ def load_measure(path: str, w: RadialWeight | None = None) -> Measure:
 # ---------------------------------------------------------------------------
 
 
-def mu_hat(w: RadialWeight, mu: Measure, delta: float, z: complex) -> float:
-    """Averaging function mu(D(delta tau(z))) / tau(z)^2."""
+def mu_hat(w: RadialWeight, mu: Measure, delta: float, z):
+    """Averaging function mu(D(delta tau(z))) / tau(z)^2 at a point or an array.
+
+    Returns a float for a scalar z, else an array shaped like z.
+    """
     w.require_delta(delta)
-    if abs(z) >= 1.0:
+    zs = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zs) >= 1.0):
         raise DomainError("z must lie in the open unit disk")
-    tau = float(w.tau(abs(z)))
-    return mu.disk_mass(z, delta * tau) / (tau * tau)
-
-
-def mu_hat_many(w: RadialWeight, mu: Measure, delta: float, zs: np.ndarray) -> np.ndarray:
-    w.require_delta(delta)
-    zs = np.asarray(zs, dtype=complex)
     taus = w.tau(np.abs(zs))
-    return mu.disk_mass_many(zs, delta * taus) / (taus * taus)
+    mass = mu.disk_mass_many(zs.ravel(), (delta * taus).ravel()).reshape(zs.shape)
+    vals = mass / (taus * taus)
+    return float(vals) if zs.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -515,7 +520,7 @@ def carleson_constant(
     if isinstance(mu, GridDensityMeasure):
         n_r, n_theta = min(n_r, 96), min(n_theta, 48)
     pts = _carleson_grid(mu, r_max, n_r, n_theta)
-    vals = mu_hat_many(w, mu, delta, pts)
+    vals = mu_hat(w, mu, delta, pts)
     k = int(np.argmax(vals))
     tails = tuple(
         float(np.max(vals[np.abs(pts) > r], initial=0.0)) for r in tail_radii
@@ -529,15 +534,26 @@ def carleson_constant(
     )
 
 
+def _checked_nodes(mu: Measure):
+    """mu.nodes(), with PSDViolationError on a negative weight."""
+    nodes, wts = mu.nodes()
+    if np.any(wts < 0.0):
+        raise PSDViolationError(
+            f"negative mass or weight {float(np.min(wts)):.3e}: T_mu is not PSD"
+        )
+    return nodes, wts
+
+
 def operator_factor(bt: BasisTable, mu: Measure, n_terms: int):
     """(factor, diag, outer): the one node rule behind T_mu and B(mu).
 
     The nodes xi_j with weights m_j are the atoms and their masses, or the
     grid's cell rule.  factor[n, j] = e_n(xi_j) sqrt(m_j omega(xi_j)) for
     n < n_terms, so that T_mu = conj(F) F^T, and outer is the largest-modulus
-    node; a negative weight raises PSDViolationError.  A radial measure has
-    the diagonal symbols diag[n] = 2 M_n / h_n instead, with the radial
-    moment M_n = int r^(2n+1) omega g dr, and factor = outer = None.
+    node; a negative weight raises PSDViolationError, and a measure with no
+    node rule ParameterError.  A radial measure has the diagonal symbols
+    diag[n] = 2 M_n / h_n instead, with the radial moment
+    M_n = int r^(2n+1) omega g dr, and factor = outer = None.
     """
     if isinstance(mu, RadialDensityMeasure):
         logmom = radial_log_moments(
@@ -550,13 +566,7 @@ def operator_factor(bt: BasisTable, mu: Measure, n_terms: int):
                 0.0,
             )
         return None, diag, None
-    if not isinstance(mu, (AtomicMeasure, GridDensityMeasure)):
-        raise ParameterError(f"unsupported measure type {type(mu).__name__}")
-    nodes, wts = mu.nodes()
-    if np.any(wts < 0.0):
-        raise PSDViolationError(
-            f"negative mass or weight {float(np.min(wts)):.3e}: T_mu is not PSD"
-        )
+    nodes, wts = _checked_nodes(mu)
     factor = basis_columns(bt, nodes, n_terms)
     factor *= np.sqrt(wts)
     return factor, None, nodes[np.argmax(np.abs(nodes))]
@@ -582,8 +592,8 @@ def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
             base = n * (2.0 * np.log(a)) - bt.log_h
         terms = np.exp(base - np.max(base))
         return float(np.sum(t * terms) / np.sum(terms))
-    # the node rule of operator_factor, summed one kernel series per node
-    pts, wts = mu.nodes()
+    # the checked node rule of operator_factor, summed one kernel series per node
+    pts, wts = _checked_nodes(mu)
     log_k2 = log_normalized_kernel_sq_at(bt, z, pts)
     return float(np.sum(wts * np.exp(log_k2 + bt.weight.log_weight(np.abs(pts)))))
 
@@ -842,28 +852,23 @@ def mu_hat_lp_norm(
 
     def field(r, n_theta):
         if radial:
-            return mu_hat_many(w, mu, delta, r.astype(complex))[:, None]
-        pts = polar_points(r, n_theta)
-        return mu_hat_many(w, mu, delta, pts.ravel()).reshape(pts.shape)
+            return mu_hat(w, mu, delta, r)[:, None]
+        return mu_hat(w, mu, delta, polar_points(r, n_theta))
 
     return lp_lambda_tau_norm(w, field, p, r_max, **kw)
 
 
-def berezin_lp_norm(
-    bt: BasisTable, mu: Measure, p: float, r_max: float, **kw
-) -> float:
+def berezin_lp_norm(bt: BasisTable, mu: Measure, p: float, r_max: float) -> float:
     """||B mu||_{L^p(d lambda_tau)} truncated at r_max.
 
-    The Berezin transform is smooth, so a coarse tolerance suffices for the
-    factor-window comparisons it feeds; override tol for tighter work.
+    The Berezin transform is smooth, so 32 angles and tol 1e-4 suffice for
+    the factor-window comparisons it feeds.
     """
     if mu.is_zero:
         return 0.0
-    kw.setdefault("tol", 1e-4)
-    kw.setdefault("n_theta", 32)
     # the factor (or the radial symbols t_n) is built once, not per doubling
     field = _berezin_polar_field(bt, mu)
-    return lp_lambda_tau_norm(bt.weight, field, p, r_max, **kw)
+    return lp_lambda_tau_norm(bt.weight, field, p, r_max, n_theta=32, tol=1e-4)
 
 
 def lattice_lp_sum(

@@ -17,6 +17,9 @@ from .weights import RadialWeight
 
 _LOG_FLOOR = -745.0  # exp underflows below this
 
+#: relative tolerance of every monomial norm table; part of its fingerprint
+MONOMIAL_NORM_TOL = 1e-9
+
 
 def _simpson_pattern(n_panels: int) -> np.ndarray:
     """Composite Simpson weights (without the h/3 factor) for n_panels panels."""
@@ -43,29 +46,27 @@ def _log_simpson_rows(logf_rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(raw_peak[:, 0]), out, -np.inf)
 
 
-def log_monomial_norms(w: RadialWeight, degree_max: int, tol: float = 1e-9) -> np.ndarray:
+def log_monomial_norms(w: RadialWeight, degree_max: int) -> np.ndarray:
     """log h_n for n = 0..degree_max, h_n = 2 * int_0^1 r^(2n+1) omega(r) dr.
 
     The integrand exp((2n+1) log r - 2 phi(r)) is single-peaked; its maximizer
     is found by vectorized bisection on the derivative, and the integral is
     taken on a window around the peak (the integrand vanishes to below
     exp(peak - 60) at the window edges), doubling Simpson panels (at most 20
-    times) until the relative change drops below tol.  Degrees are processed
-    in chunks of 20000.
+    times) until the change in every log h_n drops below MONOMIAL_NORM_TOL.
+    Degrees are processed in chunks of 20000.
     """
     if degree_max < 0:
         raise DomainError("degree_max must be >= 0")
-    if not (0.0 < tol <= 1e-6):
-        raise DomainError("tol must lie in (0, 1e-6]")
     degrees = np.arange(degree_max + 1)
     out = np.empty(degree_max + 1)
     for start in range(0, degree_max + 1, 20_000):
         ns = degrees[start : start + 20_000].astype(float)
-        out[start : start + 20_000] = _log_norm_chunk(w, ns, tol)
+        out[start : start + 20_000] = _log_norm_chunk(w, ns)
     return out
 
 
-def _log_norm_chunk(w, ns, tol):
+def _log_norm_chunk(w, ns):
     def logf(r, n_col):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = (2.0 * n_col + 1.0) * np.log(r) - 2.0 * w.phi(r)
@@ -113,12 +114,13 @@ def _log_norm_chunk(w, ns, tol):
         t = np.linspace(0.0, 1.0, m + 1)
         nodes = win_lo[:, None] + widths[:, None] * t[None, :]
         cur = _log_simpson_rows(logf(nodes, n_col), widths)
-        if prev is not None and np.all(np.abs(cur - prev) < tol):
+        if prev is not None and np.all(np.abs(cur - prev) < MONOMIAL_NORM_TOL):
             return cur + np.log(2.0)
         prev = cur
         m *= 2
     raise ConvergenceError(
-        f"monomial norm quadrature failed to reach tol={tol} after 20 doublings"
+        f"monomial norm quadrature failed to reach tol={MONOMIAL_NORM_TOL} "
+        "after 20 doublings"
     )
 
 

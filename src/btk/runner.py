@@ -28,8 +28,8 @@ from .measures import (
     carleson_constant,
     lattice_lp_sum,
     measure_from_json,
+    mu_hat,
     mu_hat_lp_norm,
-    mu_hat_many,
 )
 from .toeplitz import assemble_toeplitz, berezin_operator, schatten_norm, spectrum
 from .weights import RadialWeight, weight_from_json
@@ -59,6 +59,8 @@ DEFAULT_WINDOWS = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """One weight, its measures and checks; windows override DEFAULT_WINDOWS."""
+
     scenario_id: str
     weight: RadialWeight
     measures: tuple            # of (measure_id, Measure)
@@ -69,11 +71,11 @@ class Scenario:
     checks: tuple = ALL_CHECKS
     degree_max: int = 2000
     lattice_r_max: float = 0.9
-    windows: dict = field(default_factory=lambda: dict(DEFAULT_WINDOWS))
+    windows: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d = self.effective_delta
-        self.weight.require_delta(d)
+        object.__setattr__(self, "windows", {**DEFAULT_WINDOWS, **self.windows})
+        self.weight.require_delta(self.effective_delta)
         if any(p <= 0 for p in self.ps):
             raise ParameterError("all p values must be positive")
         if not self.measures:
@@ -84,27 +86,25 @@ class Scenario:
         return self.weight.m_tau / 8.0 if self.delta is None else self.delta
 
 
+#: JSON key -> (Scenario field, conversion); an absent key keeps the field's
+#: default, and delta stays unconverted so that null means m_tau / 8
+_SCENARIO_KEYS = {
+    "delta": ("delta", lambda v: v), "r_max_ladder": ("r_max_ladder", tuple),
+    "dim": ("dim", int), "p": ("ps", tuple), "checks": ("checks", tuple),
+    "degree_max": ("degree_max", int), "lattice_r_max": ("lattice_r_max", float),
+    "windows": ("windows", dict),
+}
+
+
 def scenario_from_json(data: dict) -> Scenario:
     w = weight_from_json(data["weight"])
     measures = tuple(
         (m.get("id", f"measure-{i}"), measure_from_json(m, w))
         for i, m in enumerate(data["measures"])
     )
-    windows = dict(DEFAULT_WINDOWS)
-    windows.update(data.get("windows", {}))
-    return Scenario(
-        scenario_id=data.get("id", "scenario"),
-        weight=w,
-        measures=measures,
-        delta=data.get("delta"),
-        r_max_ladder=tuple(data.get("r_max_ladder", (0.9, 0.99, 0.995))),
-        dim=int(data.get("dim", 512)),
-        ps=tuple(data.get("p", (0.5, 1.0, 2.0))),
-        checks=tuple(data.get("checks", ALL_CHECKS)),
-        degree_max=int(data.get("degree_max", 2000)),
-        lattice_r_max=float(data.get("lattice_r_max", 0.9)),
-        windows=windows,
-    )
+    options = {name: conv(data[key])
+               for key, (name, conv) in _SCENARIO_KEYS.items() if key in data}
+    return Scenario(data.get("id", "scenario"), w, measures, **options)
 
 
 @dataclass
@@ -124,24 +124,22 @@ class ReportRow:
 def cached_basis_table(
     w: RadialWeight, degree_max: int, cache_dir: str | None = None
 ) -> BasisTable:
-    """Build a basis table at quadrature tol 1e-9, or load it from the cache.
+    """Build a basis table, or load it from the cache.
 
-    The cache directory is cache_dir, else BTK_CACHE_DIR.  A loaded table is
-    checked as a built one is: DomainError unless it holds degree_max + 1
-    strictly decreasing values.
+    The cache directory is cache_dir, else BTK_CACHE_DIR, and the file is
+    named by table_fingerprint.  A loaded table is checked as a built one
+    is: DomainError unless it holds degree_max + 1 strictly decreasing
+    values.
     """
-    tol = 1e-9
     if cache_dir is None:
         cache_dir = os.environ.get("BTK_CACHE_DIR")
     if not cache_dir:
-        return build_basis_table(w, degree_max, tol=tol)
+        return build_basis_table(w, degree_max)
     os.makedirs(cache_dir, exist_ok=True)
-    key = f"basis-{table_fingerprint(w, degree_max, tol)}.npy"
-    path = os.path.join(cache_dir, key)
+    path = os.path.join(cache_dir, f"basis-{table_fingerprint(w, degree_max)}.npy")
     if os.path.exists(path):
-        log_h = np.load(path)
-        return BasisTable(weight=w, degree_max=degree_max, log_h=log_h, quad_tolerance=tol)
-    bt = build_basis_table(w, degree_max, tol=tol)
+        return BasisTable(w, degree_max, np.load(path))
+    bt = build_basis_table(w, degree_max)
     np.save(path, bt.log_h)
     return bt
 
@@ -256,7 +254,7 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
             rel = float(np.max(np.abs(bo - bm) / denom))
             q["berezin_max_rel_err"] = rel
             row.flags["berezin_equivalence"] = rel <= s.windows["berezin_rel_error"]
-        mh = mu_hat_many(w, mu, delta, pts)
+        mh = mu_hat(w, mu, delta, pts)
         pos = mh > 0
         q["berezin_domination_c"] = (
             float(np.min(bm[pos] / mh[pos])) if pos.any() else np.nan

@@ -36,7 +36,6 @@ class RadialWeight:
     params: dict
     phi: Callable[[np.ndarray], np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray]
-    log_laplacian_phi: Callable[[np.ndarray], np.ndarray]
     log_tau_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     tau_prime_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     c1: float = 0.0
@@ -77,21 +76,16 @@ class RadialWeight:
         return {"family": self.family, **self.params}
 
 
-def _constant_grid() -> np.ndarray:
-    """Geometric grid refined toward r=1, plus a uniform base on [0, 0.9]."""
-    t = np.linspace(0.2, 30.0, 6000)
-    geo = 1.0 - 2.0 ** (-t)
-    base = np.linspace(0.0, 0.9, 3001)
-    return np.unique(np.concatenate([base, geo]))
+def _estimate_constants(log_tau, tau_prime):
+    """sup tau/(1-r) and sup |tau'| on a grid, inflated by 5%.
 
-
-def _estimate_constants(log_tau, tau_prime, grid=None):
-    """sup tau/(1-r) and sup |tau'| on the refinement grid, inflated by 5%.
-
-    Works in log space so that weights whose tau underflows near r=1 (the
-    double exponential family) are handled correctly.
+    The grid is uniform on [0, 0.9] plus the geometric points 1 - 2^(-t),
+    t in [0.2, 30], refined toward r=1.  Works in log space so that weights
+    whose tau underflows near r=1 (the double exponential family) are
+    handled correctly.
     """
-    r = _constant_grid() if grid is None else grid
+    t = np.linspace(0.2, 30.0, 6000)
+    r = np.unique(np.concatenate([np.linspace(0.0, 0.9, 3001), 1.0 - 2.0 ** (-t)]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratio = log_tau(r) - np.log1p(-r)
         c1 = float(np.exp(np.nanmax(log_ratio)))
@@ -125,12 +119,9 @@ def make_exponential_weight(alpha: float) -> RadialWeight:
     def phi_prime(r):
         return a * r * (1.0 - r * r) ** (-a - 1.0)
 
-    def log_lap(r):
-        u = 1.0 - r * r
-        return np.log(2.0 * a) + np.log1p(a * r * r) - (a + 2.0) * np.log(u)
-
     def log_tau(r):
-        return -0.5 * log_lap(r)
+        u = 1.0 - r * r
+        return -0.5 * (np.log(2.0 * a) + np.log1p(a * r * r) - (a + 2.0) * np.log(u))
 
     def tau_prime(r):
         u = 1.0 - r * r
@@ -143,7 +134,6 @@ def make_exponential_weight(alpha: float) -> RadialWeight:
         params={"alpha": a},
         phi=phi,
         phi_prime=phi_prime,
-        log_laplacian_phi=log_lap,
         log_tau_fn=log_tau,
         tau_prime_fn=tau_prime,
         c1=c1,
@@ -182,7 +172,7 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
         with np.errstate(over="ignore"):
             return (g * a * b / 2.0) * v ** (-a - 1.0) * np.exp(b * v ** (-a))
 
-    def log_lap(r):
+    def log_tau(r):
         r = np.maximum(r, 1e-12)
         v = 1.0 - r
         bracket = (
@@ -190,10 +180,7 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
             + a * b * v ** (-2.0 * a - 2.0)
             + v ** (-a - 1.0) / r
         )
-        return np.log(g * a * b / 2.0) + b * v ** (-a) + np.log(bracket)
-
-    def log_tau(r):
-        return -0.5 * log_lap(r)
+        return -0.5 * (np.log(g * a * b / 2.0) + b * v ** (-a) + np.log(bracket))
 
     def tau_prime(r):
         return _central_tau_prime(log_tau, r)
@@ -204,7 +191,6 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
         params={"alpha": a, "beta": b, "gamma": g},
         phi=phi,
         phi_prime=phi_prime,
-        log_laplacian_phi=log_lap,
         log_tau_fn=log_tau,
         tau_prime_fn=tau_prime,
         c1=c1,
@@ -236,9 +222,6 @@ def make_custom_weight(
         with np.errstate(divide="ignore"):
             return np.log(tau(np.asarray(r, dtype=float)))
 
-    def log_lap(r):
-        return -2.0 * log_tau(r)
-
     def missing(r):
         raise DomainError("custom weight has no potential phi")
 
@@ -247,7 +230,6 @@ def make_custom_weight(
         params={},
         phi=phi if phi is not None else missing,
         phi_prime=missing,
-        log_laplacian_phi=log_lap,
         log_tau_fn=log_tau,
         tau_prime_fn=lambda r: _central_tau_prime(log_tau, r),
         c1=float(c1),

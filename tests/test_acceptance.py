@@ -31,8 +31,8 @@ from btk.measures import (
     carleson_constant,
     indicator_density,
     lattice_lp_sum,
+    mu_hat,
     mu_hat_lp_norm,
-    mu_hat_many,
     power_density,
 )
 from btk.quadrature import simpson_doubling
@@ -413,7 +413,7 @@ def test_criterion_09_berezin_chain(bt2000, w1, delta1, lat09, compact_family):
         pts = _sample_points(0.69, 200)
         if isinstance(mu, AtomicMeasure):
             pts = np.concatenate([pts, mu.points])
-        mh = mu_hat_many(w1, mu, delta1, pts)
+        mh = mu_hat(w1, mu, delta1, pts)
         pos = mh > 0
         if not pos.any():
             continue

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from btk.errors import DomainError, ParameterError, ResourceError
 from btk.lattice import (
     Lattice,
     _probe_points,
+    _radical_inverse,
     build_lattice,
     certify_lattice,
     count_in_ball,
@@ -254,3 +258,38 @@ def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
     d = np.sqrt(diff.real**2 + diff.imag**2)
     np.testing.assert_array_equal(covered, np.any(d < delta1 * lat_tiny.taus, axis=1))
     np.testing.assert_array_equal(counts, np.sum(d < 3.0 * delta1 * lat_tiny.taus, axis=1))
+
+
+def test_probe_points_match_scipy_halton():
+    from scipy.stats import qmc
+
+    # the index runs on across draws, as scipy's sampler's does
+    sampler = qmc.Halton(d=2, scramble=False)
+    start = 0
+    for n in (1_000, 5_007, 20_064):
+        idx = np.arange(start, start + n)
+        mine = np.column_stack([_radical_inverse(idx, 2), _radical_inverse(idx, 3)])
+        assert mine.tobytes() == sampler.random(n).tobytes()
+        start += n
+
+    def scipy_probes(r_max, count):
+        sampler = qmc.Halton(d=2, scramble=False)
+        pts = []
+        while (need := count - sum(map(len, pts))) > 0:
+            raw = sampler.random(int(need * 1.5) + 64)
+            z = r_max * ((2.0 * raw[:, 0] - 1.0) + 1j * (2.0 * raw[:, 1] - 1.0))
+            pts.append(z[np.abs(z) <= r_max])
+        return np.concatenate(pts)[:count]
+
+    for r_max, count in ((0.3, 1_000), (0.5, 20_000), (0.9, 7)):
+        assert _probe_points(r_max, count).tobytes() == scipy_probes(r_max, count).tobytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(btk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, btk; print('scipy.stats' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

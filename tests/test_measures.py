@@ -26,7 +26,6 @@ from btk.measures import (
     measure_from_json,
     mu_hat,
     mu_hat_lp_norm,
-    mu_hat_many,
     polar_points,
     power_density,
     save_measure,
@@ -224,6 +223,27 @@ def test_measure_json_round_trips(w1, tmp_path, dA):
         measure_from_json({"kind": "nope"})
 
 
+def test_measure_json_omitted_keys_take_constructor_defaults(w1):
+    cells = np.arange(1.0, 7.0).reshape(2, 3)
+    cases = [
+        ({"density": "power", "beta": 2.0}, power_density(2.0)),
+        ({"density": "indicator"}, indicator_density()),
+        ({"density": "compensated", "s": 0.5, "beta": 1.0},
+         compensated_density(w1, 0.5, 1.0)),
+    ]
+    r = np.linspace(0.0, 0.999, 41)
+    for data, want in cases:
+        got = measure_from_json({"kind": "radial", **data}, w1)
+        assert got.to_json() == want.to_json()
+        assert got.total_mass == want.total_mass
+        assert got.g(r).tobytes() == want.g(r).tobytes()
+    assert compensated_density(w1, 0.5, 1.0).support == (0.0, 0.99)
+    assert indicator_density().support == indicator_density(0.0, 1.0).support
+    got = measure_from_json({"kind": "grid", "nr": 2, "ntheta": 3,
+                             "cells": cells.ravel().tolist()})
+    assert got.to_json() == GridDensityMeasure(cells).to_json()
+
+
 # --- averaging function and Carleson constant ------------------------------
 
 
@@ -240,10 +260,14 @@ def test_mu_hat_atomic(w1, delta1):
 
 
 def test_mu_hat_many_matches_scalar(w1, delta1, dA):
-    zs = np.array([0.1, 0.4 + 0.2j, 0.7j])
-    many = mu_hat_many(w1, dA, delta1, zs)
-    for k, z in enumerate(zs):
-        assert many[k] == pytest.approx(mu_hat(w1, dA, delta1, z), rel=1e-12)
+    zs = np.array([[0.1, 0.4 + 0.2j, 0.7j], [0.0, -0.5, 0.3 - 0.3j]])
+    for mu in (dA, AtomicMeasure([0.4 + 0.2j, -0.5], [1.0, 2.0])):
+        many = mu_hat(w1, mu, delta1, zs)
+        assert many.shape == zs.shape
+        for k, z in np.ndenumerate(zs):
+            one = mu_hat(w1, mu, delta1, z)
+            assert type(one) is float
+            assert many[k] == pytest.approx(one, rel=1e-12)
 
 
 def test_mu_hat_validation(w1, delta1, dA):
@@ -251,6 +275,14 @@ def test_mu_hat_validation(w1, delta1, dA):
         mu_hat(w1, dA, w1.m_tau, 0.3)
     with pytest.raises(DomainError):
         mu_hat(w1, dA, delta1, 1.0)
+
+
+def test_mu_hat_array_outside_disk_raises(w1, delta1, dA):
+    with pytest.raises(ParameterError):
+        mu_hat(w1, dA, w1.m_tau, np.array([0.3]))
+    for zs in (np.array([0.5, 1.0, 1.2]), np.array([[0.1], [1.0j]])):
+        with pytest.raises(DomainError):
+            mu_hat(w1, dA, delta1, zs)
 
 
 def test_carleson_area_measure(w1, delta1, dA):
@@ -474,7 +506,7 @@ def test_berezin_zero_measure(bt400):
 def _lambda_tau_mass(w, r_max):
     # lambda_tau({|z| <= r_max}) = 2 int_0^r_max r tau(r)^(-2) dr
     return simpson_doubling(
-        lambda r: 2.0 * r * np.exp(w.log_laplacian_phi(r)), 0.0, r_max, tol=1e-12
+        lambda r: 2.0 * r * np.exp(-2.0 * w.log_tau(r)), 0.0, r_max, tol=1e-12
     )
 
 

@@ -101,8 +101,6 @@ def test_parameter_validation(w1):
     with pytest.raises(DomainError):
         log_monomial_norms(w1, -1)
     with pytest.raises(DomainError):
-        log_monomial_norms(w1, 5, tol=1e-3)
-    with pytest.raises(DomainError):
         radial_log_moments(w1, 5, support=(0.7, 0.2))
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import filecmp
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from btk.cli import main as cli_main
 from btk.errors import DomainError, ParameterError
 from btk.measures import AtomicMeasure, indicator_density, zero_measure
 from btk.runner import (
+    DEFAULT_WINDOWS,
     Scenario,
     cached_basis_table,
     run_scenario,
@@ -136,6 +139,35 @@ def test_scenario_from_json_round_trip(w1):
     assert s.weight.fingerprint() == w1.fingerprint()
 
 
+def test_scenario_json_omitted_keys_take_field_defaults(w1):
+    measures = (("m", indicator_density(0.0, 0.5)),)
+    got = scenario_from_json({
+        "id": "scn",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "m", "kind": "radial", "density": "indicator",
+                      "support": [0.0, 0.5]}],
+    })
+    want = Scenario("scn", w1, measures)
+    for f in dataclasses.fields(Scenario):
+        if f.name not in ("weight", "measures"):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.windows == DEFAULT_WINDOWS
+
+
+def test_scenario_partial_windows_keep_defaults(w1):
+    s = Scenario(
+        "partial", w1, (("dA", indicator_density(0.0, 1.0)),),
+        dim=16, degree_max=200, lattice_r_max=0.4, r_max_ladder=(0.5, 0.6, 0.7),
+        checks=("kernel_estimates", "boundedness"),
+        windows={"boundedness_ratio": (1e-3, 1e8)},
+    )
+    assert s.windows == {**DEFAULT_WINDOWS, "boundedness_ratio": (1e-3, 1e8)}
+    weight_row, dA_row = run_scenario(s)
+    assert set(weight_row.flags) == {"kernel_estimates"}
+    assert set(dA_row.flags) == {"boundedness"}
+    assert weight_row.passed and dA_row.passed
+
+
 def test_sweep_family_dim(w1):
     s = Scenario(
         scenario_id="sweep",
@@ -164,6 +196,8 @@ def test_cached_basis_table_round_trip(w1, tmp_path):
     a = cached_basis_table(w1, 50, cache_dir=cache)
     b = cached_basis_table(w1, 50, cache_dir=cache)  # loaded from disk
     np.testing.assert_array_equal(a.log_h, b.log_h)
+    # the file name keeps the table tolerance, as caches written before did
+    assert os.listdir(cache) == [f"basis-{w1.fingerprint()}-d50-t1e-09.npy"]
 
 
 def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path):

@@ -16,8 +16,10 @@ from btk.jacobi import jacobi_eigvalsh
 from btk.measures import (
     AtomicMeasure,
     GridDensityMeasure,
+    Measure,
     berezin_lp_norm,
     berezin_many,
+    berezin_measure,
     indicator_density,
     power_density,
     zero_measure,
@@ -313,6 +315,22 @@ def test_negative_mass_raises_psd_violation(bt400):
         berezin_many(bt400, atoms, np.array([0.1, 0.2j]))
     with pytest.raises(PSDViolationError):
         berezin_lp_norm(bt400, grid, 2.0, 0.5)
+    # and so does the scalar oracle, which reads the same checked node rule
+    for mu in (atoms, grid):
+        with pytest.raises(PSDViolationError):
+            berezin_measure(bt400, mu, 0.3)
+
+    class Foreign(Measure):
+        """A Measure subclass with no node rule."""
+
+        kind = "foreign"
+        total_mass = 1.0
+
+    for fn in (lambda mu: assemble_toeplitz(bt400, mu, 16),
+               lambda mu: berezin_many(bt400, mu, np.array([0.1, 0.2j])),
+               lambda mu: berezin_measure(bt400, mu, 0.3)):
+        with pytest.raises(ParameterError):
+            fn(Foreign())
 
 
 def test_tail_flag_behavior():

@@ -34,15 +34,13 @@ def test_log_weight_is_minus_two_phi(w1):
 
 
 def test_log_laplacian_matches_finite_differences(w1, w2):
-    # lap phi = phi'' + phi'/r, cross-checked by central differences of phi
+    # tau^(-2) = lap phi = phi'' + phi'/r, cross-checked by central differences of phi
     for w in (w1, w2):
         for r in (0.2, 0.5, 0.8):
             h = 1e-6
             phi2 = (w.phi(r + h) - 2.0 * w.phi(r) + w.phi(r - h)) / (h * h)
             lap = phi2 + w.phi_prime(r) / r
-            assert float(np.exp(w.log_laplacian_phi(r))) == pytest.approx(
-                lap, rel=1e-4
-            )
+            assert float(np.exp(-2.0 * w.log_tau(r))) == pytest.approx(lap, rel=1e-4)
 
 
 def test_tau_prime_closed_form_vs_differences(w1):
