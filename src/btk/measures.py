@@ -695,29 +695,46 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
     return field
 
 
+def _p_ladder(p) -> list[float]:
+    """A scalar p or a sequence of p as a list of floats, each checked positive."""
+    ps = np.asarray(p, dtype=float).ravel().tolist()
+    if not all(x > 0.0 for x in ps):
+        raise ParameterError("p must be positive")
+    return ps
+
+
+def _per_p(p, vals: list):
+    """vals[0] for a scalar p, else an array with one value per p."""
+    return vals[0] if np.ndim(p) == 0 else np.array(vals, dtype=float)
+
+
 def lp_lambda_tau_norm(
     w: RadialWeight,
     field,
-    p: float,
+    p,
     r_max: float,
     n_theta: int = 64,
     tol: float = 1e-6,
     max_doublings: int = 4,
-) -> float:
-    """(int_{|z|<=r_max} field^p tau(z)^(-2) dA)^(1/p).
+):
+    """(int_{|z|<=r_max} field^p tau(z)^(-2) dA)^(1/p) for a scalar p or a sequence.
 
     field(r, n_theta) returns the nonnegative field on polar_points(r,
     n_theta) as a (len(r), n_theta) array, or as (len(r), 1) for a radial
     field.  Radial panels of 16 Gauss-Legendre nodes are graded geometrically
     toward r_max; their count starts at 24 and doubles until the integral
-    changes by less than tol relative.
+    changes by less than tol relative.  Each level evaluates the field once
+    for every p still open, and each p stops at its own level, so a sequence
+    returns, per p, the float a scalar call returns.
     """
-    if p <= 0.0:
-        raise ParameterError("p must be positive")
+    ps = _p_ladder(p)
     if not (0.0 < r_max < 1.0):
         raise DomainError("r_max must lie in (0, 1)")
+    if n_theta < 1 or max_doublings < 1:
+        raise ParameterError("n_theta and max_doublings must be at least 1")
     x01, w01 = gauss_legendre_rule(16)
-    prev = None
+    vals = [None] * len(ps)
+    prev = [None] * len(ps)
     panels = 24
     for _ in range(max_doublings + 1):
         edges = 1.0 - np.geomspace(1.0, 1.0 - r_max, panels + 1)
@@ -725,15 +742,21 @@ def lp_lambda_tau_norm(
         a, b = edges[:-1, None], edges[1:, None]
         r = (0.5 * (b - a) * x01 + 0.5 * (a + b)).ravel()
         wq = (0.5 * (b - a) * w01).ravel()
-        fp = np.mean(np.asarray(field(r, n_theta), dtype=float) ** p, axis=1)
+        f = np.asarray(field(r, n_theta), dtype=float)
         tau = w.tau(r)
-        cur = float(np.dot(wq, fp * 2.0 * r / (tau * tau)))
-        if prev is not None:
-            if cur == prev == 0.0:
-                return 0.0
-            if abs(cur - prev) <= tol * max(abs(cur), abs(prev)):
-                return cur ** (1.0 / p)
-        prev = cur
+        for k, q in enumerate(ps):
+            if vals[k] is not None:
+                continue
+            fp = np.mean(f**q, axis=1)
+            cur = float(np.dot(wq, fp * 2.0 * r / (tau * tau)))
+            if prev[k] is not None:
+                if cur == prev[k] == 0.0:
+                    vals[k] = 0.0
+                elif abs(cur - prev[k]) <= tol * max(abs(cur), abs(prev[k])):
+                    vals[k] = cur ** (1.0 / q)
+            prev[k] = cur
+        if None not in vals:
+            return _per_p(p, vals)
         panels *= 2
     raise ConvergenceError(f"L^p(d lambda_tau) quadrature failed to reach tol={tol}")
 
@@ -757,17 +780,18 @@ def _atomic_muhat_lp_integral(
     w: RadialWeight,
     mu: AtomicMeasure,
     delta: float,
-    p: float,
+    ps: list[float],
     r_max: float,
-) -> float:
-    """int mu_hat^p d lambda_tau for an atomic measure.
+) -> list:
+    """int mu_hat^p d lambda_tau for an atomic measure, one value per p in ps.
 
     mu_hat is piecewise constant (it jumps where an atom enters the disk
     D(delta tau(z))), so smooth quadrature cannot converge.  When the atoms'
     influence regions are pairwise disjoint the field is m_j^p on the region
     of atom j and the integral splits; each region is integrated in polar
     coordinates around its atom with the boundary radius solved exactly on
-    256 rays, and 48 Gauss-Legendre nodes along each.
+    256 rays, and 48 Gauss-Legendre nodes along each.  The region and its
+    tau(z) are computed once per atom for all p.
     Overlapping regions fall back to a deterministic midpoint grid.
     """
     pts, masses = mu.points, mu.masses
@@ -778,10 +802,10 @@ def _atomic_muhat_lp_integral(
     overlap = sep < (r_out[:, None] + r_out[None, :])
     np.fill_diagonal(overlap, False)
     if np.any(overlap):
-        return _gridded_muhat_lp_integral(w, mu, delta, p, r_max)
+        return _gridded_muhat_lp_integral(w, mu, delta, ps, r_max)
     theta = np.arange(256) * (2.0 * np.pi / 256)
     x01, w01 = gauss_legendre_rule(48)
-    total = 0.0
+    totals = [0.0] * len(ps)
     for xi, m in zip(pts, masses):
         rho = _atom_region_radii(w, xi, delta, theta)
         # clip the region at |z| = r_max along each ray
@@ -793,18 +817,20 @@ def _atomic_muhat_lp_integral(
         wq = 0.5 * rho[:, None] * w01[None, :]
         z = xi + r_nodes * np.exp(1j * theta)[:, None]
         tau_z = w.tau(np.abs(z))
-        # integrand mu_hat^p * tau^(-2) = m^p tau(z)^(-2p) * tau(z)^(-2)
-        integ = np.sum(wq * r_nodes * tau_z ** (-2.0 * p - 2.0), axis=1)
-        total += m**p * float(np.mean(integ)) * 2.0
-    return total
+        for k, p in enumerate(ps):
+            # integrand mu_hat^p * tau^(-2) = m^p tau(z)^(-2p) * tau(z)^(-2)
+            integ = np.sum(wq * r_nodes * tau_z ** (-2.0 * p - 2.0), axis=1)
+            totals[k] += m**p * float(np.mean(integ)) * 2.0
+    return totals
 
 
 def _gridded_muhat_lp_integral(
-    w: RadialWeight, mu: AtomicMeasure, delta: float, p: float, r_max: float
-) -> float:
+    w: RadialWeight, mu: AtomicMeasure, delta: float, ps: list[float], r_max: float
+) -> list:
     """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions.
 
-    The grid has 1200 x 1200 cells on the atoms' bounding box.
+    The grid has 1200 x 1200 cells on the atoms' bounding box; each row's
+    disk masses serve every p in ps.
     """
     taus = w.tau(np.abs(mu.points))
     r_out = (4.0 / 3.0) * delta * taus
@@ -817,7 +843,7 @@ def _gridded_muhat_lp_integral(
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) / np.pi
-    total = 0.0
+    totals = [0.0] * len(ps)
     for row_y in cy:
         z = cx + 1j * row_y
         keep = np.abs(z) <= r_max
@@ -828,26 +854,45 @@ def _gridded_muhat_lp_integral(
         mass = mu.disk_mass_many(z, delta * tau_z)
         pos = mass > 0
         if pos.any():
-            total += cell * float(
-                np.sum(mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0))
-            )
-    return total
+            for k, p in enumerate(ps):
+                totals[k] += cell * float(
+                    np.sum(mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0))
+                )
+    return totals
 
 
 def mu_hat_lp_norm(
-    w: RadialWeight, mu: Measure, delta: float, p: float, r_max: float, **kw
-) -> float:
-    """||mu_hat_delta||_{L^p(d lambda_tau)} truncated at r_max."""
-    if p <= 0.0:
-        raise ParameterError("p must be positive")
+    w: RadialWeight,
+    mu: Measure,
+    delta: float,
+    p,
+    r_max: float,
+    *,
+    n_theta: int | None = None,
+    tol: float | None = None,
+    max_doublings: int | None = None,
+):
+    """||mu_hat_delta||_{L^p(d lambda_tau)} truncated at r_max.
+
+    p is a scalar (a float back) or a sequence (one value per p, each equal
+    to the scalar call's).  n_theta, tol and max_doublings go to
+    lp_lambda_tau_norm, whose defaults hold unless given; a grid measure
+    defaults to n_theta=32, tol=1e-3.  Atoms are integrated region by region
+    and take no quadrature options.
+    """
+    ps = _p_ladder(p)
     w.require_delta(delta)
+    quad = dict(n_theta=n_theta, tol=tol, max_doublings=max_doublings)
+    quad = {k: v for k, v in quad.items() if v is not None}
+    if isinstance(mu, AtomicMeasure) and quad:
+        raise ParameterError(f"atomic measures take no quadrature options: {sorted(quad)}")
     if mu.is_zero:
-        return 0.0
+        return _per_p(p, [0.0] * len(ps))
     if isinstance(mu, AtomicMeasure):
-        return _atomic_muhat_lp_integral(w, mu, delta, p, r_max) ** (1.0 / p)
+        totals = _atomic_muhat_lp_integral(w, mu, delta, ps, r_max)
+        return _per_p(p, [t ** (1.0 / q) for t, q in zip(totals, ps)])
     if isinstance(mu, GridDensityMeasure):
-        kw.setdefault("tol", 1e-3)
-        kw.setdefault("n_theta", 32)
+        quad = {"tol": 1e-3, "n_theta": 32, **quad}
     radial = isinstance(mu, RadialDensityMeasure)
 
     def field(r, n_theta):
@@ -855,30 +900,32 @@ def mu_hat_lp_norm(
             return mu_hat(w, mu, delta, r)[:, None]
         return mu_hat(w, mu, delta, polar_points(r, n_theta))
 
-    return lp_lambda_tau_norm(w, field, p, r_max, **kw)
+    return lp_lambda_tau_norm(w, field, p, r_max, **quad)
 
 
-def berezin_lp_norm(bt: BasisTable, mu: Measure, p: float, r_max: float) -> float:
-    """||B mu||_{L^p(d lambda_tau)} truncated at r_max.
+def berezin_lp_norm(bt: BasisTable, mu: Measure, p, r_max: float):
+    """||B mu||_{L^p(d lambda_tau)} truncated at r_max, for a scalar p or a sequence.
 
     The Berezin transform is smooth, so 32 angles and tol 1e-4 suffice for
     the factor-window comparisons it feeds.
     """
+    ps = _p_ladder(p)
     if mu.is_zero:
-        return 0.0
-    # the factor (or the radial symbols t_n) is built once, not per doubling
+        return _per_p(p, [0.0] * len(ps))
+    # the factor (or the radial symbols t_n) is built once, and each level's
+    # field serves every p
     field = _berezin_polar_field(bt, mu)
     return lp_lambda_tau_norm(bt.weight, field, p, r_max, n_theta=32, tol=1e-4)
 
 
-def lattice_lp_sum(
-    w: RadialWeight, mu: Measure, lat: Lattice, delta: float, p: float
-) -> float:
-    """(sum_n mu_hat_delta(z_n)^p)^(1/p) over the lattice points."""
-    if p <= 0.0:
-        raise ParameterError("p must be positive")
+def lattice_lp_sum(w: RadialWeight, mu: Measure, lat: Lattice, delta: float, p):
+    """(sum_n mu_hat_delta(z_n)^p)^(1/p) over the lattice points.
+
+    p is a scalar (a float back) or a sequence (one value per p).
+    """
+    ps = _p_ladder(p)
     w.require_delta(delta)
     if mu.is_zero:
-        return 0.0
+        return _per_p(p, [0.0] * len(ps))
     vals = mu.disk_mass_many(lat.points, delta * lat.taus) / (lat.taus**2)
-    return float(np.sum(vals**p) ** (1.0 / p))
+    return _per_p(p, [float(np.sum(vals**q) ** (1.0 / q)) for q in ps])

@@ -223,16 +223,18 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
             row.flags["boundedness"] = _in_window(ratio, s.windows["boundedness_ratio"])
         if "schatten_equivalence" in s.checks:
             ok = True
-            for p in s.ps:
+            # one batched call per r_max covers every p
+            lps = {r_max: mu_hat_lp_norm(w, mu, delta, s.ps, r_max)
+                   for r_max in s.r_max_ladder}
+            lsums = lattice_lp_sum(w, mu, lat, delta, s.ps)
+            for k, p in enumerate(s.ps):
                 sp = schatten_norm(spec_rep, p)
                 q[f"schatten_p{p:g}"] = sp
                 q[f"schatten_tail_flag_p{p:g}"] = spec_rep.tail_flag(p)
                 for r_max in s.r_max_ladder:
-                    lp = mu_hat_lp_norm(w, mu, delta, p, r_max)
-                    q[f"muhat_L{p:g}_r{r_max:g}"] = lp
-                lp_ref = q[f"muhat_L{p:g}_r{s.r_max_ladder[0]:g}"]
-                lsum = lattice_lp_sum(w, mu, lat, delta, p)
-                q[f"lattice_l{p:g}"] = lsum
+                    q[f"muhat_L{p:g}_r{r_max:g}"] = lps[r_max][k]
+                lp_ref = lps[s.r_max_ladder[0]][k]
+                q[f"lattice_l{p:g}"] = lsums[k]
                 if lp_ref > 0:
                     ratio = sp**p / lp_ref**p
                     row.ratios[f"schatten_over_Lp_p{p:g}"] = ratio
@@ -259,8 +261,8 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
         q["berezin_domination_c"] = (
             float(np.min(bm[pos] / mh[pos])) if pos.any() else np.nan
         )
-        for p in s.ps:
-            q[f"berezin_L{p:g}"] = berezin_lp_norm(bt, mu, p, s.r_max_ladder[0])
+        for p, v in zip(s.ps, berezin_lp_norm(bt, mu, s.ps, s.r_max_ladder[0])):
+            q[f"berezin_L{p:g}"] = v
     return row
 
 

@@ -331,38 +331,35 @@ def _lp(w, mu, delta, p, r_max):
 
 
 def test_criterion_08_schatten_equivalence(bt2000, w1, delta1, compact_family):
+    vals = {p: [] for p in PS}
+    for name, mu in compact_family:
+        rep = spectrum(assemble_toeplitz(bt2000, mu, DIM))
+        # mu_hat of a compactly supported measure has kinks at the support
+        # edge; a coarse quadrature tolerance suffices for factor windows
+        lps = _lp(w1, mu, delta1, PS, 0.9).tolist()
+        for p, lp in zip(PS, lps):
+            sp = schatten_norm(rep, p)
+            assert rep.tail_flag(p) is False, (name, p)
+            vals[p].append(sp**p / lp**p)
     spreads = {}
     for p in PS:
-        vals = []
-        for name, mu in compact_family:
-            rep = spectrum(assemble_toeplitz(bt2000, mu, DIM))
-            sp = schatten_norm(rep, p)
-            # mu_hat of a compactly supported measure has kinks at the support
-            # edge; a coarse quadrature tolerance suffices for factor windows
-            lp = _lp(w1, mu, delta1, p, 0.9)
-            assert rep.tail_flag(p) is False, (name, p)
-            vals.append(sp**p / lp**p)
-        vals = np.array(vals)
-        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
-        spreads[p] = float(np.max(vals) / np.min(vals))
+        v = np.array(vals[p])
+        assert np.all(np.isfinite(v)) and np.all(v > 0)
+        spreads[p] = float(np.max(v) / np.min(v))
 
     # mu = dA: the L^p side diverges along the r_max ladder...
     dA = indicator_density(0.0, 1.0)
-    growth = {}
-    for p in PS:
-        lo = _lp(w1, dA, delta1, p, 0.9) ** p
-        hi = _lp(w1, dA, delta1, p, 0.995) ** p
-        growth[p] = hi / lo
+    lo = _lp(w1, dA, delta1, PS, 0.9).tolist()
+    hi = _lp(w1, dA, delta1, PS, 0.995).tolist()
+    growth = {p: h**p / l**p for p, l, h in zip(PS, lo, hi)}
     # ...while the truncated Schatten sums at p <= 1 grow unboundedly in dim
     sums = {p: [] for p in PS if p <= 1.0}
-    flags = {}
     for dim in (128, 256, DIM):
         rep = spectrum(assemble_toeplitz(bt2000, dA, dim))
         for p in sums:
             sums[p].append(schatten_norm(rep, p) ** p)
-    rep = spectrum(assemble_toeplitz(bt2000, dA, DIM))
-    for p in sums:
-        flags[p] = rep.tail_flag(p)
+    # rep is now the dim = DIM spectrum
+    flags = {p: rep.tail_flag(p) for p in sums}
 
     ok = (
         all(s <= 1e3 for s in spreads.values())
@@ -387,15 +384,16 @@ def test_criterion_09_berezin_chain(bt2000, w1, delta1, lat09, compact_family):
     windows_ok = True
     worst_pair = (1.0, "")
     for name, mu in compact_family:
+        # one batched call per form covers every p
+        ips = _lp(w1, mu, delta1, PS, 0.9).tolist()
+        sps = lattice_lp_sum(w1, mu, lat09, delta1, PS).tolist()
+        bps = berezin_lp_norm(bt2000, mu, [1.0, 2.0], 0.9).tolist()
+        bps = dict(zip((1.0, 2.0), bps))
         quantities = {}
-        for p in (0.5, 1.0, 2.0):
-            ip = _lp(w1, mu, delta1, p, 0.9) ** p
-            sp = lattice_lp_sum(w1, mu, lat09, delta1, p) ** p
-            quantities[p] = {"integral": ip, "lattice": sp}
-            if p in (1.0, 2.0):
-                quantities[p]["berezin"] = berezin_lp_norm(
-                    bt2000, mu, p, 0.9
-                ) ** p
+        for p, ip, sp in zip(PS, ips, sps):
+            quantities[p] = {"integral": ip**p, "lattice": sp**p}
+            if p in bps:
+                quantities[p]["berezin"] = bps[p] ** p
         for p, q in quantities.items():
             vals = list(q.values())
             for i in range(len(vals)):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import btk
 from btk.basis import kernel_at_points, kernel_norm_sq, kernel_norm_sq_many
-from btk.errors import DomainError, ParameterError, TruncationError
+from btk.errors import ConvergenceError, DomainError, ParameterError, TruncationError
 from btk.measures import (
     AtomicMeasure,
     GridDensityMeasure,
@@ -549,10 +549,9 @@ def test_muhat_lp_area_measure(w1, delta1, dA):
 
 def test_atomic_lp_geometric_vs_grid_oracle(w1, delta1):
     mu = AtomicMeasure([0.3], [1.0])
-    for p in (0.5, 1.0, 2.0):
-        geo = _atomic_muhat_lp_integral(w1, mu, delta1, p, 0.9)
-        grid = _gridded_muhat_lp_integral(w1, mu, delta1, p, 0.9)
-        assert geo == pytest.approx(grid, rel=2e-3)
+    geo = _atomic_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], 0.9)
+    grid = _gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], 0.9)
+    assert geo == pytest.approx(grid, rel=2e-3)
 
 
 def test_atomic_lp_overlapping_atoms_fall_back(w1, delta1):
@@ -589,6 +588,128 @@ def test_zero_measure_through_all_functionals(w1, bt400, delta1, lat_half):
     assert mu_hat_lp_norm(w1, z0, delta1, 1.0, 0.9) == 0.0
     assert btk.measures.berezin_lp_norm(bt400, z0, 1.0, 0.9) == 0.0
     assert lattice_lp_sum(w1, z0, lat_half, delta1, 1.0) == 0.0
+
+
+# --- one quadrature pass for a ladder of p ----------------------------------
+
+PS = [0.5, 1.0, 2.0]
+
+
+def _assert_batch_is_scalar(fn, ps=PS):
+    # each p of a batch is bitwise the float a scalar call returns
+    batch = fn(ps)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(ps),)
+    scalars = [fn(p) for p in ps]
+    assert all(isinstance(v, float) for v in scalars)
+    assert batch.tolist() == scalars
+
+
+@pytest.fixture(scope="module")
+def grid_patch():
+    # a 3x3 patch of an 8x12 grid: r in [0.25, 0.625], theta in [0, pi/2]
+    cells = np.zeros((8, 12))
+    cells[2:5, 0:3] = 1.0
+    return GridDensityMeasure(cells)
+
+
+def test_muhat_lp_batch_matches_scalar(w1, delta1, grid_patch):
+    sep = 0.5 * delta1 * float(w1.tau(0.3))
+    cases = [
+        (power_density(2.0), 0.8, {}),
+        # a coarse rule keeps the grid's disk masses cheap
+        (grid_patch, 0.5, {"n_theta": 16, "tol": 1e-2}),
+        (AtomicMeasure([0.3, -0.4j], [1.0, 0.5]), 0.9, {}),
+        # overlapping regions: the gridded fallback
+        (AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0]), 0.9, {}),
+    ]
+    with warnings.catch_warnings():
+        # the grid patch's query disks are smaller than its cells
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for mu, r_max, kw in cases:
+            _assert_batch_is_scalar(
+                lambda p: mu_hat_lp_norm(w1, mu, delta1, p, r_max, **kw))
+    zeros = mu_hat_lp_norm(w1, zero_measure(), delta1, PS, 0.9)
+    assert isinstance(zeros, np.ndarray) and zeros.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_berezin_lp_batch_matches_scalar(bt400, grid_patch):
+    for mu in (power_density(2.0), AtomicMeasure([0.3, -0.4j], [1.0, 0.5]),
+               grid_patch):
+        _assert_batch_is_scalar(lambda p: btk.measures.berezin_lp_norm(bt400, mu, p, 0.8))
+    zeros = btk.measures.berezin_lp_norm(bt400, zero_measure(), PS, 0.8)
+    assert zeros.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_lattice_lp_batch_matches_scalar(w1, delta1, lat_half):
+    for mu in (power_density(2.0), AtomicMeasure([0.2, -0.3j], [1.0, 0.5])):
+        _assert_batch_is_scalar(lambda p: lattice_lp_sum(w1, mu, lat_half, delta1, p))
+    zeros = lattice_lp_sum(w1, zero_measure(), lat_half, delta1, PS)
+    assert zeros.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_lp_norm_batch_each_p_stops_at_its_own_level(w1):
+    calls = []
+
+    def kink(r, n_theta):
+        calls.append(len(r))
+        return np.abs(r - 0.5)[:, None]
+
+    levels, scalars = [], []
+    for p in PS:
+        calls.clear()
+        scalars.append(lp_lambda_tau_norm(w1, kink, p, 0.9))
+        levels.append(len(calls))
+    # p = 0.5 needs more doublings than p = 1 and 2 on this kink
+    assert levels[0] > levels[1] == levels[2]
+    calls.clear()
+    batch = lp_lambda_tau_norm(w1, kink, PS, 0.9)
+    # one field evaluation per level for the whole batch, and each p stops
+    # with the value its scalar call returns
+    assert calls == [24 * 16 * 2**k for k in range(max(levels))]
+    assert batch.tolist() == scalars
+
+
+def test_lp_batch_rejects_nonpositive_p(w1, bt400, delta1, lat_half, dA):
+    bad = [0.5, 0.0, 2.0]
+    with pytest.raises(ParameterError):
+        lp_lambda_tau_norm(w1, _ones, bad, 0.9)
+    with pytest.raises(ParameterError):
+        mu_hat_lp_norm(w1, dA, delta1, bad, 0.9)
+    with pytest.raises(ParameterError):
+        mu_hat_lp_norm(w1, zero_measure(), delta1, [1.0, -1.0], 0.9)
+    with pytest.raises(ParameterError):
+        btk.measures.berezin_lp_norm(bt400, zero_measure(), bad, 0.9)
+    with pytest.raises(ParameterError):
+        lattice_lp_sum(w1, dA, lat_half, delta1, bad)
+
+
+def test_lp_batch_raises_when_any_p_fails_to_converge(w1, delta1):
+    # mu_hat kinks where D(z, delta tau(z)) crosses the support edge at 0.7;
+    # p = 0.5 does not converge under the default tolerance
+    mu = power_density(2.0, support=(0.0, 0.7))
+    with pytest.raises(ConvergenceError):
+        mu_hat_lp_norm(w1, mu, delta1, PS, 0.9)
+
+
+def test_muhat_lp_rejects_options_it_would_ignore(w1, delta1, dA):
+    atom = AtomicMeasure([0.3], [1.0])
+    with pytest.raises(ParameterError):
+        mu_hat_lp_norm(w1, atom, delta1, 1.0, 0.9, tol=-5)
+    with pytest.raises(ParameterError):
+        mu_hat_lp_norm(w1, zero_measure(), delta1, 1.0, 0.9, n_theta=8)
+    with pytest.raises(TypeError):
+        mu_hat_lp_norm(w1, atom, delta1, 1.0, 0.9, tol=-5, bogus=1)
+    with pytest.raises(TypeError):
+        mu_hat_lp_norm(w1, dA, delta1, 1.0, 0.9, bogus=1)
+
+
+def test_lp_norm_rejects_empty_quadrature(w1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            lp_lambda_tau_norm(w1, _ones, 1.0, 0.9, n_theta=0)
+        with pytest.raises(ParameterError):
+            lp_lambda_tau_norm(w1, _ones, 1.0, 0.9, max_doublings=0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,6 +16,7 @@ from btk.measures import AtomicMeasure, indicator_density, zero_measure
 from btk.runner import (
     DEFAULT_WINDOWS,
     Scenario,
+    _measure_row,
     cached_basis_table,
     run_scenario,
     scenario_from_json,
@@ -94,6 +95,27 @@ def test_zero_measure_row(small_rows):
     assert "zero measure: ratio cells undefined" in row.notes
     assert row.quantities["C_mu"] == 0.0
     assert row.passed
+
+
+def test_measure_row_batches_the_p_ladder(small_scenario, bt400, lat_half, monkeypatch):
+    # one mu_hat L^p call per r_max, one lattice sum and one Berezin L^p call
+    # per measure row, each covering every p
+    calls = {}
+    for name in ("mu_hat_lp_norm", "lattice_lp_sum", "berezin_lp_norm"):
+        def counted(*args, _f=getattr(btk.runner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(btk.runner, name, counted)
+    atoms = dict(small_scenario.measures)["atoms"]
+    row = _measure_row(small_scenario, bt400, lat_half, "atoms", atoms)
+    assert row.passed, (row.flags, row.notes)
+    assert calls == {"mu_hat_lp_norm": len(small_scenario.r_max_ladder),
+                     "lattice_lp_sum": 1, "berezin_lp_norm": 1}
+    for p in small_scenario.ps:
+        assert row.quantities[f"lattice_l{p:g}"] > 0.0
+        assert row.quantities[f"berezin_L{p:g}"] > 0.0
+        for r_max in small_scenario.r_max_ladder:
+            assert row.quantities[f"muhat_L{p:g}_r{r_max:g}"] > 0.0
 
 
 def test_report_csv_deterministic(small_scenario, small_rows, tmp_path):
