@@ -3,7 +3,9 @@
 The construction is a deterministic greedy annular sweep: candidates are laid
 on concentric rings with spacing proportional to delta*tau and accepted when
 they keep the separation rule |c - z_j| >= delta * max(tau(c), tau(z_j)).
-A low-discrepancy probe pass then repairs any residual coverage slivers.
+A low-discrepancy probe pass then repairs any residual coverage slivers; each
+repair round re-probes only the points it inserted, and the lattice records the
+pass so that certify_lattice at the same probe count need not repeat it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ class Lattice:
     multiplicity_observed: int
     taus: np.ndarray = field(repr=False)  # tau(|z_j|), cached
     repairs_failed: int = 0       # repair insertions that found no position
+    # (probe_count, covering_misses) of build_lattice's probe pass over these
+    # points; None on a lattice that did not come from build_lattice
+    probe_pass: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -198,6 +205,7 @@ def build_lattice(
     w.require_delta(delta)
     if not (0.0 < r_max < 1.0):
         raise DomainError(f"r_max must lie in (0, 1), got {r_max}")
+    _require_probe_count(probe_count)
 
     candidate_spacing = 0.45
     state = _GreedyState()
@@ -234,27 +242,32 @@ def build_lattice(
             )
         state.maybe_rebuild()
 
-    # covering repair: insert uncovered probes (innermost first) and re-probe
+    # covering repair: insert uncovered probes (innermost first), then probe
+    # only the inserted points; covered is an OR and counts a sum over points
     probes = _probe_points(r_max, probe_count)
     probes = probes[np.argsort(np.abs(probes))]
     probe_tree = cKDTree(_xy(probes))
     tau_probes = w.tau(np.abs(probes))
     repairs_failed = 0
+    state.rebuild()
+    covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
     for _ in range(20):
-        state.rebuild()
-        covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
         if covered.all():
             break
+        done = len(state)
         for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
             if not state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
                 state.add(p.real, p.imag, float(tau_p))
             elif not _insert_covering_neighbor(state, w, p, float(tau_p), delta, r_max):
                 repairs_failed += 1
         state.rebuild()
-    else:
-        covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
+        more, extra = _probe_coverage(
+            probe_tree, state.xy[done:], state.taus[done:], delta
+        )
+        covered |= more
+        counts += extra
 
-    return Lattice(
+    lat = Lattice(
         weight=w,
         delta=delta,
         r_max=r_max,
@@ -263,6 +276,13 @@ def build_lattice(
         taus=state.taus.copy(),
         repairs_failed=repairs_failed,
     )
+    object.__setattr__(lat, "probe_pass", (probe_count, int(np.sum(~covered))))
+    return lat
+
+
+def _require_probe_count(probe_count: int) -> None:
+    if probe_count < 1:
+        raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
 
 
 def _first_fit(x: np.ndarray, y: np.ndarray, lim: float) -> np.ndarray:
@@ -352,7 +372,15 @@ class LatticeCertification:
 
 
 def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertification:
-    """Re-run separation/covering/multiplicity checks on a built lattice."""
+    """Separation, covering and multiplicity checks on a lattice.
+
+    The separation test always runs.  On a lattice returned by build_lattice
+    with the same probe_count, the covering misses and multiplicity come from
+    the build's probe pass, which probed these points with these probes; any
+    other lattice (from dataclasses.replace, lattice_from_json or direct
+    construction) or probe_count gets a full probe pass.
+    """
+    _require_probe_count(probe_count)
     pts = lat.points
     taus = lat.taus
     xy = _xy(pts)
@@ -364,14 +392,18 @@ def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertific
     d = np.abs(pts[i] - pts[j])
     ratio = d / (lat.delta * np.maximum(taus[i], taus[j]))
 
-    probes = _probe_points(lat.r_max, probe_count)
-    covered, counts = _probe_coverage(cKDTree(_xy(probes)), xy, taus, lat.delta)
+    if lat.probe_pass is not None and lat.probe_pass[0] == probe_count:
+        misses, multiplicity = lat.probe_pass[1], lat.multiplicity_observed
+    else:
+        probes = _probe_points(lat.r_max, probe_count)
+        covered, counts = _probe_coverage(cKDTree(_xy(probes)), xy, taus, lat.delta)
+        misses, multiplicity = int(np.sum(~covered)), int(counts.max(initial=0))
     return LatticeCertification(
         separation_ok=not np.any(ratio < _SEP_SLACK),
         min_separation_ratio=float(np.min(ratio, initial=np.inf)),
-        covering_misses=int(np.sum(~covered)),
-        probes_checked=len(probes),
-        multiplicity_observed=int(counts.max(initial=0)),
+        covering_misses=misses,
+        probes_checked=int(probe_count),
+        multiplicity_observed=multiplicity,
     )
 
 

@@ -56,6 +56,10 @@ DEFAULT_WINDOWS = {
     "kernel_ratio_spread": 50.0,
 }
 
+# Probes for the scenario lattice's build and its certification.  One value
+# for both, so that certify_lattice reuses the build's probe pass.
+LATTICE_PROBES = 20_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -177,7 +181,7 @@ def _weight_level_row(s: Scenario, bt: BasisTable, lat: Lattice) -> ReportRow:
         row.quantities["kernel_ratio_spread"] = spread
         row.flags["kernel_estimates"] = spread <= s.windows["kernel_ratio_spread"]
     if "lattice_cert" in s.checks:
-        cert = certify_lattice(lat, probe_count=20_000)
+        cert = certify_lattice(lat, probe_count=LATTICE_PROBES)
         row.quantities["lattice_points"] = len(lat)
         row.quantities["lattice_multiplicity"] = cert.multiplicity_observed
         row.quantities["lattice_covering_misses"] = cert.covering_misses
@@ -269,7 +273,7 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
 def run_scenario(s: Scenario, cache_dir: str | None = None) -> list[ReportRow]:
     bt = cached_basis_table(s.weight, s.degree_max, cache_dir=cache_dir)
     lat = build_lattice(s.weight, s.effective_delta, s.lattice_r_max,
-                        probe_count=20_000)
+                        probe_count=LATTICE_PROBES)
     rows = []
     if {"kernel_estimates", "lattice_cert"} & set(s.checks):
         rows.append(_weight_level_row(s, bt, lat))

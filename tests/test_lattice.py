@@ -12,8 +12,10 @@ import btk
 from btk.errors import DomainError, ParameterError, ResourceError
 from btk.lattice import (
     Lattice,
+    _probe_coverage,
     _probe_points,
     _radical_inverse,
+    _xy,
     build_lattice,
     certify_lattice,
     count_in_ball,
@@ -238,9 +240,120 @@ def test_failed_repairs_are_counted(w1, delta1, monkeypatch):
     assert lattice_from_json(old, w1).repairs_failed == 0
 
 
-def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
-    from btk.lattice import _probe_coverage, _xy
+@pytest.fixture
+def probed_sets(monkeypatch):
+    """The point sets _probe_coverage is called on, in call order."""
+    seen = []
 
+    def spy(probe_tree, xy, taus, delta):
+        seen.append(xy.copy())
+        return _probe_coverage(probe_tree, xy, taus, delta)
+
+    monkeypatch.setattr(btk.lattice, "_probe_coverage", spy)
+    return seen
+
+
+def _full_recount(lat, probe_count):
+    probes = _probe_points(lat.r_max, probe_count)
+    return _probe_coverage(cKDTree(_xy(probes)), _xy(lat.points), lat.taus, lat.delta)
+
+
+@pytest.mark.parametrize("r_max, probe_count", [(0.3, 20_000), (0.4, 20_000), (0.5, 10_000)])
+def test_certify_reuses_build_pass_exactly(w1, delta1, r_max, probe_count, probed_sets):
+    lat = build_lattice(w1, delta1, r_max, probe_count=probe_count)
+    # one full pass, then one pass over the points a repair round inserted
+    assert len(probed_sets) == 2 and len(probed_sets[1]) >= 1
+    np.testing.assert_array_equal(np.concatenate(probed_sets), _xy(lat.points))
+    reused = certify_lattice(lat, probe_count)
+    assert len(probed_sets) == 2
+    assert reused == certify_lattice(dataclasses.replace(lat), probe_count)
+    assert len(probed_sets) == 3
+    covered, counts = _full_recount(lat, probe_count)
+    assert lat.multiplicity_observed == counts.max()
+    assert lat.probe_pass == (probe_count, int(np.sum(~covered)))
+
+
+def test_repair_rounds_merge_exactly(w1, delta1, monkeypatch, probed_sets):
+    # the sweep drops every fifth ring candidate, leaving holes, and each
+    # repair round inserts only the innermost uncovered probe that keeps
+    # separation, so the repair runs all 20 rounds and still misses probes
+    lat_mod = btk.lattice
+    first_fit, conflicts = lat_mod._first_fit, lat_mod._GreedyState.conflicts
+
+    def holes(x, y, lim):
+        return first_fit(x, y, lim) & (np.arange(len(x)) % 5 != 2)
+
+    def probe_conflicts(self, x, y, tau_c, delta):
+        # a single probe always goes to _insert_covering_neighbor
+        return np.ones(1, dtype=bool) if np.ndim(x) == 0 else conflicts(
+            self, x, y, tau_c, delta
+        )
+
+    rounds_used = set()  # by len(probed_sets), which is the round number
+
+    def one_per_round(state, w, p, tau_p, delta, r_max):
+        if len(probed_sets) in rounds_used or conflicts(
+            state, p.real, p.imag, tau_p, delta
+        )[0]:
+            return False
+        rounds_used.add(len(probed_sets))
+        state.add(p.real, p.imag, tau_p)
+        return True
+
+    monkeypatch.setattr(lat_mod, "_first_fit", holes)
+    monkeypatch.setattr(lat_mod._GreedyState, "conflicts", probe_conflicts)
+    monkeypatch.setattr(lat_mod, "_insert_covering_neighbor", one_per_round)
+    lat = build_lattice(w1, delta1, 0.3, probe_count=5_000)
+    assert len(probed_sets) == 21
+    assert [len(xy) for xy in probed_sets[1:]] == [1] * 20
+    np.testing.assert_array_equal(np.concatenate(probed_sets), _xy(lat.points))
+    covered, counts = _full_recount(lat, 5_000)
+    assert lat.probe_pass == (5_000, int(np.sum(~covered))) and lat.probe_pass[1] > 0
+    assert lat.multiplicity_observed == counts.max()
+    cert = certify_lattice(lat, 5_000)
+    assert cert == certify_lattice(dataclasses.replace(lat), 5_000)
+    assert cert.covering_misses == lat.probe_pass[1] and not cert.passed
+
+
+def test_build_and_certify_probe_all_points_once(w1, delta1, probed_sets):
+    lat = build_lattice(w1, delta1, 0.4, probe_count=20_000)
+    certify_lattice(lat, probe_count=20_000)
+    sizes = [len(xy) for xy in probed_sets]
+    # one full pass over the swept points, one over the repair's insertions
+    assert sum(n > len(lat) // 2 for n in sizes) == 1
+    assert sum(sizes) == len(lat)
+
+
+def test_probe_pass_record_is_build_only(lat_tiny, w1, delta1, probed_sets):
+    assert lat_tiny.probe_pass == (20_000, 0)
+    pts = lat_tiny.points
+    others = [
+        dataclasses.replace(lat_tiny),
+        lattice_from_json(lat_tiny.to_json(), w1),
+        Lattice(weight=w1, delta=delta1, r_max=0.3, points=pts,
+                multiplicity_observed=lat_tiny.multiplicity_observed,
+                taus=lat_tiny.taus),
+    ]
+    for lat in others:
+        assert lat.probe_pass is None
+        assert certify_lattice(lat, 20_000) == certify_lattice(lat_tiny, 20_000)
+    assert len(probed_sets) == len(others)
+    # a different probe count on the built lattice runs its own full pass
+    cert = certify_lattice(lat_tiny, 7_000)
+    assert len(probed_sets) == len(others) + 1 and len(probed_sets[-1]) == len(lat_tiny)
+    assert cert.probes_checked == 7_000
+    assert cert == certify_lattice(others[0], 7_000)
+
+
+@pytest.mark.parametrize("probe_count", [0, -5])
+def test_probe_count_must_be_positive(lat_tiny, w1, delta1, probe_count):
+    with pytest.raises(ParameterError, match="probe_count"):
+        build_lattice(w1, delta1, 0.3, probe_count=probe_count)
+    with pytest.raises(ParameterError, match="probe_count"):
+        certify_lattice(lat_tiny, probe_count=probe_count)
+
+
+def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
     # probes at exactly delta*tau and 3*delta*tau from lattice points sit on
     # the boundaries of both tests
     k = np.arange(0, len(lat_tiny), 3)

@@ -299,6 +299,12 @@ def test_cli_lattice(cli_files, capsys):
     assert lat.repairs_failed == out["repairs_failed"]
 
 
+def test_cli_lattice_rejects_zero_probes(cli_files):
+    with pytest.raises(ParameterError, match="probe_count"):
+        cli_main(["lattice", str(cli_files / "weight.json"), "--r-max", "0.3",
+                  "--probes", "0"])
+
+
 def test_cli_kernel_check(cli_files, capsys):
     args = ["kernel-check", str(cli_files / "weight.json"),
             "--degree", "400", "--r-max", "0.9"]
