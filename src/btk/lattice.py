@@ -10,6 +10,7 @@ pass so that certify_lattice at the same probe count need not repeat it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -25,6 +26,10 @@ _SEP_SLACK = 1.0 - 1e-12
 # ball and pair queries use radii widened by this factor, so that the exact
 # comparisons on the returned pairs, not the tree's rounding, decide
 _BALL_SLACK = 1.0 + 1e-9
+# tau is c2-Lipschitz and delta*c2 < 1/4, so a conflict |c - z_j| <
+# delta*max(tau_c, tau_j) has the larger tau below 4/3 of the smaller one and
+# lies within (4/3)*delta*tau_c of c: a search to _REACH*delta*tau_c finds it
+_REACH = 1.5
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,12 @@ class Lattice:
     r_max: float
     points: np.ndarray            # complex, construction order, points[0] == 0
     multiplicity_observed: int
-    taus: np.ndarray = field(repr=False)  # tau(|z_j|), cached
-    repairs_failed: int = 0       # repair insertions that found no position
+    # the tau each point was placed with: its ring's tau(r) for a swept
+    # point, tau(|p|) for a repair point (equal to tau(|z_j|) up to rounding)
+    taus: np.ndarray = field(repr=False)
+    # repair insertions that found no position, summed over the repair
+    # rounds; a round that inserts nothing ends the repair
+    repairs_failed: int = 0
     # (probe_count, covering_misses) of build_lattice's probe pass over these
     # points; None on a lattice that did not come from build_lattice
     probe_pass: tuple[int, int] | None = field(
@@ -115,19 +124,20 @@ def _probe_points(r_max: float, count: int) -> np.ndarray:
 
 
 class _GreedyState:
-    """Accepted points with a periodically rebuilt KD-tree plus a live buffer.
+    """Accepted points with one KD-tree over the rows a candidate can reach.
 
     Points live in one (capacity, 3) array of x, y and tau that doubles when
-    it fills.  The tree covers rows [0, buf_start); the rows after it are the
-    live buffer.  Candidates are tested in batches: one ball query against
-    each, then the exact separation test on the returned pairs.
+    it fills.  The tree covers rows [lo, n) and is rebuilt on the first query
+    after lo or n changes.  Candidates are tested in batches: one ball query,
+    then the exact separation test on the returned pairs.
     """
 
     def __init__(self):
         self.data = np.empty((4096, 3))
         self.n = 0
+        self.lo = 0
         self.tree = None
-        self.buf_start = 0
+        self.tree_rows = None
 
     def __len__(self):
         return self.n
@@ -140,36 +150,17 @@ class _GreedyState:
     def taus(self) -> np.ndarray:
         return self.data[: self.n, 2]
 
-    def maybe_rebuild(self):
-        if self.n - self.buf_start >= 2048:
-            self.rebuild()
-
-    def rebuild(self):
-        if self.n:
-            self.tree = cKDTree(self.xy)
-            self.buf_start = self.n
-
     def conflicts(self, x, y, tau_c, delta: float) -> np.ndarray:
         """Per candidate: any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?"""
         x, y = np.atleast_1d(x), np.atleast_1d(y)
         tau_c = np.broadcast_to(tau_c, x.shape)
-        xy = np.column_stack([x, y])
-        c = j = np.empty(0, dtype=np.intp)
-        if self.tree is not None:
-            # the tree is searched only within 1.5 delta tau_c: that radius is
-            # part of the acceptance rule, and the lattice's points depend on it
-            c, j = _flat_pairs(
-                self.tree.query_ball_point(xy, 1.5 * delta * tau_c, return_sorted=False)
-            )
-        if self.n > self.buf_start:
-            # the buffer is searched at the largest limit, so its test is exact
-            buf = self.data[self.buf_start : self.n]
-            reach = delta * max(tau_c.max(), buf[:, 2].max()) * _BALL_SLACK
-            bc, bj = _flat_pairs(
-                cKDTree(buf[:, :2]).query_ball_point(xy, reach, return_sorted=False)
-            )
-            c, j = np.concatenate([c, bc]), np.concatenate([j, bj + self.buf_start])
-        pts = self.data[j]
+        if self.tree_rows != (self.lo, self.n):
+            self.tree = cKDTree(self.data[self.lo : self.n, :2])
+            self.tree_rows = (self.lo, self.n)
+        c, j = _flat_pairs(self.tree.query_ball_point(
+            np.column_stack([x, y]), _REACH * delta * tau_c, return_sorted=False
+        ))
+        pts = self.data[j + self.lo]
         d2 = (pts[:, 0] - x[c]) ** 2 + (pts[:, 1] - y[c]) ** 2
         lim = delta * np.maximum(tau_c[c], pts[:, 2])
         hit = np.zeros(x.shape, dtype=bool)
@@ -210,6 +201,8 @@ def build_lattice(
     candidate_spacing = 0.45
     state = _GreedyState()
     state.add(0.0, 0.0, float(w.tau(0.0)))
+    # radius and first row of every ring so far, the origin being ring 0
+    ring_radii, ring_rows = [0.0], [0]
 
     r = 0.0
     ring = 0
@@ -231,25 +224,31 @@ def build_lattice(
         xs = r * np.cos(thetas)
         ys = r * np.sin(thetas)
         # the ring's candidates are tested together against the points of
-        # earlier rings; only conflicts inside the ring are resolved in order
+        # the earlier rings within reach; only conflicts inside the ring are
+        # resolved in order
+        cut = r - _REACH * delta * tau_ring * _BALL_SLACK
+        state.lo = ring_rows[bisect.bisect_left(ring_radii, cut)]
         free = np.flatnonzero(~state.conflicts(xs, ys, tau_ring, delta))
         keep = free[_first_fit(xs[free], ys[free], delta * tau_ring)]
+        ring_radii.append(r)
+        ring_rows.append(len(state))
         state.add(xs[keep], ys[keep], tau_ring)
         if len(state) > max_points:
             raise ResourceError(
                 f"lattice exceeded cap of {max_points} points "
                 f"(r_max={r_max} too close to 1 for delta={delta})"
             )
-        state.maybe_rebuild()
 
     # covering repair: insert uncovered probes (innermost first), then probe
-    # only the inserted points; covered is an OR and counts a sum over points
+    # only the inserted points; covered is an OR and counts a sum over points.
+    # A round that inserts nothing leaves the lattice as it was, so it ends
+    # the repair.
     probes = _probe_points(r_max, probe_count)
     probes = probes[np.argsort(np.abs(probes))]
     probe_tree = cKDTree(_xy(probes))
     tau_probes = w.tau(np.abs(probes))
     repairs_failed = 0
-    state.rebuild()
+    state.lo = 0
     covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
     for _ in range(20):
         if covered.all():
@@ -260,7 +259,8 @@ def build_lattice(
                 state.add(p.real, p.imag, float(tau_p))
             elif not _insert_covering_neighbor(state, w, p, float(tau_p), delta, r_max):
                 repairs_failed += 1
-        state.rebuild()
+        if len(state) == done:
+            break
         more, extra = _probe_coverage(
             probe_tree, state.xy[done:], state.taus[done:], delta
         )
@@ -385,7 +385,7 @@ def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertific
     taus = lat.taus
     xy = _xy(pts)
     j, i = _flat_pairs(
-        cKDTree(xy).query_ball_point(xy, 1.5 * lat.delta * taus, return_sorted=False)
+        cKDTree(xy).query_ball_point(xy, _REACH * lat.delta * taus, return_sorted=False)
     )
     other = i != j
     i, j = i[other], j[other]

@@ -927,5 +927,5 @@ def lattice_lp_sum(w: RadialWeight, mu: Measure, lat: Lattice, delta: float, p):
     w.require_delta(delta)
     if mu.is_zero:
         return _per_p(p, [0.0] * len(ps))
-    vals = mu.disk_mass_many(lat.points, delta * lat.taus) / (lat.taus**2)
+    vals = mu_hat(w, mu, delta, lat.points)
     return _per_p(p, [float(np.sum(vals**q) ** (1.0 / q)) for q in ps])

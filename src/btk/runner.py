@@ -125,18 +125,15 @@ class ReportRow:
         return all(self.flags.values()) if self.flags else True
 
 
-def cached_basis_table(
-    w: RadialWeight, degree_max: int, cache_dir: str | None = None
-) -> BasisTable:
+def cached_basis_table(w: RadialWeight, degree_max: int) -> BasisTable:
     """Build a basis table, or load it from the cache.
 
-    The cache directory is cache_dir, else BTK_CACHE_DIR, and the file is
+    The cache directory is BTK_CACHE_DIR (unset: no cache), and the file is
     named by table_fingerprint.  A loaded table is checked as a built one
     is: DomainError unless it holds degree_max + 1 strictly decreasing
     values.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get("BTK_CACHE_DIR")
+    cache_dir = os.environ.get("BTK_CACHE_DIR")
     if not cache_dir:
         return build_basis_table(w, degree_max)
     os.makedirs(cache_dir, exist_ok=True)
@@ -270,8 +267,8 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
     return row
 
 
-def run_scenario(s: Scenario, cache_dir: str | None = None) -> list[ReportRow]:
-    bt = cached_basis_table(s.weight, s.degree_max, cache_dir=cache_dir)
+def run_scenario(s: Scenario) -> list[ReportRow]:
+    bt = cached_basis_table(s.weight, s.degree_max)
     lat = build_lattice(s.weight, s.effective_delta, s.lattice_r_max,
                         probe_count=LATTICE_PROBES)
     rows = []
@@ -288,7 +285,7 @@ def run_scenario(s: Scenario, cache_dir: str | None = None) -> list[ReportRow]:
     return rows
 
 
-def sweep_family(s: Scenario, parameter: str, values, cache_dir=None) -> list[dict]:
+def sweep_family(s: Scenario, parameter: str, values) -> list[dict]:
     """Run run_scenario across a one-parameter family and tabulate ratios.
 
     Supported parameters: "alpha" (rebuilds the weight), "dim", "delta".
@@ -313,7 +310,7 @@ def sweep_family(s: Scenario, parameter: str, values, cache_dir=None) -> list[di
             )
         else:
             raise ParameterError(f"unsupported sweep parameter {parameter!r}")
-        for row in run_scenario(sv, cache_dir=cache_dir):
+        for row in run_scenario(sv):
             entry = {"parameter": parameter, "value": v,
                      "measure_id": row.measure_id, "passed": row.passed}
             entry.update({f"q:{k}": val for k, val in row.quantities.items()})

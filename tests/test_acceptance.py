@@ -6,6 +6,7 @@ the measured numbers (visible via pytest -rA or on failure).  Heavy artifacts
 module-scoped fixtures shared across criteria.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -179,6 +180,16 @@ def test_criterion_03_lattice_certification(lat09):
     assert cert.covering_misses == 0
     assert cert.probes_checked >= 100_000
     assert cert.multiplicity_observed <= 256
+
+
+def test_acceptance_lattice_matches_recorded_digest(lat09):
+    # sha256 of the points as built by the sweep with a periodically rebuilt
+    # tree and a live buffer searched at a second radius
+    pts = np.ascontiguousarray(lat09.points, dtype=complex)
+    assert len(pts) == 114_893
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "8bf626d70224e378106a6b576454195c076b1a8baeb91c52e5f273ec81a9e7a2"
+    )
 
 
 def test_criterion_04_counting_and_partition(lat09, w1, delta1):

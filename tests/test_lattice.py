@@ -11,7 +11,10 @@ from scipy.spatial import cKDTree
 import btk
 from btk.errors import DomainError, ParameterError, ResourceError
 from btk.lattice import (
+    _BALL_SLACK,
+    _REACH,
     Lattice,
+    _GreedyState,
     _probe_coverage,
     _probe_points,
     _radical_inverse,
@@ -208,6 +211,89 @@ def test_build_matches_recorded_digest(w1, delta1):
         "e94cbca49554646f752eec1b7343bffdb9de7265cff096f879afe0bdad0ef1ee"
     )
     assert lat.multiplicity_observed == 25
+
+
+@pytest.mark.parametrize("alpha, delta_div, r_max, probe_count, repairs_failed, digest", [
+    # the reference scenario's lattice
+    (1.0, 8, 0.4, 20_000, 0,
+     "ea5368d319c4d03c3c7eabad0cbc7b4db05fc40dd4839c42d824e3a79b41d18a"),
+    # two builds whose repair finds no position for some probes
+    (2.0, 4, 0.5, 100_000, 2,
+     "ba1f7f34cc7687e12e7377a0fdc5cce6f67085b8292ccf5b490b55b33d8fbef7"),
+    (0.5, 4, 0.3, 20_000, 2,
+     "4b6083301ca20e88ef63c05dca40d5b2dbfce914c10b34fea03f38eb2917553f"),
+])
+def test_sweep_matches_recorded_digests(alpha, delta_div, r_max, probe_count,
+                                        repairs_failed, digest):
+    # sha256 of the points as built by the sweep with a periodically rebuilt
+    # tree and a live buffer searched at a second radius
+    w = btk.make_exponential_weight(alpha)
+    lat = build_lattice(w, w.m_tau / delta_div, r_max, probe_count=probe_count)
+    pts = np.ascontiguousarray(lat.points, dtype=complex)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+    assert lat.repairs_failed == repairs_failed
+    assert lat.probe_pass == (probe_count, 0)
+
+
+def test_repair_stops_after_a_round_that_inserts_nothing(w2, probed_sets):
+    # one probe has no admissible repair position: the first round inserts
+    # points and fails on it, the second inserts nothing and ends the repair
+    lat = build_lattice(w2, w2.m_tau / 8.0, 0.4, probe_count=20_000)
+    assert lat.repairs_failed == 2
+    assert len(probed_sets) == 2
+    assert lat.probe_pass == (20_000, 1)
+
+
+def _conflicts_brute_force(lat, x, y, tau_c):
+    """The exact separation rule against every point, as conflicts evaluates it."""
+    dx = lat.points.real[None, :] - x[:, None]
+    dy = lat.points.imag[None, :] - y[:, None]
+    lim = lat.delta * np.maximum(tau_c[:, None], lat.taus[None, :])
+    return np.any(dx**2 + dy**2 < lim * lim, axis=1)
+
+
+def _state_of(lat):
+    state = _GreedyState()
+    state.add(lat.points.real, lat.points.imag, lat.taus)
+    return state
+
+
+def test_conflicts_match_brute_force(lat_half, w1, delta1, rng):
+    state = _state_of(lat_half)
+    pts, taus = lat_half.points, lat_half.taus
+    # random candidates, and candidates just outside a lattice point, near
+    # its disk's rim: there the point's tau is the larger one and decides
+    k = rng.integers(1, len(pts), 2_000)
+    near = pts[k] * (1.0 + delta1 * taus[k] * rng.uniform(0.9, 1.1, len(k)) / np.abs(pts[k]))
+    cand = np.concatenate([
+        0.5 * np.sqrt(rng.random(3_000)) * np.exp(2j * np.pi * rng.random(3_000)), near,
+    ])
+    x, y, tau_c = cand.real, cand.imag, w1.tau(np.abs(cand))
+    want = _conflicts_brute_force(lat_half, x, y, tau_c)
+    np.testing.assert_array_equal(state.conflicts(x, y, tau_c, delta1), want)
+    # both outcomes occur, and some conflicts hold only by the point's tau
+    d = np.abs(near[:, None] - pts[None, :])
+    by_tau_j = np.any((d < delta1 * taus[None, :]) & (d >= delta1 * tau_c[-len(k):, None]),
+                      axis=1)
+    assert 0 < want.sum() < len(want) and by_tau_j.any()
+
+
+def test_ring_conflicts_within_reach_match_brute_force(lat_half, w1, delta1):
+    # rows more than _REACH delta tau inward of a ring cannot conflict with
+    # its candidates: searching only the rows from the sweep's band cut on
+    # gives the exact rule against every point
+    state = _state_of(lat_half)
+    radii = np.abs(lat_half.points)
+    for r in (0.12, 0.2371, 0.3, 0.41, 0.4999):
+        tau_ring = float(w1.tau(r))
+        cut = r - _REACH * delta1 * tau_ring * _BALL_SLACK
+        state.lo = int(np.argmax(radii >= cut))
+        assert state.lo > 0
+        thetas = 2.0 * np.pi * (np.arange(500) + 0.3) / 500
+        x, y = r * np.cos(thetas), r * np.sin(thetas)
+        want = _conflicts_brute_force(lat_half, x, y, np.full(500, tau_ring))
+        np.testing.assert_array_equal(state.conflicts(x, y, tau_ring, delta1), want)
+        assert want.any()
 
 
 def test_multiplicity_gate_can_fail(w1, delta1):

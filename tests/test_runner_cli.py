@@ -213,24 +213,26 @@ def test_sweep_family_dim(w1):
         sweep_family(s, "bogus", (1,))
 
 
-def test_cached_basis_table_round_trip(w1, tmp_path):
+def test_cached_basis_table_round_trip(w1, tmp_path, monkeypatch):
     cache = str(tmp_path / "cache")
-    a = cached_basis_table(w1, 50, cache_dir=cache)
-    b = cached_basis_table(w1, 50, cache_dir=cache)  # loaded from disk
+    monkeypatch.setenv("BTK_CACHE_DIR", cache)
+    a = cached_basis_table(w1, 50)
+    b = cached_basis_table(w1, 50)  # loaded from disk
     np.testing.assert_array_equal(a.log_h, b.log_h)
     # the file name keeps the table tolerance, as caches written before did
     assert os.listdir(cache) == [f"basis-{w1.fingerprint()}-d50-t1e-09.npy"]
 
 
-def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path):
+def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    a = cached_basis_table(w1, 50, cache_dir=str(cache))
+    monkeypatch.setenv("BTK_CACHE_DIR", str(cache))
+    a = cached_basis_table(w1, 50)
     path = cache / f"basis-{a.fingerprint()}.npy"
     assert path.exists()
     for bad in (a.log_h[:-1], a.log_h[::-1]):  # wrong length, increasing
         np.save(path, bad)
         with pytest.raises(DomainError):
-            cached_basis_table(w1, 50, cache_dir=str(cache))
+            cached_basis_table(w1, 50)
 
 
 # --- CLI --------------------------------------------------------------------
