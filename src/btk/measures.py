@@ -132,7 +132,13 @@ class RadialDensityMeasure(Measure):
         self.log_g = log_g
         self.support = (lo, min(hi, 1.0 - 1e-12))
         self.meta = dict(meta or {})
-        self.total_mass = self._mass_between(lo, self.support[1])
+        try:
+            self.total_mass = self._mass_between(lo, self.support[1])
+        except FloatingPointError:
+            raise DomainError(
+                f"radial density {self.meta or 'log_g'} overflows doubles "
+                f"on its support [{lo}, {self.support[1]}]"
+            ) from None
 
     def g(self, r):
         r = np.asarray(r, dtype=float)

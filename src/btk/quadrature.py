@@ -1,9 +1,9 @@
 """Quadrature helpers shared by the basis, measure and operator layers.
 
 Everything that touches the weight works in log space: the integrands
-``r^(2n+1) * omega(r)`` underflow doubles for modest n, so integrals are
-computed as ``exp(peak) * simpson(exp(log_integrand - peak))`` with the peak
-located first.
+``r^(2n+1) * omega(r)`` underflow doubles for modest n, so sums are taken as
+``exp(peak) * sum(exp(log_terms - peak))``: Simpson on a window around the
+peak for monomial norms, Gauss-Legendre on graded panels for radial moments.
 """
 
 from __future__ import annotations
@@ -132,59 +132,59 @@ def radial_log_moments(
     log_density(r) is the log of a nonnegative radial density g (None means
     g = 1).  The integrand of row n concentrates in a layer of width
     ~ b/(2n+1) at the outer support edge, so 48 panels are graded
-    geometrically toward b down to that scale; each panel then resolves a
-    bounded dynamic range and per-panel Simpson converges with few nodes.
-    Rows run in chunks of 512, and each chunk doubles its Simpson nodes (at
-    most 16 times) until every log moment changes by less than 1e-10.
-    Rows that integrate to zero (empty effective support) come back as -inf.
+    geometrically toward b down to that scale, and every panel gets
+    Gauss-Legendre of order q = 16, 32, ..., 1024, with log r and
+    log(weight) - 2 phi(r) + log g(r) computed once per order for all rows.
+    A row is done once two successive orders agree within 1e-10; rows open
+    after q = 1024 raise ConvergenceError, and rows that integrate to zero
+    come back as -inf.  Rows run in chunks of 512 (fewer above q = 64, so a
+    chunk holds at most 2^21 terms).
     """
     a, b = float(support[0]), float(support[1])
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"bad radial support [{a}, {b}]")
     b = min(b, 1.0 - 1e-15)
 
-    n_panels = 48
     eps = min(0.25, 1.0 / (2.0 * degree_max + 3.0))
-    grade = np.geomspace(1.0, eps, n_panels)
+    grade = np.geomspace(1.0, eps, 48)
     edges = np.concatenate([b - (b - a) * grade, [b]])
-    panel_w = np.diff(edges)
-
-    def logf(r, ns_col):
-        r_row = r[None, :]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = (2.0 * ns_col + 1.0) * np.log(r_row) - 2.0 * w.phi(r_row)
-            v = np.broadcast_to(v, (ns_col.shape[0], r.shape[0])).copy()
-            if log_density is not None:
-                v += log_density(r_row)
-        return np.where(np.isnan(v), -np.inf, v)
 
     out = np.empty(degree_max + 1)
-    degrees = np.arange(degree_max + 1, dtype=float)
-    for start in range(0, degree_max + 1, 512):
-        ns_col = degrees[start : start + 512][:, None]
-        k = ns_col.shape[0]
-        m = 8
-        prev = None
-        for attempt in range(17):
-            t = np.linspace(0.0, 1.0, m + 1)
-            nodes = edges[:-1, None] + panel_w[:, None] * t[None, :]
-            lf = logf(nodes.ravel(), ns_col).reshape(k * n_panels, m + 1)
-            vals = _log_simpson_rows(lf, np.tile(panel_w, k))
-            cur = np.logaddexp.reduce(vals.reshape(k, n_panels), axis=1)
-            if prev is not None:
-                with np.errstate(invalid="ignore"):
-                    done = np.abs(cur - prev) < 1e-10
-                done |= ~np.isfinite(cur) & ~np.isfinite(prev)
-                if np.all(done):
-                    out[start : start + k] = cur
-                    break
-            prev = cur
-            m *= 2
-        else:
-            raise ConvergenceError(
-                "radial moment quadrature failed to reach tol=1e-10 after 16 doublings"
-            )
-    return out
+    exps = 2.0 * np.arange(degree_max + 1) + 1.0
+    rows, prev = np.arange(degree_max + 1), None
+    for q in (16, 32, 64, 128, 256, 512, 1024):
+        r, wr = gauss_legendre_nodes(edges[:-1, None], edges[1:, None], q)
+        r = r.ravel()
+        log_r = np.log(r)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            base = np.log(wr.ravel()) - 2.0 * w.phi(r)
+            if log_density is not None:
+                base += log_density(r)
+        base[np.isnan(base)] = -np.inf
+        cur = np.empty(rows.size)
+        step = min(512, (1 << 21) // r.size)
+        for i in range(0, rows.size, step):
+            lf = np.multiply.outer(exps[rows[i : i + step]], log_r)
+            lf += base
+            peak = np.max(lf, axis=1, keepdims=True)
+            peak[~np.isfinite(peak)] = 0.0  # a row of -inf terms sums to log 0 = -inf
+            lf -= peak
+            np.exp(lf, out=lf)
+            with np.errstate(divide="ignore"):
+                cur[i : i + step] = peak[:, 0] + np.log(np.sum(lf, axis=1))
+        if prev is not None:
+            with np.errstate(invalid="ignore"):
+                done = np.abs(cur - prev) < 1e-10
+            done |= ~np.isfinite(cur) & ~np.isfinite(prev)
+            out[rows[done]] = cur[done]
+            rows, cur = rows[~done], cur[~done]
+            if rows.size == 0:
+                return out
+        prev = cur
+    raise ConvergenceError(
+        "radial moment quadrature failed to reach tol=1e-10 by Gauss-Legendre "
+        f"order 1024 on {rows.size} of {degree_max + 1} rows"
+    )
 
 
 def simpson_doubling(f, a: float, b: float, tol: float = 1e-9,

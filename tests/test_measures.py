@@ -223,6 +223,18 @@ def test_measure_json_round_trips(w1, tmp_path, dA):
         measure_from_json({"kind": "nope"})
 
 
+def test_radial_density_mass_overflow_raises_domain_error(w2):
+    # omega^(-1/2) at alpha = 2 reaches exp(1250) by r = 0.99: no double holds it
+    with pytest.raises(DomainError, match=r"compensated.*\[0\.0, 0\.99\]"):
+        compensated_density(w2, 0.5, 1.0)
+    with pytest.raises(DomainError, match="compensated"):
+        measure_from_json(
+            {"kind": "radial", "density": "compensated", "s": 0.5, "beta": 1.0}, w2
+        )
+    # the same density is representable on a shorter support
+    assert np.isfinite(compensated_density(w2, 0.5, 1.0, (0.0, 0.9)).total_mass)
+
+
 def test_measure_json_omitted_keys_take_constructor_defaults(w1):
     cells = np.arange(1.0, 7.0).reshape(2, 3)
     cases = [

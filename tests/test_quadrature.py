@@ -1,7 +1,14 @@
+import time
+
+import mpmath
 import numpy as np
 import pytest
 
-from btk.errors import DomainError
+import btk.measures
+import btk.quadrature
+import btk.toeplitz
+from btk.errors import ConvergenceError, DomainError
+from btk.measures import indicator_density, power_density
 from btk.quadrature import (
     disk_nodes,
     gauss_legendre_nodes,
@@ -64,6 +71,65 @@ def test_radial_moments_vanishing_density(w1):
         w1, 3, log_density=lambda r: np.full_like(np.asarray(r, float), -np.inf)
     )
     assert np.all(np.isneginf(logmom))
+
+
+def _mp_log_moment(n, beta, a, b):
+    """log int_a^b r^(2n+1) exp(-1/(1-r^2)) (1-r^2)^beta dr at 30 digits.
+
+    The alpha = 1 moment of g = (1-r^2)^beta, split at the integrand's peak
+    (found by bisection on the derivative of its log, clamped to [a, b]).
+    """
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def logf(r):
+            u = 1 - r * r
+            return (2 * n + 1) * mpmath.log(r) - 1 / u + beta * mpmath.log(u)
+
+        lo, hi = mpmath.mpf("1e-20"), 1 - mpmath.mpf("1e-20")
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            u = 1 - mid * mid
+            if (2 * n + 1) / mid - 2 * mid / u**2 - 2 * beta * mid / u > 0:
+                lo = mid
+            else:
+                hi = mid
+        peak = min(max(lo, a), b)
+        top = logf(peak)
+        cuts = [a, peak, b] if a < peak < b else [a, b]
+        s = mpmath.quad(lambda r: mpmath.exp(logf(r) - top) if r > 0 else 0, cuts)
+        return float(top + mpmath.log(s))
+
+
+@pytest.mark.parametrize(
+    "mu, beta",
+    [
+        (power_density(2.0), 2.0),
+        (power_density(2.0, (0.0, 0.7)), 2.0),
+        (indicator_density(0.2, 0.5), 0.0),
+    ],
+    ids=["power2", "power2_r07", "indicator"],
+)
+def test_radial_moments_match_mpmath_oracle(w1, mu, beta):
+    logmom = radial_log_moments(w1, 511, log_density=mu.log_g, support=mu.support)
+    for n in (0, 7, 150, 511):
+        assert abs(logmom[n] - _mp_log_moment(n, beta, *mu.support)) <= 1e-11
+
+
+def test_radial_moments_gate_fails_fast_on_a_jump(w1):
+    # no panel edge sits at the jump, so no order reaches 1e-10 there
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="tol=1e-10"):
+        radial_log_moments(
+            w1, 5, log_density=lambda r: np.where(r < 0.4137, 0.0, -np.inf)
+        )
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_radial_moments_patch_sites_are_the_one_implementation():
+    # perfbench/layers.py times the moments at these two module attributes
+    assert btk.measures.radial_log_moments is btk.quadrature.radial_log_moments
+    assert btk.toeplitz.radial_log_moments is btk.quadrature.radial_log_moments
 
 
 def test_simpson_doubling_known_values():
