@@ -8,7 +8,8 @@ Subcommands:
   verify          run a scenario JSON, write CSV + JSON reports
 
 Basis tables are cached under $BTK_CACHE_DIR when set.  Exit status is 0 iff
-every configured window passed.
+every configured window passed, and 1 when one failed.  A btk error (bad
+input, a failed guard or quadrature) prints one line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ import sys
 
 import numpy as np
 
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    ParameterError,
+    PSDViolationError,
+    ResourceError,
+    TruncationError,
+)
 from .lattice import build_lattice, certify_lattice, save_lattice
 from .measures import load_measure
 from .runner import (
@@ -32,6 +41,10 @@ from .runner import (
 )
 from .toeplitz import assemble_toeplitz, spectrum, spectrum_to_json
 from .weights import certify_class_L, weight_from_json
+
+
+_BTK_ERRORS = (DomainError, ParameterError, ResourceError, TruncationError,
+               ConvergenceError, PSDViolationError)
 
 
 def _load_weight(path: str):
@@ -172,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BTK_ERRORS as exc:
+        print(f"btk: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

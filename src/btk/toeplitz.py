@@ -17,6 +17,11 @@ node rule that the Berezin transform of the measure shares:
 
 The spectrum is sigma(F)^2, computed from the factor and never from the Gram
 F^H F, whose conditioning is the square of F's.
+
+Every dense linear-algebra call here (the QR, dgejsv and the Berezin GEMV)
+goes through scipy.  numpy and scipy wheels each bundle their own OpenBLAS
+with its own thread pool, and the pool that ran last keeps spinning on the
+cores while the other library runs; one library keeps the path on one pool.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import qr
+from scipy.linalg.blas import zgemv
 from scipy.linalg.lapack import dgejsv
 
 from .basis import BasisTable, basis_columns, kernel, kernel_norm_sq
@@ -118,15 +125,15 @@ def _singular_values(f: np.ndarray) -> np.ndarray:
     """sigma(f), descending, with LAPACK's preconditioned Jacobi SVD.
 
     A wide f is transposed and a tall one reduced to its triangular factor
-    R by QR.  dgejsv (Drmac-Veselic 2008) keeps the small singular values
-    relatively accurate; it is real-only, so it runs on the embedding
+    R by scipy's QR.  dgejsv (Drmac-Veselic 2008) keeps the small singular
+    values relatively accurate; it is real-only, so it runs on the embedding
     [[Re R, -Im R], [Im R, Re R]], in which every singular value of R appears
     twice.  No vectors are computed, jobp=0 leaves tiny entries as they are,
     and work[1] / work[0] undoes the routine's internal scaling.
     """
     if f.shape[0] < f.shape[1]:
         f = f.T
-    r = np.linalg.qr(f, mode="r")
+    r = qr(f, mode="r", check_finite=False)[0][: f.shape[1]]
     emb = np.asfortranarray(np.block([[r.real, -r.imag], [r.imag, r.real]]))
     sva, _, _, work, _, info = dgejsv(emb, jobu=3, jobv=3, jobp=0, overwrite_a=1)
     if info != 0:
@@ -200,7 +207,8 @@ def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
     v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
     if tm.diag is not None:
         return float(np.dot(tm.diag, np.abs(v) ** 2))
-    return float(np.sum(np.abs(tm.factor[:dim].T @ v) ** 2))
+    # the transposed row block is Fortran-ordered: zgemv reads it in place
+    return float(np.sum(np.abs(zgemv(1.0, tm.factor[:dim].T, v)) ** 2))
 
 
 def spectrum_to_json(report: SpectrumReport, ps=(0.5, 1.0, 2.0)) -> dict:

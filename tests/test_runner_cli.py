@@ -301,10 +301,34 @@ def test_cli_lattice(cli_files, capsys):
     assert lat.repairs_failed == out["repairs_failed"]
 
 
-def test_cli_lattice_rejects_zero_probes(cli_files):
-    with pytest.raises(ParameterError, match="probe_count"):
-        cli_main(["lattice", str(cli_files / "weight.json"), "--r-max", "0.3",
-                  "--probes", "0"])
+def test_cli_lattice_rejects_zero_probes(cli_files, capsys):
+    code = cli_main(["lattice", str(cli_files / "weight.json"), "--r-max", "0.3",
+                     "--probes", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("btk: ParameterError: ") and "probe_count" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_verify_reports_a_load_error_in_one_line(tmp_path):
+    # omega^(-1/2) at alpha = 2 overflows: loading the measure raises DomainError
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "id": "overflow",
+        "weight": {"family": "exponential", "alpha": 2.0},
+        "measures": [{"id": "c", "kind": "radial", "density": "compensated",
+                      "s": 0.5, "beta": 1.0}],
+    }))
+    src = Path(btk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "btk.cli", "verify", str(path),
+         "--out", str(tmp_path / "report.csv")],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("btk: DomainError: ") and "compensated" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_kernel_check(cli_files, capsys):

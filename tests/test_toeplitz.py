@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgejsv
 
 import btk
 from btk.basis import basis_columns, kernel, kernel_norm_sq
@@ -392,3 +393,74 @@ def test_berezin_operator_domain(bt400):
     tm = assemble_toeplitz(bt400, indicator_density(0.0, 0.5), 8)
     with pytest.raises(DomainError):
         berezin_operator(bt400, tm, 1.0)
+
+
+# --- The operator path on scipy's BLAS ----------------------------------------
+
+
+def _operator_cases(bt400):
+    """A wide grid factor (more nodes than dim) and a tall atomic factor."""
+    grid = assemble_toeplitz(bt400, GridDensityMeasure.area_measure(12, 16, r_outer=0.95), 96)
+    rng = np.random.default_rng(7)
+    atoms = AtomicMeasure(0.8 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40)),
+                          rng.random(40) + 0.1)
+    tall = assemble_toeplitz(bt400, atoms, 128)
+    assert grid.factor.shape[0] < grid.factor.shape[1]
+    assert tall.factor.shape[0] > tall.factor.shape[1]
+    return grid, tall
+
+
+def _berezin_points():
+    k = np.arange(20)
+    return 0.9 * np.sqrt((k + 0.5) / 20) * np.exp(2.399963229728653j * k)
+
+
+def test_operator_path_is_bit_identical_to_the_numpy_oracle(bt400):
+    # an oracle from numpy's QR and GEMV, step for step
+    for tm in _operator_cases(bt400):
+        f = tm.factor if tm.factor.shape[0] >= tm.factor.shape[1] else tm.factor.T
+        r = np.linalg.qr(f, mode="r")
+        emb = np.asfortranarray(np.block([[r.real, -r.imag], [r.imag, r.real]]))
+        sva, _, _, work, _, info = dgejsv(emb, jobu=3, jobv=3, jobp=0, overwrite_a=1)
+        assert info == 0
+        ev = (np.sort(sva)[::-1][::2] * (work[1] / work[0])) ** 2
+        ev = np.sort(np.concatenate([ev, np.zeros(max(tm.dim - len(ev), 0))]))[::-1]
+        assert np.array_equal(spectrum(tm).eigenvalues, ev)
+
+        for z in _berezin_points():
+            n = np.arange(tm.dim)
+            v = np.exp(n * np.log(abs(z)) - 0.5 * bt400.log_h[: tm.dim]
+                       - 0.5 * kernel_norm_sq(bt400, z)) * np.exp(-1j * n * np.angle(z))
+            want = float(np.sum(np.abs(tm.factor[: tm.dim].T @ v) ** 2))
+            assert berezin_operator(bt400, tm, z) == want
+
+
+class _NoNumpyMatmul(np.ndarray):
+    """An array whose numpy matmul (``@`` or ``np.matmul``) raises."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("numpy matmul reached on the operator path")
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _NoNumpyMatmul) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_operator_path_never_reaches_numpy_blas(bt400, monkeypatch):
+    # numpy and scipy wheels each bundle an OpenBLAS with its own thread pool;
+    # spectrum and berezin_operator must stay on scipy's
+    cases = _operator_cases(bt400)
+    want = [(spectrum(tm).eigenvalues, [berezin_operator(bt400, tm, z) for z in _berezin_points()])
+            for tm in cases]
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr reached on the operator path")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for tm, (ev, bz) in zip(cases, want):
+        guarded = ToeplitzMatrix(tm.basis, tm.dim, tm.structure,
+                                 factor=tm.factor.view(_NoNumpyMatmul))
+        with pytest.raises(AssertionError):
+            guarded.factor[: tm.dim].T @ np.ones(tm.dim)
+        assert np.array_equal(spectrum(guarded).eigenvalues, ev)
+        assert [berezin_operator(bt400, guarded, z) for z in _berezin_points()] == bz
