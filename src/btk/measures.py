@@ -40,6 +40,35 @@ from .weights import RadialWeight
 #: centres x nonzero cells per chunk of GridDensityMeasure.disk_mass_many
 GRID_PAIR_CHUNK = 1 << 18
 
+#: relative agreement of two trapezoid levels at which a whole arc is done
+ARC_TRAPEZOID_TOL = 1e-13
+
+
+def _arc_trapezoid_levels():
+    # level n of the trapezoid rule on [0, pi] adds the nodes k*pi/n not in the
+    # level before: k = 1..7 at n = 8, odd k after
+    levels = []
+    for n in (8, 16, 32):
+        v = np.arange(1, n, 1 if n == 8 else 2) * (np.pi / n)
+        levels.append((n, np.cos(v), np.sin(v)))
+    return tuple(levels)
+
+
+_ARC_TRAPEZOID_LEVELS = _arc_trapezoid_levels()
+
+
+def _arc_gauss_rule():
+    # 16-node Gauss-Legendre on each of [0, 1/64, 1/16, 1/4, 1] of [t_lo, t_hi]:
+    # the panels grade toward t_lo, as the integrand turns at t ~ sqrt(|d - rho| / b)
+    # when d is near rho (one 64-node panel lost 1.3e-13 there)
+    x01, w01 = gauss_legendre_rule(16)
+    edges = np.array([0.0, 1 / 64, 1 / 16, 1 / 4, 1.0])
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * (x01 + 1.0) + a).ravel(), (0.5 * (b - a) * w01).ravel()
+
+
+_ARC_GAUSS_RULE = _arc_gauss_rule()
+
 # ---------------------------------------------------------------------------
 # measure types
 # ---------------------------------------------------------------------------
@@ -164,9 +193,21 @@ class RadialDensityMeasure(Measure):
         """mu(D(center, rho)) via the arc-angle reduction, vectorized.
 
         mu(D) = (1/pi) * int r g(r) Theta(r) dr with Theta the angular opening
-        of the circle |z| = r inside the disk.  The substitution
-        r = d - rho*cos(v) removes the sqrt singularities of Theta at
-        r = d -/+ rho, so plain Gauss-Legendre in v converges fast.
+        of the circle |z| = r inside the disk, plus 2 * int r g(r) dr over the
+        circles inside it whole.  With d = |center| and a = max(d, rho),
+        b = min(d, rho), the substitution r = a - b*cos(t), t in [0, pi],
+        removes the sqrt ends of Theta at r = |d - rho| and d + rho.  Theta is
+        taken in half-angle form, which does not cancel: for d > rho
+        Theta = 4*arcsin(rho*sin(t) / (2*sqrt(d*r))), and for d <= rho, with
+        c = cos(t/2) and s = sin(t/2),
+        Theta = 4*atan2(c*sqrt(a - b*c^2), s*sqrt(a + b*s^2)).
+
+        An arc inside the support (d - rho > lo, d + rho < hi) has an even,
+        2pi-periodic integrand in t, so the trapezoid rule converges
+        geometrically.  Its levels n = 8, 16, 32 share nodes, and a row leaves
+        once two levels agree within ARC_TRAPEZOID_TOL relative.  Rows still
+        open, clipped arcs and centres with d <= rho take 64 Gauss-Legendre
+        nodes in t on [t(r_lo), t(r_hi)], in four panels graded toward t(r_lo).
         """
         d = np.abs(np.asarray(centers, dtype=complex))
         rho = np.broadcast_to(np.asarray(rhos, dtype=float), d.shape).astype(float)
@@ -184,27 +225,55 @@ class RadialDensityMeasure(Measure):
             wq = 0.5 * (b - a)[:, None] * w01[None, :]
             out[has_full] += 2.0 * np.sum(wq * self.g(r_nodes) * r_nodes, axis=1)
 
-        # partial arcs: r in [max(lo, |d-rho|), min(hi, d+rho)], via v-substitution
-        r_lo = np.maximum(lo, np.abs(d - rho))
-        r_hi = np.minimum(hi, d + rho)
-        has_arc = (r_hi > r_lo) & (d > 0)
+        # arcs: r in [max(lo, |d - rho|), min(hi, d + rho)]
+        has_arc = (np.minimum(hi, d + rho) > np.maximum(lo, np.abs(d - rho))) & (d > 0)
+        whole = np.flatnonzero(has_arc & (d - rho > lo) & (d + rho < hi))
+        if whole.size:
+            dd, rr = d[whole, None], rho[whole, None]
+            total = est = None
+            for n, cos_v, sin_v in _ARC_TRAPEZOID_LEVELS:
+                r = dd - rr * cos_v
+                h = r * self.g(r) * np.arcsin(rr * sin_v / (2.0 * np.sqrt(dd * r))) * sin_v
+                total = np.sum(h, axis=1) if total is None else total + np.sum(h, axis=1)
+                prev, est = est, total / n
+                if prev is None:
+                    continue
+                done = np.abs(est - prev) <= ARC_TRAPEZOID_TOL * np.abs(est)
+                # int_0^pi h dv ~ (pi / n) * total, and mu(D) = (4 rho / pi) * that
+                out[whole[done]] += 4.0 * rr[done, 0] * est[done]
+                has_arc[whole[done]] = False
+                keep = ~done
+                whole, dd, rr = whole[keep], dd[keep], rr[keep]
+                total, est = total[keep], est[keep]
+                if not whole.size:
+                    break
+
         if np.any(has_arc):
             dd = d[has_arc]
             rr = rho[has_arc]
+            a = np.maximum(dd, rr)
+            b = np.minimum(dd, rr)
+            # t(r) = arccos((a - r) / b); the unclipped ends are t = 0 and pi
+            t_lo = np.where(lo > a - b, np.arccos(np.clip((a - lo) / b, -1.0, 1.0)), 0.0)
+            t_hi = np.where(hi < a + b, np.arccos(np.clip((a - hi) / b, -1.0, 1.0)), np.pi)
+            s01, w01 = _ARC_GAUSS_RULE
+            span = (t_hi - t_lo)[:, None]
+            t = t_lo[:, None] + span * s01
+            wt = span * w01
+            a, b = a[:, None], b[:, None]
+            r = a - b * np.cos(t)
+            sin_t = np.sin(t)
+            ch, sh = np.cos(0.5 * t), np.sin(0.5 * t)
+            outside = dd[:, None] > rr[:, None]
             with np.errstate(invalid="ignore"):
-                v_lo = np.arccos(np.clip((dd - r_hi[has_arc]) / rr, -1.0, 1.0))
-                v_hi = np.arccos(np.clip((dd - r_lo[has_arc]) / rr, -1.0, 1.0))
-            x01, w01 = gauss_legendre_rule(64)
-            v = 0.5 * (v_lo - v_hi)[:, None] * x01[None, :] + 0.5 * (v_lo + v_hi)[:, None]
-            wv = 0.5 * (v_lo - v_hi)[:, None] * w01[None, :]
-            r_nodes = dd[:, None] - rr[:, None] * np.cos(v)
-            dr = rr[:, None] * np.sin(v)
-            cosang = (dd[:, None] ** 2 + r_nodes**2 - rr[:, None] ** 2) / (
-                2.0 * dd[:, None] * r_nodes
-            )
-            theta = 2.0 * np.arccos(np.clip(cosang, -1.0, 1.0))
-            integ = r_nodes * self.g(r_nodes) * theta / np.pi
-            out[has_arc] += np.sum(wv * integ * dr, axis=1)
+                # each branch is taken only where it is defined
+                theta = 4.0 * np.where(
+                    outside,
+                    np.arcsin(b * sin_t / (2.0 * np.sqrt(a * r))),
+                    np.arctan2(ch * np.sqrt(a - b * ch * ch), sh * np.sqrt(a + b * sh * sh)),
+                )
+            integ = r * self.g(r) * theta * (b * sin_t) / np.pi
+            out[has_arc] += np.sum(wt * integ, axis=1)
         return out
 
     def scaled(self, c: float) -> "RadialDensityMeasure":

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,77 @@ def test_radial_disk_mass_annulus_cases():
     assert mu.disk_mass(0.0, 0.3) == pytest.approx(0.0, abs=1e-12)
     # disk containing the whole annulus
     assert mu.disk_mass(0.0, 0.9) == pytest.approx(mu.total_mass, rel=1e-10)
+
+
+def _mp_disk_mass(g, support, d, rho):
+    """mu(D(c, rho)) for |c| = d and the density g(r) on support, at 30 digits.
+
+    (1/pi) int r g(r) Theta(r) dr over the radii whose circle meets the disk
+    in an arc, Theta = 2 acos((d^2 + r^2 - rho^2) / (2 d r)), plus
+    2 int r g(r) dr over the circles inside the disk whole.
+    """
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(support[0]), mpmath.mpf(support[1])
+        d, rho = mpmath.mpf(d), mpmath.mpf(rho)
+        total = mpmath.mpf(0)
+        if min(hi, rho - d) > lo:
+            total += 2 * mpmath.quad(lambda r: r * g(r), [lo, min(hi, rho - d)])
+        a, b = max(lo, abs(d - rho)), min(hi, d + rho)
+        if b > a and d > 0:
+            def theta(r):
+                c = (d * d + r * r - rho * rho) / (2 * d * r)
+                return 2 * mpmath.acos(max(min(c, 1), -1))
+
+            total += mpmath.quad(lambda r: r * g(r) * theta(r), [a, b]) / mpmath.pi
+        return total
+
+
+def _radial_oracle_cases(w1, delta1):
+    rho_of = lambda d: delta1 * float(w1.tau(d))  # noqa: E731  mu_hat's radius
+    power2 = lambda r: (1 - r * r) ** 2  # noqa: E731
+    rho = 0.02
+    near = [rho * (1 + e) for e in (-1e-3, -1e-5, 0.0, 1e-5, 1e-3)]
+    return [
+        # centre at 0, inside its own disk, d ~ rho, and d / rho from 1.4 to 500
+        ("power2", power_density(2.0), power2,
+         [(0.0, rho), (0.005, 0.0208), (0.01, 0.0208), (0.015, rho)]
+         + [(d, rho) for d in near] + [(k * rho, rho) for k in (1.4, 3.0, 20.0)]
+         + [(0.5, 0.001)]),
+        ("power2_r07", power_density(2.0, (0.0, 0.7)), power2,
+         [(d, rho_of(d)) for d in (0.69, 0.695, 0.7, 0.705, 0.71)]),
+        ("indicator", indicator_density(0.3, 0.6), lambda r: mpmath.mpf(1),
+         [(d, rho_of(d)) for d in (0.28, 0.29, 0.3, 0.31, 0.59, 0.6, 0.61)]),
+        ("compensated", compensated_density(w1, 0.5, 1.0),
+         lambda r: mpmath.exp(0.5 / (1 - r * r)) * (1 - r * r),
+         [(d, rho_of(d)) for d in (0.96, 0.965, 0.97, 0.975)]),
+    ]
+
+
+def test_radial_disk_mass_matches_mpmath_oracle(w1, delta1):
+    for name, mu, g, cases in _radial_oracle_cases(w1, delta1):
+        d, rho = np.array(cases).T
+        # turn the centres off the real axis; the oracle takes the |c| used
+        centers = d * np.exp(0.7j)
+        got = mu.disk_mass_many(centers, rho)
+        for k, (dk, rk) in enumerate(zip(np.abs(centers), rho)):
+            want = float(_mp_disk_mass(g, mu.support, dk, rk))
+            assert abs(got[k] - want) <= 1e-13 * want, (name, dk, rk, got[k], want)
+
+
+def test_radial_disk_mass_gauss_path_takes_rows_the_trapezoid_leaves_open():
+    # log g has a kink at r = 0.5 inside each disk, so the trapezoid levels in
+    # v stay apart and the whole arcs fall through to the Gauss path.  With
+    # hi = d + rho the same arc is clipped there and goes to that path at once.
+    log_g = lambda r: -10.0 * np.abs(r - 0.5)  # noqa: E731
+    mu = RadialDensityMeasure(log_g)
+    v = np.arange(1, 32) * (np.pi / 32)
+    for d, rho in ((0.5, 0.05), (0.52, 0.03), (0.47, 0.04)):
+        got = mu.disk_mass(d, rho)
+        assert got == RadialDensityMeasure(log_g, (0.0, d + rho)).disk_mass(d, rho)
+        r = d - rho * np.cos(v)
+        theta_4 = np.arcsin(rho * np.sin(v) / (2 * np.sqrt(d * r)))
+        trapezoid32 = 4.0 * rho * np.sum(r * np.exp(log_g(r)) * theta_4 * np.sin(v)) / 32
+        assert abs(trapezoid32 - got) > 1e-8 * got
 
 
 def test_grid_area_measure_matches_radial(dA):
@@ -321,6 +393,23 @@ def test_carleson_zero_measure(w1, delta1):
     rep = carleson_constant(w1, zero_measure(), delta1, 0.9)
     assert rep.value == 0.0
     assert rep.compact_signature
+
+
+def test_carleson_power2_tail_sups_match_mpmath(w1, delta1):
+    # the report.csv cells q:tail_sup_0.765 and q:tail_sup_0.855 of power2
+    rep = carleson_constant(w1, power_density(2.0), delta1, 0.9)
+    radii = np.linspace(0.0, 0.9, 800)
+    power2 = lambda r: (1 - r * r) ** 2  # noqa: E731
+    for f in (0.85, 0.95):
+        k = rep.tail_radii.index(f * 0.9)
+        # mu_hat falls beyond 0.7, so the tail sup sits on the first radius past the cut
+        first = radii[radii > rep.tail_radii[k]][:3]
+        tau = w1.tau(first)
+        want = max(
+            float(_mp_disk_mass(power2, (0.0, 1.0 - 1e-12), r, delta1 * t)) / t**2
+            for r, t in zip(first, tau)
+        )
+        assert abs(rep.tail_sups[k] - want) <= 1e-14 * want
 
 
 # --- Berezin transform ------------------------------------------------------
