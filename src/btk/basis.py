@@ -28,8 +28,12 @@ CHUNK_ENTRIES = 2**19
 
 
 def table_fingerprint(w: RadialWeight, degree_max: int) -> str:
-    """Key of the monomial norm table of w up to degree_max: weight, degree, tolerance."""
-    return f"{w.fingerprint()}-d{degree_max}-t{MONOMIAL_NORM_TOL:g}"
+    """Key of the monomial norm table of w up to degree_max: weight, degree, rule, tolerance.
+
+    "gl" names the per-row Gauss-Legendre rule of log_monomial_norms; keys
+    without it are tables of an earlier rule, which a cache does not serve.
+    """
+    return f"{w.fingerprint()}-d{degree_max}-gl-t{MONOMIAL_NORM_TOL:g}"
 
 
 @dataclass(frozen=True)

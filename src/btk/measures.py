@@ -218,11 +218,8 @@ class RadialDensityMeasure(Measure):
         full_hi = np.minimum(hi, rho - d)
         has_full = full_hi > lo
         if np.any(has_full):
-            x01, w01 = gauss_legendre_rule(64)
-            a = np.full(np.sum(has_full), lo)
-            b = full_hi[has_full]
-            r_nodes = 0.5 * (b - a)[:, None] * x01[None, :] + 0.5 * (a + b)[:, None]
-            wq = 0.5 * (b - a)[:, None] * w01[None, :]
+            a = np.full((np.sum(has_full), 1), lo)
+            r_nodes, wq = gauss_legendre_nodes(a, full_hi[has_full, None], 64)
             out[has_full] += 2.0 * np.sum(wq * self.g(r_nodes) * r_nodes, axis=1)
 
         # arcs: r in [max(lo, |d - rho|), min(hi, d + rho)]
@@ -807,16 +804,13 @@ def lp_lambda_tau_norm(
         raise DomainError("r_max must lie in (0, 1)")
     if n_theta < 1 or max_doublings < 1:
         raise ParameterError("n_theta and max_doublings must be at least 1")
-    x01, w01 = gauss_legendre_rule(16)
     vals = [None] * len(ps)
     prev = [None] * len(ps)
     panels = 24
     for _ in range(max_doublings + 1):
         edges = 1.0 - np.geomspace(1.0, 1.0 - r_max, panels + 1)
-        # gauss_legendre_nodes on every panel at once
-        a, b = edges[:-1, None], edges[1:, None]
-        r = (0.5 * (b - a) * x01 + 0.5 * (a + b)).ravel()
-        wq = (0.5 * (b - a) * w01).ravel()
+        r, wq = gauss_legendre_nodes(edges[:-1, None], edges[1:, None], 16)
+        r, wq = r.ravel(), wq.ravel()
         f = np.asarray(field(r, n_theta), dtype=float)
         tau = w.tau(r)
         for k, q in enumerate(ps):

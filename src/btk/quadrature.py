@@ -2,8 +2,10 @@
 
 Everything that touches the weight works in log space: the integrands
 ``r^(2n+1) * omega(r)`` underflow doubles for modest n, so sums are taken as
-``exp(peak) * sum(exp(log_terms - peak))``: Simpson on a window around the
-peak for monomial norms, Gauss-Legendre on graded panels for radial moments.
+``exp(peak) * sum(exp(log_terms - peak))``.  Monomial norms and radial
+moments share one Gauss-Legendre rule with per-row convergence: norms on one
+panel per row, a window around the integrand's peak, and moments on panels
+graded toward the outer edge of the support.
 """
 
 from __future__ import annotations
@@ -15,35 +17,48 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .weights import RadialWeight
 
-_LOG_FLOOR = -745.0  # exp underflows below this
-
 #: relative tolerance of every monomial norm table; part of its fingerprint
 MONOMIAL_NORM_TOL = 1e-9
 
-
-def _simpson_pattern(n_panels: int) -> np.ndarray:
-    """Composite Simpson weights (without the h/3 factor) for n_panels panels."""
-    w = np.ones(n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+#: Gauss-Legendre orders tried, in turn, on every row still open
+_GAUSS_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 
 
-def _log_simpson_rows(logf_rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Row-wise log of the composite Simpson sum.
-
-    logf_rows: (k, m+1) log integrand values on equispaced nodes per row.
-    widths: (k,) interval lengths.  Returns (k,) log integrals.
-    """
-    m = logf_rows.shape[1] - 1
-    pat = _simpson_pattern(m)
-    raw_peak = np.max(logf_rows, axis=1, keepdims=True)
-    peak = np.where(np.isfinite(raw_peak), raw_peak, 0.0)
-    s = np.einsum("j,ij->i", pat, np.exp(np.maximum(logf_rows - peak, _LOG_FLOOR)))
+def _log_row_sums(lf: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(lf))), overwriting lf; a row of -inf gives -inf."""
+    peak = np.max(lf, axis=1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0  # a row of -inf terms sums to log 0 = -inf
+    lf -= peak
+    np.exp(lf, out=lf)
     with np.errstate(divide="ignore"):
-        out = peak[:, 0] + np.log(s) + np.log(widths / (3.0 * m))
-    # a row whose integrand vanishes identically integrates to exactly zero
-    return np.where(np.isfinite(raw_peak[:, 0]), out, -np.inf)
+        return peak[:, 0] + np.log(np.sum(lf, axis=1))
+
+
+def _converge_rows(level, n_rows: int, tol: float, what: str) -> np.ndarray:
+    """Per-row convergence of log integrals over the Gauss-Legendre orders.
+
+    level(q, rows) returns the order-q log integrals of the rows indexed by
+    rows.  A row is done once two successive orders agree within tol, or
+    are both -inf; rows still open after the last order raise
+    ConvergenceError naming what.
+    """
+    out = np.empty(n_rows)
+    rows, prev = np.arange(n_rows), None
+    for q in _GAUSS_ORDERS:
+        cur = level(q, rows)
+        if prev is not None:
+            with np.errstate(invalid="ignore"):
+                done = np.abs(cur - prev) < tol
+            done |= ~np.isfinite(cur) & ~np.isfinite(prev)
+            out[rows[done]] = cur[done]
+            rows, cur = rows[~done], cur[~done]
+            if rows.size == 0:
+                return out
+        prev = cur
+    raise ConvergenceError(
+        f"{what} failed to reach tol={tol:g} by Gauss-Legendre order "
+        f"{_GAUSS_ORDERS[-1]} on {rows.size} of {n_rows} rows"
+    )
 
 
 def log_monomial_norms(w: RadialWeight, degree_max: int) -> np.ndarray:
@@ -52,9 +67,10 @@ def log_monomial_norms(w: RadialWeight, degree_max: int) -> np.ndarray:
     The integrand exp((2n+1) log r - 2 phi(r)) is single-peaked; its maximizer
     is found by vectorized bisection on the derivative, and the integral is
     taken on a window around the peak (the integrand vanishes to below
-    exp(peak - 60) at the window edges), doubling Simpson panels (at most 20
-    times) until the change in every log h_n drops below MONOMIAL_NORM_TOL.
-    Degrees are processed in chunks of 20000.
+    exp(peak - 60) at the window edges) by one Gauss-Legendre panel per row
+    of order q = 16, 32, ..., 1024.  A row is done once two successive
+    orders agree within MONOMIAL_NORM_TOL; rows open after q = 1024 raise
+    ConvergenceError.  Degrees are processed in chunks of 20000.
     """
     if degree_max < 0:
         raise DomainError("degree_max must be >= 0")
@@ -107,20 +123,17 @@ def _log_norm_chunk(w, ns):
         win_lo = np.where(need_lo, np.maximum(r_star - half, 1e-12), win_lo)
         win_hi = np.where(need_hi, np.minimum(r_star + half, 1.0 - 1e-16), win_hi)
 
-    widths = win_hi - win_lo
-    m = 32
-    prev = None
-    for attempt in range(21):
-        t = np.linspace(0.0, 1.0, m + 1)
-        nodes = win_lo[:, None] + widths[:, None] * t[None, :]
-        cur = _log_simpson_rows(logf(nodes, n_col), widths)
-        if prev is not None and np.all(np.abs(cur - prev) < MONOMIAL_NORM_TOL):
-            return cur + np.log(2.0)
-        prev = cur
-        m *= 2
-    raise ConvergenceError(
-        f"monomial norm quadrature failed to reach tol={MONOMIAL_NORM_TOL} "
-        "after 20 doublings"
+    def level(q, rows):
+        cur = np.empty(rows.size)
+        step = (1 << 21) // q  # at most 2^21 terms at a time
+        for i in range(0, rows.size, step):
+            sel = rows[i : i + step]
+            r, wr = gauss_legendre_nodes(win_lo[sel, None], win_hi[sel, None], q)
+            cur[i : i + step] = _log_row_sums(logf(r, n_col[sel]) + np.log(wr))
+        return cur
+
+    return np.log(2.0) + _converge_rows(
+        level, ns.size, MONOMIAL_NORM_TOL, "monomial norm quadrature"
     )
 
 
@@ -148,11 +161,9 @@ def radial_log_moments(
     eps = min(0.25, 1.0 / (2.0 * degree_max + 3.0))
     grade = np.geomspace(1.0, eps, 48)
     edges = np.concatenate([b - (b - a) * grade, [b]])
-
-    out = np.empty(degree_max + 1)
     exps = 2.0 * np.arange(degree_max + 1) + 1.0
-    rows, prev = np.arange(degree_max + 1), None
-    for q in (16, 32, 64, 128, 256, 512, 1024):
+
+    def level(q, rows):
         r, wr = gauss_legendre_nodes(edges[:-1, None], edges[1:, None], q)
         r = r.ravel()
         log_r = np.log(r)
@@ -166,49 +177,10 @@ def radial_log_moments(
         for i in range(0, rows.size, step):
             lf = np.multiply.outer(exps[rows[i : i + step]], log_r)
             lf += base
-            peak = np.max(lf, axis=1, keepdims=True)
-            peak[~np.isfinite(peak)] = 0.0  # a row of -inf terms sums to log 0 = -inf
-            lf -= peak
-            np.exp(lf, out=lf)
-            with np.errstate(divide="ignore"):
-                cur[i : i + step] = peak[:, 0] + np.log(np.sum(lf, axis=1))
-        if prev is not None:
-            with np.errstate(invalid="ignore"):
-                done = np.abs(cur - prev) < 1e-10
-            done |= ~np.isfinite(cur) & ~np.isfinite(prev)
-            out[rows[done]] = cur[done]
-            rows, cur = rows[~done], cur[~done]
-            if rows.size == 0:
-                return out
-        prev = cur
-    raise ConvergenceError(
-        "radial moment quadrature failed to reach tol=1e-10 by Gauss-Legendre "
-        f"order 1024 on {rows.size} of {degree_max + 1} rows"
-    )
+            cur[i : i + step] = _log_row_sums(lf)
+        return cur
 
-
-def simpson_doubling(f, a: float, b: float, tol: float = 1e-9,
-                     m0: int = 64, max_doublings: int = 16) -> float:
-    """Plain composite Simpson with panel doubling on [a, b].
-
-    f must be vectorized.  Raises ConvergenceError when the relative change
-    fails to drop below tol.
-    """
-    if b <= a:
-        return 0.0
-    m = m0
-    prev = None
-    for _ in range(max_doublings + 1):
-        x = np.linspace(a, b, m + 1)
-        y = f(x)
-        cur = float(np.dot(_simpson_pattern(m), y) * (b - a) / (3.0 * m))
-        if prev is not None:
-            scale = max(abs(cur), abs(prev), 1e-300)
-            if abs(cur - prev) <= tol * scale or abs(cur - prev) < 1e-300:
-                return cur
-        prev = cur
-        m *= 2
-    raise ConvergenceError(f"simpson doubling failed to reach tol={tol}")
+    return _converge_rows(level, degree_max + 1, 1e-10, "radial moment quadrature")
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,8 +195,12 @@ def gauss_legendre_rule(n: int):
     return x, w
 
 
-def gauss_legendre_nodes(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights on [a, b]."""
+def gauss_legendre_nodes(a, b, n: int):
+    """Gauss-Legendre nodes and weights on [a, b].
+
+    a and b may be arrays of panel edges; column arrays of shape (k, 1)
+    give (k, n) nodes and weights, one panel per row.
+    """
     x, w = gauss_legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 

@@ -36,7 +36,6 @@ from btk.measures import (
     mu_hat_lp_norm,
     power_density,
 )
-from btk.quadrature import simpson_doubling
 from btk.runner import _sample_points
 from btk.toeplitz import (
     assemble_toeplitz,
@@ -44,6 +43,8 @@ from btk.toeplitz import (
     schatten_norm,
     spectrum,
 )
+
+from oracles import simpson_doubling
 
 DIM = 512
 PS = (0.5, 1.0, 2.0)

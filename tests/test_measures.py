@@ -32,7 +32,8 @@ from btk.measures import (
     save_measure,
     zero_measure,
 )
-from btk.quadrature import simpson_doubling
+
+from oracles import simpson_doubling
 
 
 @pytest.fixture(scope="module")

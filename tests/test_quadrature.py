@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import btk
 import btk.measures
 import btk.quadrature
 import btk.toeplitz
@@ -15,8 +16,9 @@ from btk.quadrature import (
     gauss_legendre_rule,
     log_monomial_norms,
     radial_log_moments,
-    simpson_doubling,
 )
+
+from oracles import simpson_doubling
 
 # h_0 = 2 int_0^1 r exp(-1/(1-r^2)) dr for alpha = 1, frozen oracle
 H0_ALPHA1 = 0.14849550677627
@@ -73,24 +75,26 @@ def test_radial_moments_vanishing_density(w1):
     assert np.all(np.isneginf(logmom))
 
 
-def _mp_log_moment(n, beta, a, b):
-    """log int_a^b r^(2n+1) exp(-1/(1-r^2)) (1-r^2)^beta dr at 30 digits.
+def _mp_log_moment(n, beta, a, b, alpha=1.0):
+    """log int_a^b r^(2n+1) exp(-(1-r^2)^(-alpha)) (1-r^2)^beta dr at 30 digits.
 
-    The alpha = 1 moment of g = (1-r^2)^beta, split at the integrand's peak
-    (found by bisection on the derivative of its log, clamped to [a, b]).
+    The moment of g = (1-r^2)^beta for make_exponential_weight(alpha), split
+    at the integrand's peak (found by bisection on the derivative of its log,
+    clamped to [a, b]).
     """
     with mpmath.workdps(30):
-        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        a, b, alpha = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(alpha)
 
         def logf(r):
             u = 1 - r * r
-            return (2 * n + 1) * mpmath.log(r) - 1 / u + beta * mpmath.log(u)
+            return (2 * n + 1) * mpmath.log(r) - u**-alpha + beta * mpmath.log(u)
 
         lo, hi = mpmath.mpf("1e-20"), 1 - mpmath.mpf("1e-20")
         for _ in range(120):
             mid = (lo + hi) / 2
             u = 1 - mid * mid
-            if (2 * n + 1) / mid - 2 * mid / u**2 - 2 * beta * mid / u > 0:
+            slope = 2 * alpha * mid * u ** (-alpha - 1) + 2 * beta * mid / u
+            if (2 * n + 1) / mid - slope > 0:
                 lo = mid
             else:
                 hi = mid
@@ -130,6 +134,24 @@ def test_radial_moments_patch_sites_are_the_one_implementation():
     # perfbench/layers.py times the moments at these two module attributes
     assert btk.measures.radial_log_moments is btk.quadrature.radial_log_moments
     assert btk.toeplitz.radial_log_moments is btk.quadrature.radial_log_moments
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_monomial_norms_match_mpmath_oracle(alpha):
+    # alpha = 0.25 at degree 2000 is the table Simpson doubling ran out of
+    # memory on; it needs Gauss-Legendre order 1024 on some rows
+    log_h = log_monomial_norms(btk.make_exponential_weight(alpha), 2000)
+    for n in (0, 7, 150, 2000):
+        exact = np.log(2.0) + _mp_log_moment(n, 0, 0, 1, alpha)
+        assert abs(log_h[n] - exact) <= 1e-11
+
+
+def test_monomial_norm_gate_can_fail(w1, monkeypatch):
+    monkeypatch.setattr(btk.quadrature, "MONOMIAL_NORM_TOL", 0.0)
+    with pytest.raises(
+        ConvergenceError, match="monomial norm quadrature .* order 1024 on 4 of 4 rows"
+    ):
+        log_monomial_norms(w1, 3)
 
 
 def test_simpson_doubling_known_values():

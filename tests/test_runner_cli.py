@@ -219,8 +219,20 @@ def test_cached_basis_table_round_trip(w1, tmp_path, monkeypatch):
     a = cached_basis_table(w1, 50)
     b = cached_basis_table(w1, 50)  # loaded from disk
     np.testing.assert_array_equal(a.log_h, b.log_h)
-    # the file name keeps the table tolerance, as caches written before did
-    assert os.listdir(cache) == [f"basis-{w1.fingerprint()}-d50-t1e-09.npy"]
+    # the file name names the quadrature rule and keeps the table tolerance
+    assert os.listdir(cache) == [f"basis-{w1.fingerprint()}-d50-gl-t1e-09.npy"]
+
+
+def test_cached_basis_table_ignores_tables_of_the_simpson_rule(w1, tmp_path, monkeypatch):
+    # a file under the key of the Simpson era (no rule in it) is never served
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("BTK_CACHE_DIR", str(cache))
+    stale = cache / f"basis-{w1.fingerprint()}-d50-t1e-09.npy"
+    np.save(stale, np.linspace(0.0, -50.0, 51))
+    bt = cached_basis_table(w1, 50)
+    np.testing.assert_array_equal(bt.log_h, btk.build_basis_table(w1, 50).log_h)
+    assert sorted(os.listdir(cache)) == sorted([stale.name, f"basis-{bt.fingerprint()}.npy"])
 
 
 def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path, monkeypatch):

@@ -25,7 +25,6 @@ from btk.measures import (
     power_density,
     zero_measure,
 )
-from btk.quadrature import simpson_doubling
 from btk.toeplitz import (
     SpectrumReport,
     ToeplitzMatrix,
@@ -36,6 +35,8 @@ from btk.toeplitz import (
     spectrum,
     spectrum_to_json,
 )
+
+from oracles import simpson_doubling
 
 
 def _random_hermitian(rng, n):
