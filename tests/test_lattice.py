@@ -15,6 +15,7 @@ from btk.lattice import (
     _REACH,
     Lattice,
     _GreedyState,
+    _pairs,
     _probe_coverage,
     _probe_points,
     _radical_inverse,
@@ -492,3 +493,114 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_EDGES = np.sqrt(2.0) ** np.arange(-14, -3)
+_RADII = {
+    # five octaves of radii, every band holding many distinct radii
+    "octaves": 2.0 ** np.random.default_rng(7).uniform(-7.0, -2.0, 400),
+    # radii on the powers of sqrt(2) and one float either side of them
+    "band_edges": np.resize(np.concatenate(
+        [_EDGES, np.nextafter(_EDGES, 0.0), np.nextafter(_EDGES, 1.0)]), 300),
+    "one_row": np.array([0.05]),
+    "no_rows": np.empty(0),
+    "scalar": 0.03,
+}
+
+
+@pytest.mark.parametrize("case", list(_RADII))
+def test_pairs_is_a_banded_superset(case):
+    rng = np.random.default_rng(11)
+    targets = rng.uniform(-1.0, 1.0, (3_000, 2))
+    radii = _RADII[case]
+    n = 200 if np.ndim(radii) == 0 else len(radii)
+    xy = rng.uniform(-1.0, 1.0, (n, 2))
+    row, hit = _pairs(xy, radii, cKDTree(targets))
+    assert row.dtype == hit.dtype == np.intp
+    r = np.broadcast_to(radii, (n,))
+    d = np.sqrt((xy[:, None, 0] - targets[None, :, 0]) ** 2
+                + (xy[:, None, 1] - targets[None, :, 1]) ** 2)
+    want = d <= r[:, None]
+    got = np.zeros_like(want)
+    got[row, hit] = True
+    # every pair within its row's radius is returned, each pair once, and
+    # none beyond sqrt(2) times that radius (one band spans at most sqrt(2))
+    assert want.any() or n == 0
+    assert not np.any(want & ~got)
+    assert len(np.unique(row * len(targets) + hit)) == len(row)
+    assert np.all(d[row, hit] <= np.sqrt(2.0) * r[row] * (1 + 1e-12))
+
+
+@pytest.fixture(scope="module")
+def lat_bands(w1):
+    """r_max 0.8 at delta = m_tau/4: tau falls about tenfold across the lattice."""
+    return build_lattice(w1, w1.m_tau / 4.0, 0.8, probe_count=3_000)
+
+
+def _min_ratio_and_cover(lat, probes):
+    """Brute force over every pair: min separation ratio, covered mask, counts."""
+    pts, taus, delta = lat.points, lat.taus, lat.delta
+    ratio, covered, counts = np.inf, [], []
+    for s in range(0, len(pts), 500):
+        d = np.abs(pts[s : s + 500, None] - pts[None, :])
+        d[np.arange(len(d)), s + np.arange(len(d))] = np.inf
+        lim = delta * np.maximum(taus[s : s + 500, None], taus[None, :])
+        ratio = min(ratio, float(np.min(d / lim)))
+    for s in range(0, len(probes), 500):
+        diff = probes[s : s + 500, None] - pts[None, :]
+        d = np.sqrt(diff.real**2 + diff.imag**2)
+        covered.append(np.any(d < delta * taus, axis=1))
+        counts.append(np.sum(d < 3.0 * delta * taus, axis=1))
+    return ratio, np.concatenate(covered), np.concatenate(counts)
+
+
+def test_multi_band_lattice_matches_brute_force(lat_bands):
+    lat, delta = lat_bands, lat_bands.delta
+    # the probe pass spans at least three bands of search radii
+    assert len(np.unique(np.floor(2.0 * np.log2(3.0 * delta * lat.taus)))) >= 3
+    k = np.arange(0, len(lat), 3)
+    unit = np.exp(2j * np.pi * 0.37 * k)
+    probes = np.concatenate([
+        _probe_points(0.8, 3_000),
+        lat.points[k] + delta * lat.taus[k] * unit,
+        lat.points[k] + 3.0 * delta * lat.taus[k] * unit,
+    ])
+    covered, counts = _probe_coverage(cKDTree(_xy(probes)), _xy(lat.points), lat.taus, delta)
+    _, want_covered, want_counts = _min_ratio_and_cover(lat, probes)
+    np.testing.assert_array_equal(covered, want_covered)
+    np.testing.assert_array_equal(counts, want_counts)
+    # a full pass at another probe count
+    probes = _probe_points(0.8, 4_000)
+    ratio, want_covered, want_counts = _min_ratio_and_cover(lat, probes)
+    cert = certify_lattice(lat, probe_count=4_000)
+    assert cert.min_separation_ratio == ratio and cert.separation_ok
+    assert cert.covering_misses == int(np.sum(~want_covered))
+    assert cert.multiplicity_observed == int(want_counts.max())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_multi_band_partition_matches_brute_force(lat_bands, m):
+    pts, taus = lat_bands.points, lat_bands.taus
+    thresh = (2.0**m) * lat_bands.delta
+    # first fit against every earlier point, with no search structure
+    colors = np.zeros(len(pts), dtype=int)
+    for k in range(len(pts)):
+        near = np.abs(pts[:k] - pts[k]) < thresh * np.minimum(taus[:k], taus[k])
+        used = set(colors[:k][near].tolist())
+        colors[k] = min(set(range(len(used) + 1)) - used)
+    got = partition_separated(lat_bands, m)
+    assert len(got) == colors.max() + 1
+    for c, part in enumerate(got):
+        np.testing.assert_array_equal(part, pts[colors == c])
+
+
+def test_lattice_stages_build_no_ball_query_lists(w1, delta1, monkeypatch):
+    class NoBallQueries(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            raise AssertionError("query_ball_point builds one list per row")
+
+    monkeypatch.setattr(btk.lattice, "cKDTree", NoBallQueries)
+    lat = build_lattice(w1, delta1, 0.3, probe_count=2_000)
+    assert certify_lattice(lat, probe_count=3_000).passed
+    assert sum(map(len, partition_separated(lat, 2))) == len(lat)
+    assert not hasattr(btk.lattice, "_flat_pairs")
