@@ -6,6 +6,9 @@ probe grid, and shows the ball-counting function and the separated partition
 that make the lattice usable for operator estimates.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from btk import (
@@ -50,8 +53,9 @@ def main():
     print(f"\npartition at separation 2^{m} delta: {len(parts)} parts, "
           f"sizes {sizes[:6]}{'...' if len(sizes) > 6 else ''}")
 
-    save_lattice(lat, "/tmp/lattice_08.json")
-    print("\nsaved to /tmp/lattice_08.json")
+    path = Path(tempfile.mkdtemp(prefix="btk_demo_")) / "lattice_08.json"
+    save_lattice(lat, str(path))
+    print(f"\nsaved to {path}")
 
 
 if __name__ == "__main__":

@@ -291,8 +291,11 @@ class GridDensityMeasure(Measure):
 
     cells[i, j] is the mass of the sector r in [r_i, r_{i+1}],
     theta in [theta_j, theta_{j+1}] with uniform edges on [0, r_outer] x
-    [0, 2 pi).  Disk masses use exact-area classification with three levels
-    of subdivision of boundary cells.
+    [0, 2 pi).  Disk masses are sampled, not exact: a cell counts whole or
+    not at all by its 3x3 corner and midpoint samples, a boundary cell splits
+    into quadrants down to MAX_DEPTH = 3, and there counts the share of its
+    4x4 interior samples inside the disk.  A disk smaller than a cell thus
+    gets a quantised mass (see disk_mass_many).
     """
 
     kind = "grid"

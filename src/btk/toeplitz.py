@@ -11,17 +11,15 @@ node rule that the Berezin transform of the measure shares:
 * atoms (label ``finite_rank``) keep F over every degree of the table, so
   sigma(F)^2 is the full nonzero spectrum with no basis truncation, and the
   dim-row block F[:dim] gives the truncated matrix;
-* grids (label ``dense``) keep F[:dim] over their cell quadrature nodes;
-* ``_radial_factor``, a dim-row factor from a polar quadrature of a radial
-  measure, is kept as the oracle that tests check the diagonal against.
+* grids (label ``dense``) keep F[:dim] over their cell quadrature nodes.
 
-The spectrum is sigma(F)^2, computed from the factor and never from the Gram
-F^H F, whose conditioning is the square of F's.
+The spectrum is sigma(F)^2, from one complex SVD of the factor itself and
+never from the Gram F^H F, whose conditioning is the square of F's.
 
-Every dense linear-algebra call here (the QR, dgejsv and the Berezin GEMV)
-goes through scipy.  numpy and scipy wheels each bundle their own OpenBLAS
-with its own thread pool, and the pool that ran last keeps spinning on the
-cores while the other library runs; one library keeps the path on one pool.
+Every dense linear-algebra call here (the SVD and the Berezin GEMV) goes
+through scipy.  numpy and scipy wheels each bundle their own OpenBLAS with
+its own thread pool, and the pool that ran last keeps spinning on the cores
+while the other library runs; one library keeps the path on one pool.
 """
 
 from __future__ import annotations
@@ -30,19 +28,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import LinAlgError, svd
 from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import dgejsv
 
-from .basis import BasisTable, basis_columns, kernel, kernel_norm_sq
+from .basis import BasisTable, kernel, kernel_norm_sq
 from .errors import ConvergenceError, DomainError, ParameterError
 
 # jacobi_eigvalsh and radial_log_moments are not called here.  They stay
 # module attributes because the benchmark's traced run (perfbench/layers.py)
 # patches them at this module.
 from .jacobi import jacobi_eigvalsh  # noqa: F401
-from .measures import AtomicMeasure, Measure, RadialDensityMeasure, operator_factor
-from .quadrature import gauss_legendre_nodes
+from .measures import AtomicMeasure, Measure, operator_factor
 from .quadrature import radial_log_moments  # noqa: F401
 
 
@@ -69,36 +65,6 @@ class ToeplitzMatrix:
         m = f.conj() @ f.T
         return 0.5 * (m + m.conj().T)
 
-    def matrix_trace(self) -> float:
-        if self.diag is not None:
-            return float(np.sum(self.diag))
-        return float(np.sum(np.abs(self.factor[: self.dim]) ** 2))
-
-
-def _radial_factor(bt: BasisTable, mu: RadialDensityMeasure, dim: int) -> np.ndarray:
-    """Truncated polar-quadrature factor of a radial measure.
-
-    The angular rule has 2*dim+3 uniform nodes, which integrates every
-    e_n conj(e_m) phase factor exactly, so off-diagonals vanish to rounding;
-    the radial rule has 256 Gauss-Legendre nodes on each half of the support.
-    Exists to validate the diagonal fast path.
-    """
-    lo, hi = mu.support
-    n_t = 2 * dim + 3
-    theta = np.arange(n_t) * (2.0 * np.pi / n_t)
-    rs, wr = [], []
-    mid = 0.5 * (lo + hi)
-    for a, b in ((lo, mid), (mid, hi)):
-        x, wq = gauss_legendre_nodes(a, b, 256)
-        rs.append(x)
-        wr.append(wq)
-    r = np.concatenate(rs)
-    wq = np.concatenate(wr) * 2.0 * r * mu.g(r) / n_t
-    pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    f = basis_columns(bt, pts, dim)
-    f *= np.sqrt(np.repeat(wq, n_t))
-    return f
-
 
 def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
     """Assemble the truncated Toeplitz matrix of mu in the monomial basis."""
@@ -122,23 +88,16 @@ def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
 
 
 def _singular_values(f: np.ndarray) -> np.ndarray:
-    """sigma(f), descending, with LAPACK's preconditioned Jacobi SVD.
+    """sigma(f), descending, from LAPACK's complex SVD (no vectors).
 
-    A wide f is transposed and a tall one reduced to its triangular factor
-    R by scipy's QR.  dgejsv (Drmac-Veselic 2008) keeps the small singular
-    values relatively accurate; it is real-only, so it runs on the embedding
-    [[Re R, -Im R], [Im R, Re R]], in which every singular value of R appears
-    twice.  No vectors are computed, jobp=0 leaves tiny entries as they are,
-    and work[1] / work[0] undoes the routine's internal scaling.
+    The SVD is backward stable, so a singular value is resolved down to
+    about eps * sigma_max; below that the values are positive but not
+    relatively accurate.  A failed SVD raises ConvergenceError.
     """
-    if f.shape[0] < f.shape[1]:
-        f = f.T
-    r = qr(f, mode="r", check_finite=False)[0][: f.shape[1]]
-    emb = np.asfortranarray(np.block([[r.real, -r.imag], [r.imag, r.real]]))
-    sva, _, _, work, _, info = dgejsv(emb, jobu=3, jobv=3, jobp=0, overwrite_a=1)
-    if info != 0:
-        raise ConvergenceError(f"dgejsv returned info = {info}")
-    return np.sort(sva)[::-1][::2] * (work[1] / work[0])
+    try:
+        return svd(f, compute_uv=False, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"complex SVD failed: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from btk.basis import basis_columns
 from btk.errors import ConvergenceError
+from btk.quadrature import gauss_legendre_nodes
 
 
 def simpson_doubling(f, a: float, b: float, tol: float = 1e-9,
@@ -29,3 +31,35 @@ def simpson_doubling(f, a: float, b: float, tol: float = 1e-9,
         prev = cur
         m *= 2
     raise ConvergenceError(f"simpson doubling failed to reach tol={tol}")
+
+
+def radial_factor(bt, mu, dim: int) -> np.ndarray:
+    """Truncated polar-quadrature factor of a radial measure.
+
+    The angular rule has 2*dim+3 uniform nodes, which integrates every
+    e_n conj(e_m) phase factor exactly, so off-diagonals vanish to rounding;
+    the radial rule has 256 Gauss-Legendre nodes on each half of the support.
+    Checks the diagonal that assembly gives a radial measure.
+    """
+    lo, hi = mu.support
+    n_t = 2 * dim + 3
+    theta = np.arange(n_t) * (2.0 * np.pi / n_t)
+    rs, wr = [], []
+    mid = 0.5 * (lo + hi)
+    for a, b in ((lo, mid), (mid, hi)):
+        x, wq = gauss_legendre_nodes(a, b, 256)
+        rs.append(x)
+        wr.append(wq)
+    r = np.concatenate(rs)
+    wq = np.concatenate(wr) * 2.0 * r * mu.g(r) / n_t
+    pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    f = basis_columns(bt, pts, dim)
+    f *= np.sqrt(np.repeat(wq, n_t))
+    return f
+
+
+def matrix_trace(tm) -> float:
+    """Trace of the truncated Toeplitz matrix, from its diagonal or factor rows."""
+    if tm.diag is not None:
+        return float(np.sum(tm.diag))
+    return float(np.sum(np.abs(tm.factor[: tm.dim]) ** 2))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgejsv
+from scipy.linalg import LinAlgError
 
 import btk
 from btk.basis import basis_columns, kernel, kernel_norm_sq
@@ -28,7 +30,6 @@ from btk.measures import (
 from btk.toeplitz import (
     SpectrumReport,
     ToeplitzMatrix,
-    _radial_factor,
     assemble_toeplitz,
     berezin_operator,
     schatten_norm,
@@ -36,7 +37,7 @@ from btk.toeplitz import (
     spectrum_to_json,
 )
 
-from oracles import simpson_doubling
+from oracles import matrix_trace, radial_factor, simpson_doubling
 
 
 def _random_hermitian(rng, n):
@@ -99,7 +100,7 @@ def test_radial_dense_oracle_matches_diagonal(bt400):
     mu = indicator_density(0.2, 0.6)
     dim = 48
     fast = assemble_toeplitz(bt400, mu, dim)
-    m = ToeplitzMatrix(bt400, dim, "dense", factor=_radial_factor(bt400, mu, dim)).entries()
+    m = ToeplitzMatrix(bt400, dim, "dense", factor=radial_factor(bt400, mu, dim)).entries()
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(m)))
     np.testing.assert_allclose(np.diag(m).real, fast.diag, rtol=1e-8)
@@ -138,7 +139,7 @@ def test_finite_rank_factor_matches_dense_oracle(bt400):
     # test_finite_rank_gram_matches_per_pair_kernel_loop
     mu = AtomicMeasure([0.3, -0.15 + 0.2j, 0.6j], [1.0, 0.6, 0.25])
     tm = assemble_toeplitz(bt400, mu, 48)
-    assert tm.matrix_trace() == pytest.approx(np.trace(tm.entries()).real, rel=1e-13)
+    assert matrix_trace(tm) == pytest.approx(np.trace(tm.entries()).real, rel=1e-13)
 
 
 def test_atomic_spectrum_relatively_accurate_against_mpmath(w1):
@@ -163,6 +164,33 @@ def test_atomic_spectrum_relatively_accurate_against_mpmath(w1):
         exact = np.sort([float(e) for e in exact])[::-1]
     assert exact[-1] < 1e-9 * exact[0]
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0.0)
+
+
+def test_clustered_atoms_spectrum_tail_against_mpmath(w1, delta1):
+    # 16 atoms within 3 delta tau(0.5) of 0.5: the exact spectrum of this
+    # factor spans 7e-36 lambda_1, far below eps, so Schatten sums at small p
+    # lean on the tail.  An SVD that flushes values below eps * sigma_1 to 0
+    # misses that mass.  The oracle diagonalizes the exact Gram of the same
+    # double-precision factor in 60 digits.
+    import mpmath
+
+    bt = btk.build_basis_table(w1, 150)
+    rng = np.random.default_rng(5)
+    radius = 3.0 * delta1 * float(w1.tau(0.5))
+    pts = 0.5 + radius * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
+    tm = assemble_toeplitz(bt, AtomicMeasure(pts, rng.uniform(0.5, 1.5, 16)), 64)
+    got = spectrum(tm).eigenvalues[:16]
+
+    with mpmath.workdps(60):
+        ym = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in tm.factor.tolist()])
+        exact = mpmath.eighe(ym.H * ym, eigvals_only=True)
+        exact = np.sort([float(e) for e in exact])[::-1]
+    assert exact[-1] < 1e-30 * exact[0]
+    assert not np.any((got == 0.0) & (exact > 0.0))
+    resolved = exact >= 1e-20 * exact[0]
+    np.testing.assert_allclose(got[resolved], exact[resolved], rtol=1e-7, atol=0.0)
+    for p, rtol in ((0.05, 1e-4), (0.1, 1e-5)):
+        assert math.fsum(got**p) == pytest.approx(math.fsum(exact**p), rel=rtol)
 
 
 def _raises_truncation(fn, *args) -> bool:
@@ -228,7 +256,7 @@ def test_trace_identity_radial(bt400, w1):
         return 2.0 * r * np.exp(w1.log_weight(r)) * core
 
     oracle = simpson_doubling(integrand, 0.2, 0.6, tol=1e-10)
-    assert tm.matrix_trace() == pytest.approx(oracle, rel=1e-6)
+    assert matrix_trace(tm) == pytest.approx(oracle, rel=1e-6)
     assert spectrum(tm).trace == pytest.approx(oracle, rel=1e-6)
 
 
@@ -293,12 +321,11 @@ def test_schatten_validation():
 def test_spectrum_raises_when_svd_fails(bt400, monkeypatch):
     tm = assemble_toeplitz(bt400, AtomicMeasure([0.3, -0.2j], [1.0, 0.5]), 16)
     assert spectrum(tm).clip_magnitude == 0.0
-    real = btk.toeplitz.dgejsv
 
     def failing(*args, **kwargs):
-        return (*real(*args, **kwargs)[:5], 1)
+        raise LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(btk.toeplitz, "dgejsv", failing)
+    monkeypatch.setattr(btk.toeplitz, "svd", failing)
     with pytest.raises(ConvergenceError):
         spectrum(tm)
 
@@ -417,17 +444,8 @@ def _berezin_points():
 
 
 def test_operator_path_is_bit_identical_to_the_numpy_oracle(bt400):
-    # an oracle from numpy's QR and GEMV, step for step
+    # the operator Berezin symbol against numpy's GEMV, step for step
     for tm in _operator_cases(bt400):
-        f = tm.factor if tm.factor.shape[0] >= tm.factor.shape[1] else tm.factor.T
-        r = np.linalg.qr(f, mode="r")
-        emb = np.asfortranarray(np.block([[r.real, -r.imag], [r.imag, r.real]]))
-        sva, _, _, work, _, info = dgejsv(emb, jobu=3, jobv=3, jobp=0, overwrite_a=1)
-        assert info == 0
-        ev = (np.sort(sva)[::-1][::2] * (work[1] / work[0])) ** 2
-        ev = np.sort(np.concatenate([ev, np.zeros(max(tm.dim - len(ev), 0))]))[::-1]
-        assert np.array_equal(spectrum(tm).eigenvalues, ev)
-
         for z in _berezin_points():
             n = np.arange(tm.dim)
             v = np.exp(n * np.log(abs(z)) - 0.5 * bt400.log_h[: tm.dim]
@@ -454,10 +472,11 @@ def test_operator_path_never_reaches_numpy_blas(bt400, monkeypatch):
     want = [(spectrum(tm).eigenvalues, [berezin_operator(bt400, tm, z) for z in _berezin_points()])
             for tm in cases]
 
-    def no_qr(*args, **kwargs):
-        raise AssertionError("np.linalg.qr reached on the operator path")
+    def reached(*args, **kwargs):
+        raise AssertionError("numpy.linalg reached on the operator path")
 
-    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, reached)
     for tm, (ev, bz) in zip(cases, want):
         guarded = ToeplitzMatrix(tm.basis, tm.dim, tm.structure,
                                  factor=tm.factor.view(_NoNumpyMatmul))
