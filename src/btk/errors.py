@@ -9,6 +9,13 @@ class ParameterError(ValueError):
     """A tuning parameter violates its admissible range (e.g. delta outside (0, m_tau))."""
 
 
+def require_keys(data: dict, what: str, *keys: str) -> None:
+    """ParameterError naming every key of keys that the JSON object data lacks."""
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ParameterError(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+
+
 class ResourceError(RuntimeError):
     """A computation would exceed a configured resource cap (e.g. lattice point budget)."""
 

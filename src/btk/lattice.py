@@ -3,9 +3,10 @@
 The construction is a deterministic greedy annular sweep: candidates are laid
 on concentric rings with spacing proportional to delta*tau and accepted when
 they keep the separation rule |c - z_j| >= delta * max(tau(c), tau(z_j)).
-A low-discrepancy probe pass then repairs any residual coverage slivers; each
-repair round re-probes only the points it inserted, and the lattice records the
-pass so that certify_lattice at the same probe count need not repeat it.
+A low-discrepancy probe pass then inserts each uncovered probe whose own
+position keeps separation (one whose position conflicts is a failed repair);
+each repair round re-probes only the points it inserted, and the lattice records
+the pass so that certify_lattice at the same probe count need not repeat it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Lattice:
     # the tau each point was placed with: its ring's tau(r) for a swept
     # point, tau(|p|) for a repair point (equal to tau(|z_j|) up to rounding)
     taus: np.ndarray = field(repr=False)
-    # repair insertions that found no position, summed over the repair
+    # uncovered probes whose position conflicts, summed over the repair
     # rounds; a round that inserts nothing ends the repair
     repairs_failed: int = 0
     # (probe_count, covering_misses) of build_lattice's probe pass over these
@@ -68,6 +69,8 @@ class Lattice:
 
 def lattice_from_json(data: dict, w: RadialWeight) -> Lattice:
     pts = np.array([complex(x, y) for x, y in data["points"]])
+    if not np.all(np.abs(pts) < 1.0):
+        raise DomainError("lattice points must lie in the open unit disk")
     return Lattice(
         weight=w,
         delta=float(data["delta"]),
@@ -226,7 +229,11 @@ def build_lattice(
         cut = r - _REACH * delta * tau_ring * _BALL_SLACK
         state.lo = ring_rows[bisect.bisect_left(ring_radii, cut)]
         free = np.flatnonzero(~state.conflicts(xs, ys, tau_ring, delta))
-        keep = free[_first_fit(xs[free], ys[free], delta * tau_ring)]
+        x, y, lim = xs[free], ys[free], delta * tau_ring
+        keep = free[_first_fit(
+            np.column_stack([x, y]), lim * _BALL_SLACK,
+            lambda a, b: (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim,
+        ) == 0]
         ring_radii.append(r)
         ring_rows.append(len(state))
         state.add(xs[keep], ys[keep], tau_ring)
@@ -252,10 +259,10 @@ def build_lattice(
             break
         done = len(state)
         for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
-            if not state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
-                state.add(p.real, p.imag, float(tau_p))
-            elif not _insert_covering_neighbor(state, w, p, float(tau_p), delta, r_max):
+            if state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
                 repairs_failed += 1
+            else:
+                state.add(p.real, p.imag, float(tau_p))
         if len(state) == done:
             break
         more, extra = _probe_coverage(
@@ -282,44 +289,32 @@ def _require_probe_count(probe_count: int) -> None:
         raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
 
 
-def _first_fit(x: np.ndarray, y: np.ndarray, lim: float) -> np.ndarray:
-    """Keep candidates in order unless closer than lim to an earlier kept one."""
-    n = len(x)
-    pairs = cKDTree(np.column_stack([x, y])).query_pairs(
-        lim * _BALL_SLACK, output_type="ndarray"
-    )
-    i, j = pairs[:, 0], pairs[:, 1]
-    d2 = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
-    earlier = [[] for _ in range(n)]
-    for a, b in pairs[d2 < lim * lim].tolist():  # a < b
-        earlier[b].append(a)
-    keep = [False] * n
-    for k in range(n):
-        keep[k] = not any(keep[a] for a in earlier[k])
-    return np.array(keep, dtype=bool)
+def _first_fit(xy: np.ndarray, radii, conflict) -> np.ndarray:
+    """First-fit colour of every point in stored order: the least colour that
+    no earlier point conflicting with it holds.
 
-
-def _insert_covering_neighbor(state, w, p, tau_p, delta, r_max) -> bool:
-    """Repair an uncovered probe whose own position conflicts with the lattice.
-
-    Searches nearby positions q that keep exact separation while the disk
-    D(q, delta*tau(q)) still contains the probe.  Such a q exists whenever the
-    probe sits in a sliver left by the greedy sweep (the conflict radius and
-    the covering radius differ by at most the Lipschitz slack of tau).
+    conflict(a, b) is the caller's exact rule on index arrays with a < b, and
+    radii reach every pair it can hold on, searched from the later point b.
     """
-    for frac in (0.3, 0.5, 0.7, 0.9):
-        for k in range(16):
-            q = p + frac * delta * tau_p * np.exp(2j * np.pi * (k + 0.5) / 16)
-            aq = abs(q)
-            if aq > r_max:
-                continue
-            tau_q = float(w.tau(aq))
-            if abs(q - p) >= delta * tau_q:
-                continue  # would not cover the probe
-            if not state.conflicts(q.real, q.imag, tau_q, delta)[0]:
-                state.add(q.real, q.imag, tau_q)
-                return True
-    return False
+    b, a = _pairs(xy, radii, cKDTree(xy))
+    keep = a < b
+    a, b = a[keep], b[keep]
+    keep = conflict(a, b)
+    a, b = a[keep], b[keep]
+    # CSR rows by the later point: earlier[start[k]:start[k + 1]] are the
+    # earlier points conflicting with k
+    order = np.argsort(b, kind="stable")
+    earlier = a[order].tolist()
+    start = np.searchsorted(b[order], np.arange(len(xy) + 1)).tolist()
+    colors = []
+    for lo, hi in zip(start, start[1:]):
+        c = 0
+        if lo < hi:
+            used = {colors[i] for i in earlier[lo:hi]}
+            while c in used:
+                c += 1
+        colors.append(c)
+    return np.array(colors, dtype=np.intp)
 
 
 def _pairs(xy, radii, tree) -> tuple[np.ndarray, np.ndarray]:
@@ -445,25 +440,10 @@ def partition_separated(lat: Lattice, m: int) -> list[np.ndarray]:
         raise ParameterError("m must be >= 2")
     thresh = (2.0**m) * lat.delta
     pts, taus = lat.points, lat.taus
-    xy = _xy(pts)
-    j, i = _pairs(xy, thresh * taus, cKDTree(xy))
-    later = i < j
-    i, j = i[later], j[later]
-    conflict = np.abs(pts[i] - pts[j]) < thresh * np.minimum(taus[i], taus[j])
-    i, j = i[conflict], j[conflict]
-    # CSR rows by the later point: earlier[start[k]:start[k + 1]] are the
-    # earlier points conflicting with k
-    order = np.argsort(j, kind="stable")
-    earlier = i[order].tolist()
-    start = np.searchsorted(j[order], np.arange(len(pts) + 1)).tolist()
-    colors = []
-    for k in range(len(pts)):
-        used = {colors[a] for a in earlier[start[k] : start[k + 1]]}
-        c = 0
-        while c in used:
-            c += 1
-        colors.append(c)
-    colors = np.array(colors, dtype=np.intp)
+    colors = _first_fit(
+        _xy(pts), thresh * taus,
+        lambda a, b: np.abs(pts[a] - pts[b]) < thresh * np.minimum(taus[a], taus[b]),
+    )
     return [pts[colors == c] for c in range(colors.max(initial=-1) + 1)]
 
 

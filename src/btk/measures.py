@@ -32,7 +32,13 @@ from .basis import (
     kernel_norm_sq_many,
     log_normalized_kernel_sq_at,
 )
-from .errors import ConvergenceError, DomainError, ParameterError, PSDViolationError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    ParameterError,
+    PSDViolationError,
+    require_keys,
+)
 from .lattice import Lattice
 from .quadrature import gauss_legendre_nodes, gauss_legendre_rule, radial_log_moments
 from .weights import RadialWeight
@@ -485,32 +491,44 @@ def zero_measure() -> AtomicMeasure:
 
 
 def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
+    require_keys(data, "measure", "kind")
     kind = data["kind"]
     if kind == "atomic":
         atoms = data.get("atoms", [])
+        if any(len(a) != 3 for a in atoms):
+            raise ParameterError("atomic measure atoms must be [x, y, mass] triples")
         pts = [complex(x, y) for x, y, _ in atoms]
         ms = [m for _, _, m in atoms]
         return AtomicMeasure(pts, ms)
     # optional keys are passed only when given, so the constructors' defaults hold
     if kind == "radial":
+        require_keys(data, "radial measure", "density")
         dens = data["density"]
         opt = {"support": tuple(data["support"])} if "support" in data else {}
         scale = float(data.get("scale", 1.0))
         if dens == "power":
+            require_keys(data, "power density", "beta")
             mu = power_density(float(data["beta"]), **opt)
         elif dens == "indicator":
             mu = indicator_density(*opt.get("support", ()))
         elif dens == "compensated":
             if w is None:
                 raise ParameterError("compensated density needs the weight")
+            require_keys(data, "compensated density", "s", "beta")
             mu = compensated_density(w, float(data["s"]), float(data["beta"]), **opt)
         else:
             raise ParameterError(f"unknown radial density family {dens!r}")
         return mu.scaled(scale) if scale != 1.0 else mu
     if kind == "grid":
-        cells = np.array(data["cells"], dtype=float).reshape(data["nr"], data["ntheta"])
+        require_keys(data, "grid measure", "nr", "ntheta", "cells")
+        nr, ntheta = data["nr"], data["ntheta"]
+        cells = np.array(data["cells"], dtype=float)
+        if cells.size != nr * ntheta:
+            raise ParameterError(
+                f"grid measure has {cells.size} cells, not nr * ntheta = {nr * ntheta}"
+            )
         opt = {"r_outer": float(data["r_outer"])} if "r_outer" in data else {}
-        return GridDensityMeasure(cells, **opt)
+        return GridDensityMeasure(cells.reshape(nr, ntheta), **opt)
     raise ParameterError(f"unknown measure kind {kind!r}")
 
 

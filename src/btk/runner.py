@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisTable, build_basis_table, kernel_norm_sq_many, table_fingerprint
-from .errors import ParameterError
+from .errors import ParameterError, require_keys
 from .lattice import Lattice, build_lattice, certify_lattice
 from .measures import (
     AtomicMeasure,
@@ -78,6 +78,11 @@ class Scenario:
     windows: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for what, names, known in (("check", self.checks, ALL_CHECKS),
+                                   ("window", self.windows, DEFAULT_WINDOWS)):
+            unknown = sorted(set(names) - set(known))
+            if unknown:
+                raise ParameterError(f"unknown {what} names {unknown}; known: {sorted(known)}")
         object.__setattr__(self, "windows", {**DEFAULT_WINDOWS, **self.windows})
         self.weight.require_delta(self.effective_delta)
         if any(p <= 0 for p in self.ps):
@@ -101,6 +106,7 @@ _SCENARIO_KEYS = {
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    require_keys(data, "scenario", "weight", "measures")
     w = weight_from_json(data["weight"])
     measures = tuple(
         (m.get("id", f"measure-{i}"), measure_from_json(m, w))

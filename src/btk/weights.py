@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require_keys
 
 #: safety factor applied to grid-estimated Lipschitz/slope constants
 CONSTANT_INFLATION = 1.05
@@ -304,7 +304,9 @@ def weight_from_json(spec: dict) -> RadialWeight:
     """Build a weight from its JSON fragment, e.g. {"family":"exponential","alpha":1.0}."""
     family = spec.get("family")
     if family == "exponential":
+        require_keys(spec, "exponential weight", "alpha")
         return make_exponential_weight(spec["alpha"])
     if family == "double_exponential":
+        require_keys(spec, "double_exponential weight", "alpha", "beta", "gamma")
         return make_double_exponential_weight(spec["alpha"], spec["beta"], spec["gamma"])
     raise DomainError(f"unknown weight family {family!r}")

@@ -197,6 +197,15 @@ def test_from_json_recomputes_taus(lat_tiny, w1):
     np.testing.assert_allclose(again.taus, lat_tiny.taus, rtol=1e-14)
 
 
+@pytest.mark.parametrize("point", [[1.5, 0.0], [0.6, 0.8], [float("nan"), 0.0]],
+                         ids=["outside", "on_circle", "nan"])
+def test_from_json_rejects_points_outside_the_open_disk(lat_tiny, w1, point):
+    data = lat_tiny.to_json()
+    data["points"].append(point)
+    with pytest.raises(DomainError, match="open unit disk"):
+        lattice_from_json(data, w1)
+
+
 def test_build_is_deterministic(w1, delta1):
     a = build_lattice(w1, delta1, 0.25, probe_count=2_000)
     b = build_lattice(w1, delta1, 0.25, probe_count=2_000)
@@ -311,15 +320,20 @@ def test_multiplicity_gate_can_fail(w1, delta1):
 
 
 def test_failed_repairs_are_counted(w1, delta1, monkeypatch):
-    calls = []
+    # the repair tests each uncovered probe alone; one whose own position
+    # conflicts is a failed repair
+    conflicts = btk.lattice._GreedyState.conflicts
+    refused = []
 
-    def refuse(*args):
-        calls.append(args)
-        return False
+    def spy(self, x, y, tau_c, delta):
+        hit = conflicts(self, x, y, tau_c, delta)
+        if np.ndim(x) == 0 and hit[0]:
+            refused.append((x, y))
+        return hit
 
-    monkeypatch.setattr(btk.lattice, "_insert_covering_neighbor", refuse)
+    monkeypatch.setattr(btk.lattice._GreedyState, "conflicts", spy)
     lat = build_lattice(w1, delta1, 0.25, probe_count=2_000)
-    assert calls and lat.repairs_failed == len(calls)
+    assert refused and lat.repairs_failed == len(refused)
     again = lattice_from_json(lat.to_json(), w1)
     assert again.repairs_failed == lat.repairs_failed
     old = lat.to_json()
@@ -367,29 +381,23 @@ def test_repair_rounds_merge_exactly(w1, delta1, monkeypatch, probed_sets):
     lat_mod = btk.lattice
     first_fit, conflicts = lat_mod._first_fit, lat_mod._GreedyState.conflicts
 
-    def holes(x, y, lim):
-        return first_fit(x, y, lim) & (np.arange(len(x)) % 5 != 2)
-
-    def probe_conflicts(self, x, y, tau_c, delta):
-        # a single probe always goes to _insert_covering_neighbor
-        return np.ones(1, dtype=bool) if np.ndim(x) == 0 else conflicts(
-            self, x, y, tau_c, delta
-        )
+    def holes(xy, radii, conflict):
+        # colour 1 is dropped by the sweep, which keeps colour 0
+        return first_fit(xy, radii, conflict) + (np.arange(len(xy)) % 5 == 2)
 
     rounds_used = set()  # by len(probed_sets), which is the round number
 
-    def one_per_round(state, w, p, tau_p, delta, r_max):
-        if len(probed_sets) in rounds_used or conflicts(
-            state, p.real, p.imag, tau_p, delta
-        )[0]:
-            return False
-        rounds_used.add(len(probed_sets))
-        state.add(p.real, p.imag, tau_p)
-        return True
+    def one_per_round(self, x, y, tau_c, delta):
+        hit = conflicts(self, x, y, tau_c, delta)
+        if np.ndim(x) == 0:  # a repair probe, which is inserted when it is free
+            if len(probed_sets) in rounds_used:
+                return np.ones(1, dtype=bool)
+            if not hit[0]:
+                rounds_used.add(len(probed_sets))
+        return hit
 
     monkeypatch.setattr(lat_mod, "_first_fit", holes)
-    monkeypatch.setattr(lat_mod._GreedyState, "conflicts", probe_conflicts)
-    monkeypatch.setattr(lat_mod, "_insert_covering_neighbor", one_per_round)
+    monkeypatch.setattr(lat_mod._GreedyState, "conflicts", one_per_round)
     lat = build_lattice(w1, delta1, 0.3, probe_count=5_000)
     assert len(probed_sets) == 21
     assert [len(xy) for xy in probed_sets[1:]] == [1] * 20
@@ -598,6 +606,9 @@ def test_lattice_stages_build_no_ball_query_lists(w1, delta1, monkeypatch):
     class NoBallQueries(cKDTree):
         def query_ball_point(self, *args, **kwargs):
             raise AssertionError("query_ball_point builds one list per row")
+
+        def query_pairs(self, *args, **kwargs):
+            raise AssertionError("close pairs come from _pairs")
 
     monkeypatch.setattr(btk.lattice, "cKDTree", NoBallQueries)
     lat = build_lattice(w1, delta1, 0.3, probe_count=2_000)

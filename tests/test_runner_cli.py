@@ -372,3 +372,57 @@ def test_cli_verify(cli_files, capsys):
     assert out["passed"] is True and out["failures"] == []
     assert report.exists()
     assert (cli_files / "report.json").exists()
+
+
+def test_scenario_rejects_unknown_check_and_window_names(w1, tmp_path, capsys):
+    measures = (("dA", indicator_density(0.0, 1.0)),)
+    with pytest.raises(ParameterError, match="schatten'"):
+        Scenario("bad", w1, measures, checks=("boundedness", "schatten"))
+    with pytest.raises(ParameterError, match="schaten_ratio"):
+        Scenario("bad", w1, measures, windows={"schaten_ratio": (1e-3, 1e10)})
+    data = {
+        "id": "typo",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "dA", "kind": "radial", "density": "indicator"}],
+        "checks": ["schatten"],
+    }
+    with pytest.raises(ParameterError, match="unknown check"):
+        scenario_from_json(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("btk: ParameterError: ") and "schatten" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("loader, data, key", [
+    (btk.weight_from_json, {"family": "exponential"}, "'alpha'"),
+    (btk.weight_from_json, {"family": "double_exponential", "alpha": 1.0}, "'beta', 'gamma'"),
+    (btk.measures.measure_from_json, {"atoms": []}, "'kind'"),
+    (btk.measures.measure_from_json, {"kind": "radial"}, "'density'"),
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "power"}, "'beta'"),
+    (btk.measures.measure_from_json, {"kind": "grid", "nr": 2, "cells": [1.0]}, "'ntheta'"),
+    (btk.measures.measure_from_json,
+     {"kind": "grid", "nr": 2, "ntheta": 3, "cells": [1.0, 2.0, 3.0]}, "3 cells"),
+    (btk.measures.measure_from_json, {"kind": "atomic", "atoms": [[0.1, 0.2]]}, "triples"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}}, "'measures'"),
+])
+def test_json_loaders_name_what_is_malformed(loader, data, key):
+    with pytest.raises(ParameterError, match=key):
+        loader(data)
+
+
+def test_cli_malformed_json_exits_2(tmp_path, capsys):
+    weight = tmp_path / "weight.json"
+    weight.write_text(json.dumps({"family": "exponential"}))
+    assert cli_main(["certify-weight", str(weight)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("btk: ParameterError: ") and "'alpha'" in err
+    weight.write_text(json.dumps({"family": "exponential", "alpha": 1.0}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "grid", "nr": 2, "ntheta": 3, "cells": [1.0, 2.0, 3.0]}))
+    assert cli_main(["toeplitz", str(weight), str(grid), "--dim", "8", "--degree", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("btk: ParameterError: ") and "3 cells" in err
+    assert err.count("\n") == 1
