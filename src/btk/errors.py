@@ -9,11 +9,28 @@ class ParameterError(ValueError):
     """A tuning parameter violates its admissible range (e.g. delta outside (0, m_tau))."""
 
 
-def require_keys(data: dict, what: str, *keys: str) -> None:
-    """ParameterError naming every key of keys that the JSON object data lacks."""
+def _all_of(value, kinds) -> bool:
+    """True when value, or every entry of a nested list value, is of kinds (bools are not)."""
+    if isinstance(value, list):
+        return all(_all_of(v, kinds) for v in value)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def require_keys(data, what: str, *keys: str, numbers=(), integers=()) -> None:
+    """ParameterError unless data is a JSON object that holds every key of keys.
+
+    Each key of numbers (of integers) that data holds must map to a number
+    (an integer) or a nested list of them; the error names every bad key.
+    """
+    if not isinstance(data, dict):
+        raise ParameterError(f"{what} JSON must be an object, not {type(data).__name__}")
     missing = [k for k in keys if k not in data]
     if missing:
         raise ParameterError(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+    for kinds, names, noun in (((int, float), numbers, "numbers"), (int, integers, "integers")):
+        bad = [k for k in names if k in data and not _all_of(data[k], kinds)]
+        if bad:
+            raise ParameterError(f"{what} JSON needs {noun} at {', '.join(map(repr, bad))}")
 
 
 class ResourceError(RuntimeError):

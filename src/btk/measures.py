@@ -494,33 +494,36 @@ def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
     require_keys(data, "measure", "kind")
     kind = data["kind"]
     if kind == "atomic":
+        require_keys(data, "atomic measure", numbers=("atoms",))
         atoms = data.get("atoms", [])
-        if any(len(a) != 3 for a in atoms):
+        if not isinstance(atoms, list) or any(not isinstance(a, list) or len(a) != 3
+                                               for a in atoms):
             raise ParameterError("atomic measure atoms must be [x, y, mass] triples")
         pts = [complex(x, y) for x, y, _ in atoms]
         ms = [m for _, _, m in atoms]
         return AtomicMeasure(pts, ms)
     # optional keys are passed only when given, so the constructors' defaults hold
     if kind == "radial":
-        require_keys(data, "radial measure", "density")
+        require_keys(data, "radial measure", "density", numbers=("support", "scale"))
         dens = data["density"]
         opt = {"support": tuple(data["support"])} if "support" in data else {}
         scale = float(data.get("scale", 1.0))
         if dens == "power":
-            require_keys(data, "power density", "beta")
+            require_keys(data, "power density", "beta", numbers=("beta",))
             mu = power_density(float(data["beta"]), **opt)
         elif dens == "indicator":
             mu = indicator_density(*opt.get("support", ()))
         elif dens == "compensated":
             if w is None:
                 raise ParameterError("compensated density needs the weight")
-            require_keys(data, "compensated density", "s", "beta")
+            require_keys(data, "compensated density", "s", "beta", numbers=("s", "beta"))
             mu = compensated_density(w, float(data["s"]), float(data["beta"]), **opt)
         else:
             raise ParameterError(f"unknown radial density family {dens!r}")
         return mu.scaled(scale) if scale != 1.0 else mu
     if kind == "grid":
-        require_keys(data, "grid measure", "nr", "ntheta", "cells")
+        require_keys(data, "grid measure", "nr", "ntheta", "cells",
+                     numbers=("cells", "r_outer"), integers=("nr", "ntheta"))
         nr, ntheta = data["nr"], data["ntheta"]
         cells = np.array(data["cells"], dtype=float)
         if cells.size != nr * ntheta:

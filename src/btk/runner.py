@@ -106,7 +106,15 @@ _SCENARIO_KEYS = {
 
 
 def scenario_from_json(data: dict) -> Scenario:
-    require_keys(data, "scenario", "weight", "measures")
+    require_keys(data, "scenario", "weight", "measures", integers=("dim", "degree_max"),
+                 numbers=("r_max_ladder", "p", "lattice_r_max"))
+    if data.get("delta") is not None:
+        require_keys(data, "scenario", numbers=("delta",))
+    windows = data.get("windows", {})
+    require_keys(windows, "scenario windows", numbers=tuple(windows))
+    if not isinstance(data["measures"], list) or not all(isinstance(m, dict)
+                                                         for m in data["measures"]):
+        raise ParameterError("scenario JSON needs a list of objects at 'measures'")
     w = weight_from_json(data["weight"])
     measures = tuple(
         (m.get("id", f"measure-{i}"), measure_from_json(m, w))

@@ -90,12 +90,16 @@ def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
 def _singular_values(f: np.ndarray) -> np.ndarray:
     """sigma(f), descending, from LAPACK's complex SVD (no vectors).
 
-    The SVD is backward stable, so a singular value is resolved down to
-    about eps * sigma_max; below that the values are positive but not
-    relatively accurate.  A failed SVD raises ConvergenceError.
+    LAPACK always sees the tall side: a wide f (fewer rows than columns, as
+    a grid's dim x nodes factor) goes in as f.T, which sigma(f) = sigma(f.T)
+    allows and which skips LAPACK's slower LQ path for wide input; a tall f
+    goes in unchanged.  The SVD is backward stable, so a singular value is
+    resolved down to about eps * sigma_max; below that the values are
+    positive but not relatively accurate.  A failed SVD raises
+    ConvergenceError.
     """
     try:
-        return svd(f, compute_uv=False, check_finite=False)
+        return svd(f.T if f.shape[0] < f.shape[1] else f, compute_uv=False, check_finite=False)
     except LinAlgError as exc:
         raise ConvergenceError(f"complex SVD failed: {exc}") from exc
 
@@ -163,9 +167,10 @@ def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
             - 0.5 * bt.log_h[:dim]
             - 0.5 * kernel_norm_sq(bt, z)
         )
-    v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
     if tm.diag is not None:
-        return float(np.dot(tm.diag, np.abs(v) ** 2))
+        # a diagonal needs only |v_n|^2, so no phase is formed
+        return float(np.dot(tm.diag, np.exp(2.0 * log_abs_v)))
+    v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
     # the transposed row block is Fortran-ordered: zgemv reads it in place
     return float(np.sum(np.abs(zgemv(1.0, tm.factor[:dim].T, v)) ** 2))
 

@@ -302,11 +302,13 @@ def certify_class_L(w: RadialWeight, grid_size: int = 10_000) -> CertificationRe
 
 def weight_from_json(spec: dict) -> RadialWeight:
     """Build a weight from its JSON fragment, e.g. {"family":"exponential","alpha":1.0}."""
+    require_keys(spec, "weight")
     family = spec.get("family")
     if family == "exponential":
-        require_keys(spec, "exponential weight", "alpha")
+        require_keys(spec, "exponential weight", "alpha", numbers=("alpha",))
         return make_exponential_weight(spec["alpha"])
     if family == "double_exponential":
-        require_keys(spec, "double_exponential weight", "alpha", "beta", "gamma")
+        abc = ("alpha", "beta", "gamma")
+        require_keys(spec, "double_exponential weight", *abc, numbers=abc)
         return make_double_exponential_weight(spec["alpha"], spec["beta"], spec["gamma"])
     raise DomainError(f"unknown weight family {family!r}")

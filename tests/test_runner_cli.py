@@ -407,10 +407,50 @@ def test_scenario_rejects_unknown_check_and_window_names(w1, tmp_path, capsys):
      {"kind": "grid", "nr": 2, "ntheta": 3, "cells": [1.0, 2.0, 3.0]}, "3 cells"),
     (btk.measures.measure_from_json, {"kind": "atomic", "atoms": [[0.1, 0.2]]}, "triples"),
     (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}}, "'measures'"),
+    # values of the wrong JSON type
+    (btk.weight_from_json, [1, 2], "weight JSON must be an object, not list"),
+    (btk.weight_from_json, {"family": "double_exponential", "alpha": 1.0, "beta": True,
+                            "gamma": "1"}, "numbers at 'beta', 'gamma'"),
+    (btk.measures.measure_from_json, "grid", "measure JSON must be an object, not str"),
+    (btk.measures.measure_from_json, {"kind": "atomic", "atoms": [[0.1, "0.2", 1.0]]},
+     "numbers at 'atoms'"),
+    (btk.measures.measure_from_json, {"kind": "atomic", "atoms": [0.1, 0.2, 1.0]}, "triples"),
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "indicator",
+                                      "support": [0.0, None]}, "numbers at 'support'"),
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "power",
+                                      "beta": 2.0, "scale": "2"}, "numbers at 'scale'"),
+    (btk.measures.measure_from_json, {"kind": "grid", "nr": 2.0, "ntheta": 1,
+                                      "cells": [1.0, 2.0]}, "integers at 'nr'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0},
+                          "measures": [[0.3, 0.0, 1.0]]}, "list of objects at 'measures'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "dim": "32", "delta": "0.02"}, "integers at 'dim'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "delta": "0.02"}, "numbers at 'delta'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": {"schatten_ratio": ["0", 1e10]}}, "'schatten_ratio'"),
 ])
 def test_json_loaders_name_what_is_malformed(loader, data, key):
     with pytest.raises(ParameterError, match=key):
         loader(data)
+
+
+@pytest.mark.parametrize("command, payloads, message", [
+    ("certify-weight", ([1, 2],), "weight JSON must be an object, not list"),
+    ("certify-weight", ({"family": "exponential", "alpha": "one"},), "numbers at 'alpha'"),
+    ("toeplitz", ({"family": "exponential", "alpha": 1.0},
+                  {"kind": "radial", "density": "power", "beta": "two"}), "numbers at 'beta'"),
+])
+def test_cli_wrong_json_types_exit_2(tmp_path, capsys, command, payloads, message):
+    paths = []
+    for i, payload in enumerate(payloads):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps(payload))
+    extra = ["--dim", "8", "--degree", "50"] if command == "toeplitz" else []
+    assert cli_main([command, *map(str, paths), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("btk: ParameterError: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_cli_malformed_json_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, svd
 
 import btk
 from btk.basis import basis_columns, kernel, kernel_norm_sq
@@ -190,6 +190,35 @@ def test_clustered_atoms_spectrum_tail_against_mpmath(w1, delta1):
     resolved = exact >= 1e-20 * exact[0]
     np.testing.assert_allclose(got[resolved], exact[resolved], rtol=1e-7, atol=0.0)
     for p, rtol in ((0.05, 1e-4), (0.1, 1e-5)):
+        assert math.fsum(got**p) == pytest.approx(math.fsum(exact**p), rel=rtol)
+
+
+def _wide_atoms(w1, delta1):
+    """40 atoms within 3 delta tau(0.3) of 0.3 on a degree-30 table: a 31 x 40 factor."""
+    bt = btk.build_basis_table(w1, 30)
+    rng = np.random.default_rng(5)
+    radius = 3.0 * delta1 * float(w1.tau(0.3))
+    pts = 0.3 + radius * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    return assemble_toeplitz(bt, AtomicMeasure(pts, rng.uniform(0.5, 1.5, 40)), 24)
+
+
+def test_wide_atomic_spectrum_tail_against_mpmath(w1, delta1):
+    # more atoms than degrees: the factor is wide, so LAPACK sees its
+    # transpose; the oracle diagonalizes the exact 31 x 31 Gram F F^H of
+    # the same double-precision factor in 60 digits
+    import mpmath
+
+    tm = _wide_atoms(w1, delta1)
+    assert tm.factor.shape == (31, 40)
+    got = spectrum(tm).eigenvalues
+    with mpmath.workdps(60):
+        ym = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in tm.factor.tolist()])
+        exact = mpmath.eighe(ym * ym.H, eigvals_only=True)
+        exact = np.sort([float(e) for e in exact])[::-1]
+    assert len(got) == len(exact) == 31
+    resolved = exact >= 1e-20 * exact[0]
+    np.testing.assert_allclose(got[resolved], exact[resolved], rtol=1e-7, atol=0.0)
+    for p, rtol in ((0.05, 5e-4), (0.1, 1e-5)):
         assert math.fsum(got**p) == pytest.approx(math.fsum(exact**p), rel=rtol)
 
 
@@ -452,6 +481,29 @@ def test_operator_path_is_bit_identical_to_the_numpy_oracle(bt400):
                        - 0.5 * kernel_norm_sq(bt400, z)) * np.exp(-1j * n * np.angle(z))
             want = float(np.sum(np.abs(tm.factor[: tm.dim].T @ v) ** 2))
             assert berezin_operator(bt400, tm, z) == want
+
+
+def test_svd_sees_every_factor_on_its_tall_side(bt400, w1, delta1, monkeypatch):
+    # sigma(F) = sigma(F^T): a wide factor reaches LAPACK as its transpose,
+    # a view with no copy, and a tall one untransposed, as the same object
+    grid, tall = _operator_cases(bt400)
+    wide_atoms = _wide_atoms(w1, delta1)
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(btk.toeplitz, "svd", spy)
+    for tm in (grid, wide_atoms):
+        rows, cols = tm.factor.shape
+        assert rows < cols
+        spectrum(tm)
+        assert seen[-1].shape == (cols, rows)
+        assert np.shares_memory(seen[-1], tm.factor)
+    spectrum(tall)
+    assert seen[-1] is tall.factor
+    assert len(seen) == 3
 
 
 class _NoNumpyMatmul(np.ndarray):
