@@ -28,6 +28,7 @@ from .errors import (
     PSDViolationError,
     ResourceError,
     TruncationError,
+    load_json,
 )
 from .lattice import build_lattice, certify_lattice, save_lattice
 from .measures import load_measure
@@ -48,8 +49,7 @@ _BTK_ERRORS = (DomainError, ParameterError, ResourceError, TruncationError,
 
 
 def _load_weight(path: str):
-    with open(path) as fh:
-        return weight_from_json(json.load(fh))
+    return weight_from_json(load_json(path))
 
 
 def _emit(payload: dict) -> None:
@@ -126,8 +126,7 @@ def _cmd_toeplitz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.scenario) as fh:
-        s = scenario_from_json(json.load(fh))
+    s = scenario_from_json(load_json(args.scenario))
     rows = run_scenario(s)
     write_report_csv(rows, args.out)
     write_report_json(rows, args.out.rsplit(".", 1)[0] + ".json")

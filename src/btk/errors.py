@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checks on JSON input."""
+
+import json
 
 
 class DomainError(ValueError):
@@ -31,6 +33,18 @@ def require_keys(data, what: str, *keys: str, numbers=(), integers=()) -> None:
         bad = [k for k in names if k in data and not _all_of(data[k], kinds)]
         if bad:
             raise ParameterError(f"{what} JSON needs {noun} at {', '.join(map(repr, bad))}")
+
+
+def load_json(path: str):
+    """The JSON value in the file at path; ParameterError naming the file and
+    the position when it is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(
+                f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            ) from None
 
 
 class ResourceError(RuntimeError):

@@ -7,24 +7,29 @@ A low-discrepancy probe pass then inserts each uncovered probe whose own
 position keeps separation (one whose position conflicts is a failed repair);
 each repair round re-probes only the points it inserted, and the lattice records
 the pass so that certify_lattice at the same probe count need not repeat it.
+
+The searches are numpy alone.  A ring's candidates meet the earlier rings
+within reach through angular windows on their sorted angles (_angle_window).
+The probe pass, certify_lattice and partition_separated take their close
+pairs from one search on data sorted into square cells (_pairs).
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import DomainError, ParameterError, ResourceError
+from .errors import DomainError, ParameterError, ResourceError, load_json
 from .weights import RadialWeight
 
 _GOLDEN = 0.6180339887498949
 _SEP_SLACK = 1.0 - 1e-12
 # searches at an exact rule's own radius widen it by this factor, so that the
-# exact comparisons on the returned pairs, not the tree's rounding, decide
+# exact comparisons on the returned pairs, not the search's rounding, decide
 _BALL_SLACK = 1.0 + 1e-9
 # tau is c2-Lipschitz and delta*c2 < 1/4, so a conflict |c - z_j| <
 # delta*max(tau_c, tau_j) has the larger tau below 4/3 of the smaller one and
@@ -126,20 +131,18 @@ def _probe_points(r_max: float, count: int) -> np.ndarray:
 
 
 class _GreedyState:
-    """Accepted points with one KD-tree over the rows a candidate can reach.
+    """Accepted points, and the rings of the sweep that placed them.
 
     Points live in one (capacity, 3) array of x, y and tau that doubles when
-    it fills.  The tree covers rows [lo, n) and is rebuilt on the first query
-    after lo or n changes.  Candidates are tested in batches: one pair search,
-    then the exact separation test on the returned pairs.
+    it fills.  Ring k holds the rows from rows[k] on at radius radii[k] and
+    at the ascending angles thetas[k] in [0, 2 pi); the origin is ring 0.
+    Points added after the sweep (the repair's) belong to no ring.
     """
 
     def __init__(self):
         self.data = np.empty((4096, 3))
         self.n = 0
-        self.lo = 0
-        self.tree = None
-        self.tree_rows = None
+        self.radii, self.rows, self.thetas = [], [], []
 
     def __len__(self):
         return self.n
@@ -153,17 +156,42 @@ class _GreedyState:
         return self.data[: self.n, 2]
 
     def conflicts(self, x, y, tau_c, delta: float) -> np.ndarray:
-        """Per candidate: any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?"""
+        """Per candidate: any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?
+
+        Every accepted point is tested, in blocks of candidates.
+        """
         x, y = np.atleast_1d(x), np.atleast_1d(y)
         tau_c = np.broadcast_to(tau_c, x.shape)
-        if self.tree_rows != (self.lo, self.n):
-            self.tree = cKDTree(self.data[self.lo : self.n, :2])
-            self.tree_rows = (self.lo, self.n)
-        c, j = _pairs(np.column_stack([x, y]), _REACH * delta * tau_c, self.tree)
-        pts = self.data[j + self.lo]
+        px, py, pt = self.data[: self.n].T
+        hit = np.empty(x.shape, dtype=bool)
+        for s in range(0, len(x), 64):
+            c = slice(s, s + 64)
+            d2 = (px - x[c, None]) ** 2 + (py - y[c, None]) ** 2
+            lim = delta * np.maximum(tau_c[c, None], pt)
+            hit[c] = np.any(d2 < lim * lim, axis=1)
+        return hit
+
+    def ring_conflicts(self, r, thetas, tau_c, delta: float) -> np.ndarray:
+        """conflicts for candidates at radius r and angles thetas (in [0, 2 pi)),
+        all with tau tau_c, tested against the rings within _REACH delta tau_c.
+
+        A ring at radius r_k farther than that from r cannot hold a conflict;
+        on the others an angular window on the sorted angles holds every
+        point within reach.
+        """
+        reach = _REACH * delta * tau_c
+        x, y = r * np.cos(thetas), r * np.sin(thetas)
+        c, j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for k in range(bisect.bisect_left(self.radii, r - reach * _BALL_SLACK),
+                       bisect.bisect_right(self.radii, r + reach * _BALL_SLACK)):
+            i, pos = _angle_window(thetas, self.thetas[k], _half_angle(reach, r, self.radii[k]))
+            c.append(i)
+            j.append(self.rows[k] + pos)
+        c, j = np.concatenate(c), np.concatenate(j)
+        pts = self.data[j]
         d2 = (pts[:, 0] - x[c]) ** 2 + (pts[:, 1] - y[c]) ** 2
-        lim = delta * np.maximum(tau_c[c], pts[:, 2])
-        hit = np.zeros(x.shape, dtype=bool)
+        lim = delta * np.maximum(tau_c, pts[:, 2])
+        hit = np.zeros(len(thetas), dtype=bool)
         hit[c[d2 < lim * lim]] = True
         return hit
 
@@ -178,6 +206,38 @@ class _GreedyState:
         self.data[self.n : end, 1] = y
         self.data[self.n : end, 2] = tau_c
         self.n = end
+
+    def add_ring(self, r, thetas, tau_c):
+        """Accept the points at radius r and the ascending angles thetas as one ring."""
+        self.radii.append(r)
+        self.rows.append(self.n)
+        self.thetas.append(thetas)
+        self.add(r * np.cos(thetas), r * np.sin(thetas), tau_c)
+
+
+def _half_angle(reach: float, r: float, r_k: float) -> float:
+    """Largest angle between points on |z| = r and |z| = r_k closer than reach.
+
+    |z - w|^2 = (r - r_k)^2 + 4 r r_k sin^2(angle / 2), so the angle is below
+    2 asin(reach / (2 sqrt(r r_k))), and any angle when that argument is >= 1.
+    """
+    s = 2.0 * math.sqrt(r * r_k)
+    return math.pi if s <= reach else 2.0 * math.asin(reach / s)
+
+
+def _angle_window(thetas, ring, half: float):
+    """(i, k) for every ring[k] in [thetas[i] - half, thetas[i] + half) modulo
+    2 pi, each once: ring ascending in [0, 2 pi), half <= pi."""
+    ext = np.concatenate([ring - 2.0 * np.pi, ring, ring + 2.0 * np.pi])
+    count, pos = _ranges(np.searchsorted(ext, thetas - half), np.searchsorted(ext, thetas + half))
+    return np.repeat(np.arange(len(thetas)), count), pos % len(ring)
+
+
+def _ranges(lo, hi):
+    """The length of every range(lo[k], hi[k]) (0 when empty), and their
+    members laid end to end."""
+    count = np.maximum(hi - lo, 0)
+    return count, np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
 
 
 def build_lattice(
@@ -198,11 +258,51 @@ def build_lattice(
         raise DomainError(f"r_max must lie in (0, 1), got {r_max}")
     _require_probe_count(probe_count)
 
+    state = _sweep(w, delta, r_max, max_points)
+
+    # covering repair: insert uncovered probes (innermost first), then probe
+    # only the inserted points; covered is an OR and counts a sum over points.
+    # A round that inserts nothing leaves the lattice as it was, so it ends
+    # the repair.
+    probes = _probe_points(r_max, probe_count)
+    probes = probes[np.argsort(np.abs(probes))]
+    probe_xy = _xy(probes)
+    tau_probes = w.tau(np.abs(probes))
+    repairs_failed = 0
+    covered, counts = _probe_coverage(probe_xy, state.xy, state.taus, delta)
+    for _ in range(20):
+        if covered.all():
+            break
+        done = len(state)
+        for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
+            if state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
+                repairs_failed += 1
+            else:
+                state.add(p.real, p.imag, float(tau_p))
+        if len(state) == done:
+            break
+        more, extra = _probe_coverage(probe_xy, state.xy[done:], state.taus[done:], delta)
+        covered |= more
+        counts += extra
+
+    lat = Lattice(
+        weight=w,
+        delta=delta,
+        r_max=r_max,
+        points=state.xy[:, 0] + 1j * state.xy[:, 1],
+        multiplicity_observed=int(counts.max(initial=0)),
+        taus=state.taus.copy(),
+        repairs_failed=repairs_failed,
+    )
+    object.__setattr__(lat, "probe_pass", (probe_count, int(np.sum(~covered))))
+    return lat
+
+
+def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _GreedyState:
+    """The rings of the greedy annular sweep, outward from the origin to r_max."""
     candidate_spacing = 0.45
     state = _GreedyState()
-    state.add(0.0, 0.0, float(w.tau(0.0)))
-    # radius and first row of every ring so far, the origin being ring 0
-    ring_radii, ring_rows = [0.0], [0]
+    state.add_ring(0.0, np.zeros(1), float(w.tau(0.0)))
 
     r = 0.0
     ring = 0
@@ -221,67 +321,20 @@ def build_lattice(
         n_ang = max(6, int(np.ceil(2.0 * np.pi * r / (candidate_spacing * delta * tau_ring))))
         offs = (ring * _GOLDEN) % 1.0
         thetas = (np.arange(n_ang) + offs) * (2.0 * np.pi / n_ang)
-        xs = r * np.cos(thetas)
-        ys = r * np.sin(thetas)
-        # the ring's candidates are tested together against the points of
-        # the earlier rings within reach; only conflicts inside the ring are
-        # resolved in order
-        cut = r - _REACH * delta * tau_ring * _BALL_SLACK
-        state.lo = ring_rows[bisect.bisect_left(ring_radii, cut)]
-        free = np.flatnonzero(~state.conflicts(xs, ys, tau_ring, delta))
-        x, y, lim = xs[free], ys[free], delta * tau_ring
-        keep = free[_first_fit(
-            np.column_stack([x, y]), lim * _BALL_SLACK,
-            lambda a, b: (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim,
-        ) == 0]
-        ring_radii.append(r)
-        ring_rows.append(len(state))
-        state.add(xs[keep], ys[keep], tau_ring)
+        # the ring's candidates are tested together against the earlier rings
+        # within reach; only conflicts inside the ring are resolved in order
+        free = thetas[~state.ring_conflicts(r, thetas, tau_ring, delta)]
+        x, y, lim = r * np.cos(free), r * np.sin(free), delta * tau_ring
+        a, b = _angle_window(free, free, _half_angle(lim * _BALL_SLACK, r, r))
+        a, b = a[a < b], b[a < b]
+        near = (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim
+        state.add_ring(r, free[_first_fit(len(free), a[near], b[near]) == 0], tau_ring)
         if len(state) > max_points:
             raise ResourceError(
                 f"lattice exceeded cap of {max_points} points "
                 f"(r_max={r_max} too close to 1 for delta={delta})"
             )
-
-    # covering repair: insert uncovered probes (innermost first), then probe
-    # only the inserted points; covered is an OR and counts a sum over points.
-    # A round that inserts nothing leaves the lattice as it was, so it ends
-    # the repair.
-    probes = _probe_points(r_max, probe_count)
-    probes = probes[np.argsort(np.abs(probes))]
-    probe_tree = cKDTree(_xy(probes))
-    tau_probes = w.tau(np.abs(probes))
-    repairs_failed = 0
-    state.lo = 0
-    covered, counts = _probe_coverage(probe_tree, state.xy, state.taus, delta)
-    for _ in range(20):
-        if covered.all():
-            break
-        done = len(state)
-        for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
-            if state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
-                repairs_failed += 1
-            else:
-                state.add(p.real, p.imag, float(tau_p))
-        if len(state) == done:
-            break
-        more, extra = _probe_coverage(
-            probe_tree, state.xy[done:], state.taus[done:], delta
-        )
-        covered |= more
-        counts += extra
-
-    lat = Lattice(
-        weight=w,
-        delta=delta,
-        r_max=r_max,
-        points=state.xy[:, 0] + 1j * state.xy[:, 1],
-        multiplicity_observed=int(counts.max(initial=0)),
-        taus=state.taus.copy(),
-        repairs_failed=repairs_failed,
-    )
-    object.__setattr__(lat, "probe_pass", (probe_count, int(np.sum(~covered))))
-    return lat
+    return state
 
 
 def _require_probe_count(probe_count: int) -> None:
@@ -289,23 +342,17 @@ def _require_probe_count(probe_count: int) -> None:
         raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
 
 
-def _first_fit(xy: np.ndarray, radii, conflict) -> np.ndarray:
-    """First-fit colour of every point in stored order: the least colour that
+def _first_fit(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First-fit colour of the points 0..n-1 in order: the least colour that
     no earlier point conflicting with it holds.
 
-    conflict(a, b) is the caller's exact rule on index arrays with a < b, and
-    radii reach every pair it can hold on, searched from the later point b.
+    (a, b) with a < b are the conflicting pairs, each at least once.
     """
-    b, a = _pairs(xy, radii, cKDTree(xy))
-    keep = a < b
-    a, b = a[keep], b[keep]
-    keep = conflict(a, b)
-    a, b = a[keep], b[keep]
     # CSR rows by the later point: earlier[start[k]:start[k + 1]] are the
     # earlier points conflicting with k
     order = np.argsort(b, kind="stable")
     earlier = a[order].tolist()
-    start = np.searchsorted(b[order], np.arange(len(xy) + 1)).tolist()
+    start = np.searchsorted(b[order], np.arange(n + 1)).tolist()
     colors = []
     for lo, hi in zip(start, start[1:]):
         c = 0
@@ -317,34 +364,91 @@ def _first_fit(xy: np.ndarray, radii, conflict) -> np.ndarray:
     return np.array(colors, dtype=np.intp)
 
 
-def _pairs(xy, radii, tree) -> tuple[np.ndarray, np.ndarray]:
-    """(row, hit) of a superset of the pairs |xy[row] - tree.data[hit]| <= radii[row].
+def _pairs(xy, radii, data=None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, hit) of a superset of the pairs |xy[row] - data[hit]| <= radii[row].
 
     Rows whose radii lie within a factor sqrt(2) of each other (one value of
-    floor(2 log2 r)) form a band, searched in one dual-tree query at the
-    band's largest radius; the caller's exact comparisons decide.
+    floor(2 log2 r)) form a band.  For each band the data whose norms lie
+    within R of the band's rows' norms, R the band's largest radius, are
+    sorted into square cells of side R/5, column by column, and each row
+    visits, column by column, the run of cells that meets its own disk; so
+    every hit lies within 1.4 radii[row] of its row, and the caller's exact
+    comparisons decide.
+
+    With data None, xy is searched against itself, and each pair of distinct
+    rows is returned once: from the row first in (x, then index) order,
+    which visits only the rows after it.  That order does not depend on a
+    band's cells, so the caller's rule must be covered by either row's radius.
     """
     radii = np.broadcast_to(radii, (len(xy),))
-    band = np.floor(2.0 * np.log2(radii))
+    pts = xy if data is None else data
     rows, hits = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    if not len(xy) or not len(pts):
+        return rows[0], hits[0]
+    # visit a rounding margin beyond each disk, so that the cell arithmetic
+    # never drops a pair at exactly its radius
+    pad = 8.0 * np.finfo(float).eps * (1.0 + np.abs(pts).max() + np.abs(xy).max())
+    # a hit lies within radius of its row, so its norm does too: each band
+    # sorts only the data in the annulus of its rows' norms
+    norm = np.hypot(pts[:, 0], pts[:, 1])
+    by_norm = np.argsort(norm, kind="stable")
+    norm = norm[by_norm]
+    row_norm = np.hypot(xy[:, 0], xy[:, 1])
+    band = np.floor(2.0 * np.log2(radii))
     for b in np.unique(band):
         sel = np.flatnonzero(band == b)
-        # a tree for one search, built without median splits or shrunken
-        # boxes: at r_max 0.9 that halves the search, and builds faster
-        band_tree = cKDTree(xy[sel], balanced_tree=False, compact_nodes=False)
-        found = band_tree.sparse_distance_matrix(
-            tree, radii[sel].max(), output_type="ndarray"
-        )
-        # copies, so that each band's (i, j, distance) records are freed
-        rows.append(sel[found["i"]])
-        hits.append(found["j"].copy())
-        del found
+        reach = radii[sel].max() + 2.0 * pad
+        side = radii[sel].max() / 5.0
+        near = by_norm[np.searchsorted(norm, row_norm[sel].min() - reach):
+                       np.searchsorted(norm, row_norm[sel].max() + reach, side="right")]
+        if not len(near):
+            continue
+        origin = pts[near].min(axis=0)
+        cell = np.floor((pts[near] - origin) / side).astype(np.intp)
+        ncol, nrow = cell.max(axis=0) + 1
+        key = cell[:, 0] * nrow + cell[:, 1]
+        order = np.argsort(key, kind="stable")
+        key, order = key[order], near[order]
+        # rows in cell order too, so that each search starts near the last
+        at = np.floor((xy[sel] - origin) / side).astype(np.intp)
+        sel = sel[np.argsort(at[:, 0] * nrow + at[:, 1], kind="stable")]
+        x, y = xy[sel, 0] - origin[0], xy[sel, 1] - origin[1]
+        r = radii[sel] + pad
+        # in a self-search the columns before a row's own hold no later row
+        first = np.floor((x if data is None else x - r) / side).astype(np.intp)
+        last = np.floor((x + r) / side).astype(np.intp)
+        lo, hi = [], []
+        for col in first + np.arange((last - first).max() + 1)[:, None]:
+            left = col * side
+            dx = np.maximum(np.maximum(left - x, x - (left + side)), 0.0)
+            half = np.sqrt(np.maximum(r * r - dx * dx, 0.0))
+            bottom = np.floor((y - half) / side)
+            top = np.floor((y + half) / side)
+            ok = (col <= last) & (col >= 0) & (col < ncol) & (top >= 0) & (bottom < nrow)
+            base = np.clip(col, 0, ncol - 1) * nrow
+            lo.append(np.searchsorted(key, base + np.clip(bottom, 0, nrow - 1).astype(np.intp)))
+            hi.append(np.where(ok, np.searchsorted(
+                key, base + np.clip(top, 0, nrow - 1).astype(np.intp), side="right"), 0))
+        count, pos = _ranges(np.concatenate(lo), np.concatenate(hi))
+        row = np.repeat(np.tile(sel, len(count) // len(sel)), count)
+        hit = order[pos]
+        if data is None:
+            # the pairs from a row's own column come first: of these, keep the
+            # rows after it in (x, index) order
+            own = int(count[: len(sel)].sum())
+            px = pts[:, 0]
+            a, b = px[row[:own]], px[hit[:own]]
+            keep = np.ones(len(row), dtype=bool)
+            keep[:own] = (b > a) | ((b == a) & (hit[:own] > row[:own]))
+            row, hit = row[keep], hit[keep]
+        rows.append(row)
+        hits.append(hit)
     if len(rows) == 2:  # one band: no second copy
         return rows[1], hits[1]
     return np.concatenate(rows), np.concatenate(hits)
 
 
-def _probe_coverage(probe_tree, xy, taus, delta):
+def _probe_coverage(probes, xy, taus, delta):
     """Covered mask and exact multiplicity of every probe, from one pair search.
 
     A probe p is covered when |p - z_j| < delta tau_j for some j, and its
@@ -353,19 +457,19 @@ def _probe_coverage(probe_tree, xy, taus, delta):
     widened by a rounding margin so that the exact comparisons decide.
     """
     reach = 3.0 * delta * taus
-    j, p = _pairs(xy, reach * _BALL_SLACK, probe_tree)
+    j, p = _pairs(xy, reach * _BALL_SLACK, probes)
     # sqrt(dx*dx + dy*dy) in place, from 1-D gathers of contiguous coordinates:
     # the same bits as a 2-D gather, with fewer pair-length temporaries
-    px, py = np.ascontiguousarray(probe_tree.data.T)
+    px, py = np.ascontiguousarray(probes.T)
     x, y = np.ascontiguousarray(xy.T)
     d = px[p] - x[j]
     d *= d
     dy = py[p] - y[j]
     d += dy * dy
     np.sqrt(d, out=d)
-    covered = np.zeros(probe_tree.n, dtype=bool)
+    covered = np.zeros(len(probes), dtype=bool)
     covered[p[d < delta * taus[j]]] = True
-    counts = np.bincount(p[d < reach[j]], minlength=probe_tree.n)
+    counts = np.bincount(p[d < reach[j]], minlength=len(probes))
     return covered, counts
 
 
@@ -399,9 +503,7 @@ def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertific
     pts = lat.points
     taus = lat.taus
     xy = _xy(pts)
-    j, i = _pairs(xy, _REACH * lat.delta * taus, cKDTree(xy))
-    other = i != j
-    i, j = i[other], j[other]
+    j, i = _pairs(xy, _REACH * lat.delta * taus)
     d = np.abs(pts[i] - pts[j])
     ratio = d / (lat.delta * np.maximum(taus[i], taus[j]))
 
@@ -409,7 +511,7 @@ def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertific
         misses, multiplicity = lat.probe_pass[1], lat.multiplicity_observed
     else:
         probes = _probe_points(lat.r_max, probe_count)
-        covered, counts = _probe_coverage(cKDTree(_xy(probes)), xy, taus, lat.delta)
+        covered, counts = _probe_coverage(_xy(probes), xy, taus, lat.delta)
         misses, multiplicity = int(np.sum(~covered)), int(counts.max(initial=0))
     return LatticeCertification(
         separation_ok=not np.any(ratio < _SEP_SLACK),
@@ -440,10 +542,10 @@ def partition_separated(lat: Lattice, m: int) -> list[np.ndarray]:
         raise ParameterError("m must be >= 2")
     thresh = (2.0**m) * lat.delta
     pts, taus = lat.points, lat.taus
-    colors = _first_fit(
-        _xy(pts), thresh * taus,
-        lambda a, b: np.abs(pts[a] - pts[b]) < thresh * np.minimum(taus[a], taus[b]),
-    )
+    a, b = _pairs(_xy(pts), thresh * taus)
+    near = np.abs(pts[a] - pts[b]) < thresh * np.minimum(taus[a], taus[b])
+    a, b = a[near], b[near]
+    colors = _first_fit(len(pts), np.minimum(a, b), np.maximum(a, b))
     return [pts[colors == c] for c in range(colors.max(initial=-1) + 1)]
 
 
@@ -453,5 +555,4 @@ def save_lattice(lat: Lattice, path: str) -> None:
 
 
 def load_lattice(path: str, w: RadialWeight) -> Lattice:
-    with open(path) as fh:
-        return lattice_from_json(json.load(fh), w)
+    return lattice_from_json(load_json(path), w)

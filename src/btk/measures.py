@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     ParameterError,
     PSDViolationError,
+    load_json,
     require_keys,
 )
 from .lattice import Lattice
@@ -505,6 +506,9 @@ def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
     # optional keys are passed only when given, so the constructors' defaults hold
     if kind == "radial":
         require_keys(data, "radial measure", "density", numbers=("support", "scale"))
+        if "support" in data and not (isinstance(data["support"], list)
+                                      and len(data["support"]) == 2):
+            raise ParameterError("radial measure JSON needs an [a, b] pair at 'support'")
         dens = data["density"]
         opt = {"support": tuple(data["support"])} if "support" in data else {}
         scale = float(data.get("scale", 1.0))
@@ -525,7 +529,10 @@ def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
         require_keys(data, "grid measure", "nr", "ntheta", "cells",
                      numbers=("cells", "r_outer"), integers=("nr", "ntheta"))
         nr, ntheta = data["nr"], data["ntheta"]
-        cells = np.array(data["cells"], dtype=float)
+        try:
+            cells = np.array(data["cells"], dtype=float)
+        except ValueError:
+            raise ParameterError("grid measure JSON needs a rectangular list at 'cells'") from None
         if cells.size != nr * ntheta:
             raise ParameterError(
                 f"grid measure has {cells.size} cells, not nr * ntheta = {nr * ntheta}"
@@ -541,8 +548,7 @@ def save_measure(mu: Measure, path: str) -> None:
 
 
 def load_measure(path: str, w: RadialWeight | None = None) -> Measure:
-    with open(path) as fh:
-        return measure_from_json(json.load(fh), w)
+    return measure_from_json(load_json(path), w)
 
 
 # ---------------------------------------------------------------------------

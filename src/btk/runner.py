@@ -112,6 +112,12 @@ def scenario_from_json(data: dict) -> Scenario:
         require_keys(data, "scenario", numbers=("delta",))
     windows = data.get("windows", {})
     require_keys(windows, "scenario windows", numbers=tuple(windows))
+    for key, value in windows.items():  # Scenario names the unknown keys
+        if key in DEFAULT_WINDOWS:
+            pair = isinstance(DEFAULT_WINDOWS[key], tuple)
+            if isinstance(value, list) != pair or pair and len(value) != 2:
+                shape = "a [low, high] pair" if pair else "one number"
+                raise ParameterError(f"scenario windows JSON needs {shape} at {key!r}")
     if not isinstance(data["measures"], list) or not all(isinstance(m, dict)
                                                          for m in data["measures"]):
         raise ParameterError("scenario JSON needs a list of objects at 'measures'")

@@ -13,13 +13,11 @@ node rule that the Berezin transform of the measure shares:
   dim-row block F[:dim] gives the truncated matrix;
 * grids (label ``dense``) keep F[:dim] over their cell quadrature nodes.
 
-The spectrum is sigma(F)^2, from one complex SVD of the factor itself and
-never from the Gram F^H F, whose conditioning is the square of F's.
-
-Every dense linear-algebra call here (the SVD and the Berezin GEMV) goes
-through scipy.  numpy and scipy wheels each bundle their own OpenBLAS with
-its own thread pool, and the pool that ran last keeps spinning on the cores
-while the other library runs; one library keeps the path on one pool.
+The spectrum is sigma(F)^2, from one complex SVD of the factor itself
+(numpy.linalg.svd, singular values only) and never from the Gram F^H F,
+whose conditioning is the square of F's.  The Berezin symbol is one numpy
+GEMV with the factor's row block.  btk depends on numpy alone, so every
+dense linear-algebra call runs on numpy's one BLAS and its one thread pool.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, svd
-from scipy.linalg.blas import zgemv
+from numpy.linalg import LinAlgError, svd
 
 from .basis import BasisTable, kernel, kernel_norm_sq
 from .errors import ConvergenceError, DomainError, ParameterError
@@ -88,7 +85,7 @@ def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
 
 
 def _singular_values(f: np.ndarray) -> np.ndarray:
-    """sigma(f), descending, from LAPACK's complex SVD (no vectors).
+    """sigma(f), descending, from numpy's LAPACK complex SVD (no vectors).
 
     LAPACK always sees the tall side: a wide f (fewer rows than columns, as
     a grid's dim x nodes factor) goes in as f.T, which sigma(f) = sigma(f.T)
@@ -99,7 +96,7 @@ def _singular_values(f: np.ndarray) -> np.ndarray:
     ConvergenceError.
     """
     try:
-        return svd(f.T if f.shape[0] < f.shape[1] else f, compute_uv=False, check_finite=False)
+        return svd(f.T if f.shape[0] < f.shape[1] else f, compute_uv=False)
     except LinAlgError as exc:
         raise ConvergenceError(f"complex SVD failed: {exc}") from exc
 
@@ -171,8 +168,7 @@ def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
         # a diagonal needs only |v_n|^2, so no phase is formed
         return float(np.dot(tm.diag, np.exp(2.0 * log_abs_v)))
     v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
-    # the transposed row block is Fortran-ordered: zgemv reads it in place
-    return float(np.sum(np.abs(zgemv(1.0, tm.factor[:dim].T, v)) ** 2))
+    return float(np.sum(np.abs(tm.factor[:dim].T @ v) ** 2))
 
 
 def spectrum_to_json(report: SpectrumReport, ps=(0.5, 1.0, 2.0)) -> dict:

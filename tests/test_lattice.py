@@ -1,24 +1,28 @@
 import dataclasses
 import hashlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 import btk
 from btk.errors import DomainError, ParameterError, ResourceError
 from btk.lattice import (
-    _BALL_SLACK,
     _REACH,
     Lattice,
     _GreedyState,
+    _angle_window,
+    _half_angle,
     _pairs,
     _probe_coverage,
     _probe_points,
     _radical_inverse,
+    _sweep,
     _xy,
     build_lattice,
     certify_lattice,
@@ -168,6 +172,25 @@ def test_partition_matches_per_index_loop(lat_half, m, outward):
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
+def test_lattice_stages_build_no_ball_query_lists(w1, delta1, monkeypatch):
+    class NoBallQueries(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            raise AssertionError("query_ball_point builds one list per row")
+
+        def query_pairs(self, *args, **kwargs):
+            raise AssertionError("close pairs come from _pairs")
+
+    # the lattice module holds no KD-tree of its own; any tree reached from
+    # scipy during the stages would raise on a ball or pair query
+    assert not hasattr(btk.lattice, "cKDTree")
+    monkeypatch.setattr(scipy.spatial, "cKDTree", NoBallQueries)
+    monkeypatch.setattr(scipy.spatial, "KDTree", NoBallQueries)
+    lat = build_lattice(w1, delta1, 0.3, probe_count=2_000)
+    assert certify_lattice(lat, probe_count=3_000).passed
+    assert sum(map(len, partition_separated(lat, 2))) == len(lat)
+    assert not hasattr(btk.lattice, "_flat_pairs")
+
+
 def test_partition_m_validation(lat_half):
     with pytest.raises(ParameterError):
         partition_separated(lat_half, 1)
@@ -288,22 +311,86 @@ def test_conflicts_match_brute_force(lat_half, w1, delta1, rng):
     assert 0 < want.sum() < len(want) and by_tau_j.any()
 
 
-def test_ring_conflicts_within_reach_match_brute_force(lat_half, w1, delta1):
-    # rows more than _REACH delta tau inward of a ring cannot conflict with
-    # its candidates: searching only the rows from the sweep's band cut on
-    # gives the exact rule against every point
-    state = _state_of(lat_half)
-    radii = np.abs(lat_half.points)
-    for r in (0.12, 0.2371, 0.3, 0.41, 0.4999):
+@pytest.fixture(scope="module")
+def swept_half(w1, delta1):
+    """The sweep's rings of lat_half, before the repair."""
+    return _sweep(w1, delta1, 0.5, 2_000_000)
+
+
+def test_ring_conflicts_within_reach_match_brute_force(swept_half, w1, delta1):
+    # rings more than _REACH delta tau from a candidate ring cannot conflict
+    # with its candidates, and on the others the angular windows hold every
+    # conflict: the windowed test gives the exact rule against every point,
+    # on rings between the swept ones, on the first rings (whose windows are
+    # the whole circle) and beside the origin ring
+    state = swept_half
+    radii = np.array(state.radii)
+    assert radii[0] == 0.0 and len(state.thetas[0]) == 1
+    assert np.all(np.diff(radii) > 0) and radii[-1] == 0.5
+    for r in (1e-4, radii[1], 0.5 * (radii[1] + radii[2]), radii[3], 0.12, 0.2371, 0.3,
+              0.41, 0.4999):
         tau_ring = float(w1.tau(r))
-        cut = r - _REACH * delta1 * tau_ring * _BALL_SLACK
-        state.lo = int(np.argmax(radii >= cut))
-        assert state.lo > 0
         thetas = 2.0 * np.pi * (np.arange(500) + 0.3) / 500
         x, y = r * np.cos(thetas), r * np.sin(thetas)
-        want = _conflicts_brute_force(lat_half, x, y, np.full(500, tau_ring))
-        np.testing.assert_array_equal(state.conflicts(x, y, tau_ring, delta1), want)
+        want = state.conflicts(x, y, np.full(500, tau_ring), delta1)
+        np.testing.assert_array_equal(state.ring_conflicts(r, thetas, tau_ring, delta1), want)
         assert want.any()
+    # the first rings see the whole circle of the rings within reach
+    reach = _REACH * delta1 * float(w1.tau(radii[1]))
+    assert _half_angle(reach, radii[1], radii[1]) == np.pi
+    assert _half_angle(reach, radii[1], 0.0) == np.pi
+
+
+def _window_brute_force(thetas, ring, half):
+    """Every (i, k) with ring[k] - thetas[i] in [-half, half) modulo 2 pi."""
+    diff = np.mod(ring[None, :] - thetas[:, None] + half, 2.0 * np.pi)
+    return {(i, k) for i, k in zip(*np.nonzero(diff < 2.0 * half))}
+
+
+@pytest.mark.parametrize("case", ["seam", "whole_circle", "origin"])
+def test_angle_windows_match_brute_force(case):
+    rng = np.random.default_rng(3)
+    if case == "seam":
+        # angles within the window's width of 0 and of 2 pi, where it wraps
+        ring = np.sort(np.concatenate([rng.uniform(0.0, 0.05, 40),
+                                       2.0 * np.pi - rng.uniform(1e-12, 0.05, 40),
+                                       rng.uniform(0.0, 2.0 * np.pi, 40)]))
+        thetas = np.concatenate([[0.0, 1e-15, np.nextafter(2.0 * np.pi, 0.0)],
+                                 rng.uniform(0.0, 0.03, 20),
+                                 2.0 * np.pi - rng.uniform(1e-12, 0.03, 20)])
+        half = 0.04
+    elif case == "whole_circle":
+        # a ring of radius 1e-3 against its own candidates at a reach of 0.01
+        ring = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+        thetas = ring.copy()
+        half = _half_angle(0.01, 1e-3, 1e-3)
+        assert half == np.pi
+    else:
+        ring = np.zeros(1)
+        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, 30))
+        half = _half_angle(0.01, 0.2, 0.0)
+        assert half == np.pi
+    i, k = _angle_window(thetas, ring, half)
+    got = list(zip(i.tolist(), k.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) == _window_brute_force(thetas, ring, half)
+    if half == np.pi:
+        assert len(got) == len(thetas) * len(ring)
+
+
+def test_half_angle_holds_every_pair_within_reach():
+    # points on two circles closer than reach differ in angle by less than
+    # the half-angle; at the half-angle their distance leaves the radial gap
+    # and exactly reach across it
+    rng = np.random.default_rng(5)
+    for r, r_k, reach in ((0.5, 0.49, 0.03), (0.3, 0.3, 0.004), (0.01, 0.005, 0.008)):
+        half = _half_angle(reach, r, r_k)
+        if half < np.pi:
+            edge = abs(r - r_k * np.exp(1j * half))
+            assert math.isclose(edge, math.hypot(r - r_k, reach), rel_tol=1e-12)
+        t = rng.uniform(-np.pi, np.pi, 20_000)
+        near = np.abs(r - r_k * np.exp(1j * t)) < reach
+        assert near.any() and np.all(np.abs(t[near]) < half)
 
 
 def test_multiplicity_gate_can_fail(w1, delta1):
@@ -346,9 +433,9 @@ def probed_sets(monkeypatch):
     """The point sets _probe_coverage is called on, in call order."""
     seen = []
 
-    def spy(probe_tree, xy, taus, delta):
+    def spy(probes, xy, taus, delta):
         seen.append(xy.copy())
-        return _probe_coverage(probe_tree, xy, taus, delta)
+        return _probe_coverage(probes, xy, taus, delta)
 
     monkeypatch.setattr(btk.lattice, "_probe_coverage", spy)
     return seen
@@ -356,7 +443,7 @@ def probed_sets(monkeypatch):
 
 def _full_recount(lat, probe_count):
     probes = _probe_points(lat.r_max, probe_count)
-    return _probe_coverage(cKDTree(_xy(probes)), _xy(lat.points), lat.taus, lat.delta)
+    return _probe_coverage(_xy(probes), _xy(lat.points), lat.taus, lat.delta)
 
 
 @pytest.mark.parametrize("r_max, probe_count", [(0.3, 20_000), (0.4, 20_000), (0.5, 10_000)])
@@ -381,9 +468,9 @@ def test_repair_rounds_merge_exactly(w1, delta1, monkeypatch, probed_sets):
     lat_mod = btk.lattice
     first_fit, conflicts = lat_mod._first_fit, lat_mod._GreedyState.conflicts
 
-    def holes(xy, radii, conflict):
+    def holes(n, a, b):
         # colour 1 is dropped by the sweep, which keeps colour 0
-        return first_fit(xy, radii, conflict) + (np.arange(len(xy)) % 5 == 2)
+        return first_fit(n, a, b) + (np.arange(n) % 5 == 2)
 
     rounds_used = set()  # by len(probed_sets), which is the round number
 
@@ -459,9 +546,9 @@ def test_multiplicity_and_coverage_match_brute_force(lat_tiny, delta1):
         lat_tiny.points[k] + 3.0 * delta1 * lat_tiny.taus[k] * unit,
     ])
     covered, counts = _probe_coverage(
-        cKDTree(_xy(probes)), _xy(lat_tiny.points), lat_tiny.taus, delta1
+        _xy(probes), _xy(lat_tiny.points), lat_tiny.taus, delta1
     )
-    # the distance as the KD-tree computes it, sqrt(dx^2 + dy^2), not hypot
+    # the distance as _probe_coverage computes it, sqrt(dx^2 + dy^2), not hypot
     diff = probes[:, None] - lat_tiny.points[None, :]
     d = np.sqrt(diff.real**2 + diff.imag**2)
     np.testing.assert_array_equal(covered, np.any(d < delta1 * lat_tiny.taus, axis=1))
@@ -523,7 +610,7 @@ def test_pairs_is_a_banded_superset(case):
     radii = _RADII[case]
     n = 200 if np.ndim(radii) == 0 else len(radii)
     xy = rng.uniform(-1.0, 1.0, (n, 2))
-    row, hit = _pairs(xy, radii, cKDTree(targets))
+    row, hit = _pairs(xy, radii, targets)
     assert row.dtype == hit.dtype == np.intp
     r = np.broadcast_to(radii, (n,))
     d = np.sqrt((xy[:, None, 0] - targets[None, :, 0]) ** 2
@@ -537,6 +624,90 @@ def test_pairs_is_a_banded_superset(case):
     assert not np.any(want & ~got)
     assert len(np.unique(row * len(targets) + hit)) == len(row)
     assert np.all(d[row, hit] <= np.sqrt(2.0) * r[row] * (1 + 1e-12))
+
+
+def _distances(xy, targets):
+    return np.sqrt((xy[:, None, 0] - targets[None, :, 0]) ** 2
+                   + (xy[:, None, 1] - targets[None, :, 1]) ** 2)
+
+
+# on the grid of multiples of 2^-7, the cell side at radius 5 * 2^-7, every
+# coordinate and distance of a 3-4-5 step is exact, so pairs sit at exactly
+# their radius and points on cell edges
+_STEP = 2.0**-7
+_GRID = _STEP * np.stack(np.meshgrid(np.arange(-12, 13), np.arange(-9, 10)), -1).reshape(-1, 2)
+def _pairs_on_rounded_edges(n=1_500):
+    """Targets a few ulps from the edges of 0.01-wide cells (one band, largest
+    radius 0.05), each with one row beside it at exactly its float distance:
+    the cell arithmetic rounds the target's column and the row's reach
+    differently."""
+    rng = np.random.default_rng(1)
+    tx = 0.01 * rng.integers(-90, 90, n)
+    tx += rng.integers(-3, 4, n) * np.spacing(np.abs(tx) + 1e-300)
+    targets = np.column_stack([tx, rng.uniform(-0.9, 0.9, n)])
+    xy = targets.copy()
+    xy[:, 0] -= rng.uniform(0.045, 0.05, n) * rng.choice([-1.0, 1.0], n)
+    radii = np.sqrt(((xy - targets) ** 2).sum(axis=1))
+    return np.vstack([xy, [[0.0, 0.0]]]), np.append(radii, 0.05), targets
+
+
+_PAIR_CASES = {
+    "cell_edges": (_GRID[::2], np.full(len(_GRID[::2]), 5 * _STEP), _GRID),
+    "rounded_edges": _pairs_on_rounded_edges(),
+    "negative": (np.random.default_rng(2).uniform(-0.9, -0.7, (300, 2)),
+                 np.random.default_rng(3).uniform(0.004, 0.03, 300),
+                 np.random.default_rng(4).uniform(-0.95, -0.65, (2_000, 2))),
+    # radii wider than the whole set: every pair is within reach
+    "wider_than_the_disk": (np.random.default_rng(5).uniform(-0.5, 0.5, (60, 2)),
+                            np.random.default_rng(6).uniform(2.0, 2.8, 60),
+                            np.random.default_rng(7).uniform(-0.5, 0.5, (80, 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_pairs_on_cell_edges_negative_and_wide(case):
+    xy, radii, targets = _PAIR_CASES[case]
+    row, hit = _pairs(xy, radii, targets)
+    d = _distances(xy, targets)
+    want = d <= radii[:, None]
+    got = np.zeros_like(want)
+    got[row, hit] = True
+    assert want.sum() >= len(xy)
+    if case == "cell_edges":
+        assert np.any(d == radii[:, None])  # pairs at exactly the radius
+    assert not np.any(want & ~got)
+    assert len(np.unique(row * len(targets) + hit)) == len(row)
+    assert np.all(d[row, hit] <= np.sqrt(2.0) * radii[row] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("case", ["octaves", "band_edges", "scalar", *_PAIR_CASES])
+def test_pairs_self_search_returns_each_pair_once(case):
+    # xy against itself: each pair of distinct rows once, found from the row
+    # first in (x, index) order, whichever band that row's radius falls in
+    if case in _PAIR_CASES:
+        xy, radii, _ = _PAIR_CASES[case]
+    else:
+        radii = _RADII[case]
+        n = 200 if np.ndim(radii) == 0 else len(radii)
+        xy = np.random.default_rng(11).uniform(-0.3, 0.3, (n, 2))
+        radii = np.broadcast_to(radii, (n,))
+    n = len(xy)
+    row, hit = _pairs(xy, radii)
+    assert row.dtype == hit.dtype == np.intp
+    assert np.all(row != hit)
+    lo, hi = np.minimum(row, hit), np.maximum(row, hit)
+    assert len(np.unique(lo * n + hi)) == len(row)
+    first = (xy[row, 0] < xy[hit, 0]) | ((xy[row, 0] == xy[hit, 0]) & (row < hit))
+    assert first.all()
+    d = _distances(xy, xy)
+    # every pair within the smaller of its two radii is returned
+    want = d <= np.minimum(radii[:, None], radii[None, :])
+    np.fill_diagonal(want, False)
+    got = np.zeros_like(want)
+    got[lo, hi] = got[hi, lo] = True
+    assert want.any()
+    assert not np.any(want & ~got)
+    assert np.all(d[row, hit] <= np.sqrt(2.0) * radii[row] * (1 + 1e-12))
 
 
 @pytest.fixture(scope="module")
@@ -573,7 +744,7 @@ def test_multi_band_lattice_matches_brute_force(lat_bands):
         lat.points[k] + delta * lat.taus[k] * unit,
         lat.points[k] + 3.0 * delta * lat.taus[k] * unit,
     ])
-    covered, counts = _probe_coverage(cKDTree(_xy(probes)), _xy(lat.points), lat.taus, delta)
+    covered, counts = _probe_coverage(_xy(probes), _xy(lat.points), lat.taus, delta)
     _, want_covered, want_counts = _min_ratio_and_cover(lat, probes)
     np.testing.assert_array_equal(covered, want_covered)
     np.testing.assert_array_equal(counts, want_counts)
@@ -600,18 +771,3 @@ def test_multi_band_partition_matches_brute_force(lat_bands, m):
     assert len(got) == colors.max() + 1
     for c, part in enumerate(got):
         np.testing.assert_array_equal(part, pts[colors == c])
-
-
-def test_lattice_stages_build_no_ball_query_lists(w1, delta1, monkeypatch):
-    class NoBallQueries(cKDTree):
-        def query_ball_point(self, *args, **kwargs):
-            raise AssertionError("query_ball_point builds one list per row")
-
-        def query_pairs(self, *args, **kwargs):
-            raise AssertionError("close pairs come from _pairs")
-
-    monkeypatch.setattr(btk.lattice, "cKDTree", NoBallQueries)
-    lat = build_lattice(w1, delta1, 0.3, probe_count=2_000)
-    assert certify_lattice(lat, probe_count=3_000).passed
-    assert sum(map(len, partition_separated(lat, 2))) == len(lat)
-    assert not hasattr(btk.lattice, "_flat_pairs")

@@ -343,6 +343,45 @@ def test_cli_verify_reports_a_load_error_in_one_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+_NUMPY_ALONE = """
+import json, sys
+import btk
+from btk.cli import main
+from btk.lattice import build_lattice, partition_separated
+from btk.toeplitz import assemble_toeplitz, berezin_operator, spectrum
+
+assert main(["verify", sys.argv[1], "--out", sys.argv[2]]) == 0
+w = btk.make_exponential_weight(1.0)
+partition_separated(build_lattice(w, w.m_tau / 8.0, 0.3, probe_count=2_000), 2)
+bt = btk.build_basis_table(w, 120)
+wide = assemble_toeplitz(bt, btk.GridDensityMeasure.area_measure(6, 8, r_outer=0.9), 24)
+tall = assemble_toeplitz(bt, btk.AtomicMeasure([0.3, -0.2j, 0.5 + 0.1j], [1.0, 0.5, 0.2]), 24)
+for tm in (wide, tall):
+    spectrum(tm)
+    berezin_operator(bt, tm, 0.4 + 0.1j)
+shapes = [tm.factor.shape for tm in (wide, tall)]
+print(json.dumps({"shapes": shapes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_btk_runs_on_numpy_alone(cli_files):
+    # import, a small verify, a lattice and its partition, and the spectrum
+    # and Berezin symbol of a wide and a tall factor load no scipy module, so
+    # every BLAS and LAPACK call runs on numpy's one library and thread pool
+    src = Path(btk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ALONE, str(cli_files / "scenario.json"),
+         str(cli_files / "report.csv")],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    (wide_rows, wide_cols), (tall_rows, tall_cols) = out["shapes"]
+    assert wide_rows < wide_cols and tall_rows > tall_cols
+    assert out["scipy"] == []
+    assert (cli_files / "report.json").exists()
+
+
 def test_cli_kernel_check(cli_files, capsys):
     args = ["kernel-check", str(cli_files / "weight.json"),
             "--degree", "400", "--r-max", "0.9"]
@@ -429,6 +468,21 @@ def test_scenario_rejects_unknown_check_and_window_names(w1, tmp_path, capsys):
                           "delta": "0.02"}, "numbers at 'delta'"),
     (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
                           "windows": {"schatten_ratio": ["0", 1e10]}}, "'schatten_ratio'"),
+    # values of the right type in the wrong shape
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "indicator",
+                                      "support": 0.5}, "pair at 'support'"),
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "power", "beta": 1.0,
+                                      "support": [0.1, 0.2, 0.3]}, "pair at 'support'"),
+    (btk.measures.measure_from_json, {"kind": "grid", "nr": 2, "ntheta": 2,
+                                      "cells": [[1.0, 2.0], [3.0]]}, "rectangular list at 'cells'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": {"schatten_ratio": 1e10}}, "pair at 'schatten_ratio'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": {"boundedness_ratio": [1e-2, 1e5, 1e7]}},
+     "pair at 'boundedness_ratio'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": {"berezin_rel_error": [1e-8, 1e-6]}},
+     "one number at 'berezin_rel_error'"),
 ])
 def test_json_loaders_name_what_is_malformed(loader, data, key):
     with pytest.raises(ParameterError, match=key):
@@ -440,6 +494,8 @@ def test_json_loaders_name_what_is_malformed(loader, data, key):
     ("certify-weight", ({"family": "exponential", "alpha": "one"},), "numbers at 'alpha'"),
     ("toeplitz", ({"family": "exponential", "alpha": 1.0},
                   {"kind": "radial", "density": "power", "beta": "two"}), "numbers at 'beta'"),
+    ("toeplitz", ({"family": "exponential", "alpha": 1.0},
+                  {"kind": "radial", "density": "indicator", "support": 0.5}), "pair at 'support'"),
 ])
 def test_cli_wrong_json_types_exit_2(tmp_path, capsys, command, payloads, message):
     paths = []
@@ -466,3 +522,22 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("btk: ParameterError: ") and "3 cells" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["certify-weight", "toeplitz", "verify"])
+def test_cli_invalid_json_exits_2(cli_files, capsys, command):
+    # a file cut short is named with the position where parsing stopped
+    broken = cli_files / "broken.json"
+    broken.write_text('{"family": "exponential",')
+    weight = str(cli_files / "weight.json")
+    argv = {
+        "certify-weight": ["certify-weight", str(broken)],
+        "toeplitz": ["toeplitz", weight, str(broken), "--dim", "8", "--degree", "50"],
+        "verify": ["verify", str(broken), "--out", str(cli_files / "r.csv")],
+    }[command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"btk: ParameterError: {broken} is not valid JSON: ")
+    assert "line 1 column 26" in captured.err
+    assert captured.err.count("\n") == 1

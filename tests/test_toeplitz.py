@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, svd
+from numpy.linalg import LinAlgError, svd
 
 import btk
 from btk.basis import basis_columns, kernel, kernel_norm_sq
@@ -452,7 +452,7 @@ def test_berezin_operator_domain(bt400):
         berezin_operator(bt400, tm, 1.0)
 
 
-# --- The operator path on scipy's BLAS ----------------------------------------
+# --- The operator path on numpy's LAPACK and BLAS ----------------------------
 
 
 def _operator_cases(bt400):
@@ -504,35 +504,3 @@ def test_svd_sees_every_factor_on_its_tall_side(bt400, w1, delta1, monkeypatch):
     spectrum(tall)
     assert seen[-1] is tall.factor
     assert len(seen) == 3
-
-
-class _NoNumpyMatmul(np.ndarray):
-    """An array whose numpy matmul (``@`` or ``np.matmul``) raises."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            raise AssertionError("numpy matmul reached on the operator path")
-        inputs = tuple(x.view(np.ndarray) if isinstance(x, _NoNumpyMatmul) else x
-                       for x in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def test_operator_path_never_reaches_numpy_blas(bt400, monkeypatch):
-    # numpy and scipy wheels each bundle an OpenBLAS with its own thread pool;
-    # spectrum and berezin_operator must stay on scipy's
-    cases = _operator_cases(bt400)
-    want = [(spectrum(tm).eigenvalues, [berezin_operator(bt400, tm, z) for z in _berezin_points()])
-            for tm in cases]
-
-    def reached(*args, **kwargs):
-        raise AssertionError("numpy.linalg reached on the operator path")
-
-    for name in ("qr", "svd"):
-        monkeypatch.setattr(np.linalg, name, reached)
-    for tm, (ev, bz) in zip(cases, want):
-        guarded = ToeplitzMatrix(tm.basis, tm.dim, tm.structure,
-                                 factor=tm.factor.view(_NoNumpyMatmul))
-        with pytest.raises(AssertionError):
-            guarded.factor[: tm.dim].T @ np.ones(tm.dim)
-        assert np.array_equal(spectrum(guarded).eigenvalues, ev)
-        assert [berezin_operator(bt400, guarded, z) for z in _berezin_points()] == bz
