@@ -103,14 +103,20 @@ def _xy(pts: np.ndarray) -> np.ndarray:
 
 def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
     """Van der Corput points of the indices idx in base b, digits added least
-    significant first as scipy's unscrambled Halton adds them, so bit for bit."""
-    out = np.zeros(len(idx))
+    significant first as scipy's unscrambled Halton adds them, so bit for bit.
+
+    They are read from a table of the first max(idx) + 1 points, built a digit
+    at a time: the points below b^(k+1) are those below b^k, each plus
+    d b^-(k+1) for d = 0 .. b - 1.  Every index sees the same float additions
+    in the same order, and adding 0 b^-(k+1) changes nothing.
+    """
+    n = int(np.max(idx)) + 1 if len(idx) else 1
+    table = np.zeros(1)
     b2r = 1.0 / base
-    while np.any(idx):
-        idx, digit = np.divmod(idx, base)
-        out += digit * b2r
+    while len(table) < n:
+        table = np.concatenate([table + d * b2r for d in range(base)])[:n]
         b2r /= base
-    return out
+    return table[idx]
 
 
 def _probe_points(r_max: float, count: int) -> np.ndarray:

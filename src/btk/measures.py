@@ -866,12 +866,21 @@ def _atom_region_radii(
     """Boundary radius rho(theta) of {z : |z - xi| < delta tau(z)} around xi.
 
     The fixed-point map rho -> delta tau(|xi + rho e^(i theta)|) is a
-    contraction (tau is c2-Lipschitz and delta c2 < 1/4).
+    contraction (tau is c2-Lipschitz and delta c2 < 1/4), and the result is
+    its 60th iterate.  Rounding leaves rays on cycles of a few steps rather
+    than at a fixed point.  Once iterate k repeats an earlier iterate j bit
+    for bit, the iterates cycle with period k - j from j on, and the 60th
+    is read off that cycle: the same bits as 60 steps.
     """
     rho = np.full(theta.shape, delta * float(w.tau(abs(xi))))
     e = np.exp(1j * theta)
-    for _ in range(60):
+    iterates, seen = [rho], {rho.tobytes(): 0}
+    for k in range(1, 61):
         rho = delta * w.tau(np.minimum(np.abs(xi + rho * e), 1.0 - 1e-12))
+        j = seen.setdefault(rho.tobytes(), k)
+        if j < k:
+            return iterates[j + (60 - j) % (k - j)]
+        iterates.append(rho)
     return rho
 
 
@@ -880,18 +889,21 @@ def _atomic_muhat_lp_integral(
     mu: AtomicMeasure,
     delta: float,
     ps: list[float],
-    r_max: float,
+    r_maxes: list[float],
 ) -> list:
-    """int mu_hat^p d lambda_tau for an atomic measure, one value per p in ps.
+    """int mu_hat^p d lambda_tau for an atomic measure: per r_max in r_maxes,
+    a list with one value per p in ps.
 
     mu_hat is piecewise constant (it jumps where an atom enters the disk
     D(delta tau(z))), so smooth quadrature cannot converge.  When the atoms'
     influence regions are pairwise disjoint the field is m_j^p on the region
     of atom j and the integral splits; each region is integrated in polar
     coordinates around its atom with the boundary radius solved exactly on
-    256 rays, and 48 Gauss-Legendre nodes along each.  The region and its
-    tau(z) are computed once per atom for all p.
-    Overlapping regions fall back to a deterministic midpoint grid.
+    256 rays, and 48 Gauss-Legendre nodes along the part of each ray that
+    lies in |z| <= r_max.  A region is solved once for every r_max, and its
+    tau(z) serves every p; an r_max that leaves an atom's rays as the one
+    before left them reuses their integrals.
+    Overlapping regions fall back to a deterministic midpoint grid per r_max.
     """
     pts, masses = mu.points, mu.masses
     taus = w.tau(np.abs(pts))
@@ -901,25 +913,35 @@ def _atomic_muhat_lp_integral(
     overlap = sep < (r_out[:, None] + r_out[None, :])
     np.fill_diagonal(overlap, False)
     if np.any(overlap):
-        return _gridded_muhat_lp_integral(w, mu, delta, ps, r_max)
+        return [_gridded_muhat_lp_integral(w, mu, delta, ps, r) for r in r_maxes]
     theta = np.arange(256) * (2.0 * np.pi / 256)
+    e = np.exp(1j * theta)
     x01, w01 = gauss_legendre_rule(48)
-    totals = [0.0] * len(ps)
+    totals = [[0.0] * len(ps) for _ in r_maxes]
     for xi, m in zip(pts, masses):
         rho = _atom_region_radii(w, xi, delta, theta)
-        # clip the region at |z| = r_max along each ray
-        b = np.real(np.conj(xi) * np.exp(1j * theta))
-        disc = b * b + (r_max * r_max - abs(xi) ** 2)
-        ray_exit = np.where(disc >= 0.0, -b + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-        rho = np.clip(np.minimum(rho, ray_exit), 0.0, None)
-        r_nodes = 0.5 * rho[:, None] * (x01[None, :] + 1.0)
-        wq = 0.5 * rho[:, None] * w01[None, :]
-        z = xi + r_nodes * np.exp(1j * theta)[:, None]
-        tau_z = w.tau(np.abs(z))
-        for k, p in enumerate(ps):
-            # integrand mu_hat^p * tau^(-2) = m^p tau(z)^(-2p) * tau(z)^(-2)
-            integ = np.sum(wq * r_nodes * tau_z ** (-2.0 * p - 2.0), axis=1)
-            totals[k] += m**p * float(np.mean(integ)) * 2.0
+        b = np.real(np.conj(xi) * e)
+        last = means = None
+        for rung, r_max in zip(totals, r_maxes):
+            # each ray meets |z| <= r_max on [entry, exit] = -b -+ sqrt(disc),
+            # and the region on [0, rho]; a ray that misses the disk gets 0
+            disc = b * b + (r_max * r_max - abs(xi) ** 2)
+            root = np.sqrt(np.maximum(disc, 0.0))
+            lo = np.where(disc >= 0.0, np.maximum(-b - root, 0.0), 0.0)
+            hi = np.where(disc >= 0.0, np.minimum(rho, -b + root), 0.0)
+            hi = np.maximum(hi, lo)
+            key = lo.tobytes() + hi.tobytes()
+            if key != last:
+                last = key
+                half = 0.5 * (hi - lo)[:, None]
+                r_nodes = lo[:, None] + half * (x01[None, :] + 1.0)
+                wr = half * w01[None, :] * r_nodes
+                tau_z = w.tau(np.abs(xi + r_nodes * e[:, None]))
+                # integrand mu_hat^p * tau^(-2) = m^p tau(z)^(-2p) * tau(z)^(-2)
+                means = [float(np.mean(np.sum(wr * tau_z ** (-2.0 * p - 2.0), axis=1)))
+                         for p in ps]
+            for k, (p, mean) in enumerate(zip(ps, means)):
+                rung[k] += m**p * mean * 2.0
     return totals
 
 
@@ -965,7 +987,7 @@ def mu_hat_lp_norm(
     mu: Measure,
     delta: float,
     p,
-    r_max: float,
+    r_max,
     *,
     n_theta: int | None = None,
     tol: float | None = None,
@@ -974,32 +996,44 @@ def mu_hat_lp_norm(
     """||mu_hat_delta||_{L^p(d lambda_tau)} truncated at r_max.
 
     p is a scalar (a float back) or a sequence (one value per p, each equal
-    to the scalar call's).  n_theta, tol and max_doublings go to
-    lp_lambda_tau_norm, whose defaults hold unless given; a grid measure
-    defaults to n_theta=32, tol=1e-3.  Atoms are integrated region by region
-    and take no quadrature options.
+    to the scalar call's).  r_max is a scalar or a sequence of cut-offs, the
+    rungs of a ladder: a sequence returns a list with one result per rung,
+    each the scalar call's result.  The call is all or nothing: radial and
+    grid rungs run from the largest r_max down, so a ladder whose largest
+    rung fails to converge raises before the smaller rungs are computed.
+    Atoms solve each region once for every rung.  n_theta, tol and
+    max_doublings go to lp_lambda_tau_norm, whose defaults hold unless
+    given; a grid measure defaults to n_theta=32, tol=1e-3.  Atoms are
+    integrated region by region and take no quadrature options.
     """
     ps = _p_ladder(p)
+    r_maxes = np.asarray(r_max, dtype=float).ravel().tolist()
+    if not all(0.0 < r < 1.0 for r in r_maxes):
+        raise DomainError("r_max must lie in (0, 1)")
     w.require_delta(delta)
     quad = dict(n_theta=n_theta, tol=tol, max_doublings=max_doublings)
     quad = {k: v for k, v in quad.items() if v is not None}
     if isinstance(mu, AtomicMeasure) and quad:
         raise ParameterError(f"atomic measures take no quadrature options: {sorted(quad)}")
     if mu.is_zero:
-        return _per_p(p, [0.0] * len(ps))
-    if isinstance(mu, AtomicMeasure):
-        totals = _atomic_muhat_lp_integral(w, mu, delta, ps, r_max)
-        return _per_p(p, [t ** (1.0 / q) for t, q in zip(totals, ps)])
-    if isinstance(mu, GridDensityMeasure):
-        quad = {"tol": 1e-3, "n_theta": 32, **quad}
-    radial = isinstance(mu, RadialDensityMeasure)
+        rungs = [_per_p(p, [0.0] * len(ps)) for _ in r_maxes]
+    elif isinstance(mu, AtomicMeasure):
+        rungs = [_per_p(p, [t ** (1.0 / q) for t, q in zip(totals, ps)])
+                 for totals in _atomic_muhat_lp_integral(w, mu, delta, ps, r_maxes)]
+    else:
+        if isinstance(mu, GridDensityMeasure):
+            quad = {"tol": 1e-3, "n_theta": 32, **quad}
+        radial = isinstance(mu, RadialDensityMeasure)
 
-    def field(r, n_theta):
-        if radial:
-            return mu_hat(w, mu, delta, r)[:, None]
-        return mu_hat(w, mu, delta, polar_points(r, n_theta))
+        def field(r, n_theta):
+            if radial:
+                return mu_hat(w, mu, delta, r)[:, None]
+            return mu_hat(w, mu, delta, polar_points(r, n_theta))
 
-    return lp_lambda_tau_norm(w, field, p, r_max, **quad)
+        by_r = {r: lp_lambda_tau_norm(w, field, p, r, **quad)
+                for r in sorted(set(r_maxes), reverse=True)}
+        rungs = [by_r[r] for r in r_maxes]
+    return rungs[0] if np.ndim(r_max) == 0 else rungs
 
 
 def berezin_lp_norm(bt: BasisTable, mu: Measure, p, r_max: float):

@@ -244,9 +244,9 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
             row.flags["boundedness"] = _in_window(ratio, s.windows["boundedness_ratio"])
         if "schatten_equivalence" in s.checks:
             ok = True
-            # one batched call per r_max covers every p
-            lps = {r_max: mu_hat_lp_norm(w, mu, delta, s.ps, r_max)
-                   for r_max in s.r_max_ladder}
+            # one call covers every r_max and every p
+            lps = dict(zip(s.r_max_ladder,
+                           mu_hat_lp_norm(w, mu, delta, s.ps, s.r_max_ladder)))
             lsums = lattice_lp_sum(w, mu, lat, delta, s.ps)
             for k, p in enumerate(s.ps):
                 sp = schatten_norm(spec_rep, p)

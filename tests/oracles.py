@@ -63,3 +63,16 @@ def matrix_trace(tm) -> float:
     if tm.diag is not None:
         return float(np.sum(tm.diag))
     return float(np.sum(np.abs(tm.factor[: tm.dim]) ** 2))
+
+
+def region_radii_60_steps(w, xi: complex, delta: float, theta: np.ndarray) -> np.ndarray:
+    """Boundary radius of an atom's region: 60 plain steps of the fixed-point map.
+
+    Checks that the library's solve, which stops once its iterates cycle,
+    returns the same bits.
+    """
+    rho = np.full(theta.shape, delta * float(w.tau(abs(xi))))
+    e = np.exp(1j * theta)
+    for _ in range(60):
+        rho = delta * w.tau(np.minimum(np.abs(xi + rho * e), 1.0 - 1e-12))
+    return rho

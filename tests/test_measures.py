@@ -13,6 +13,7 @@ from btk.measures import (
     AtomicMeasure,
     GridDensityMeasure,
     RadialDensityMeasure,
+    _atom_region_radii,
     _atomic_muhat_lp_integral,
     _berezin_polar_field,
     _gridded_muhat_lp_integral,
@@ -33,7 +34,7 @@ from btk.measures import (
     zero_measure,
 )
 
-from oracles import simpson_doubling
+from oracles import region_radii_60_steps, simpson_doubling
 
 
 @pytest.fixture(scope="module")
@@ -651,7 +652,7 @@ def test_muhat_lp_area_measure(w1, delta1, dA):
 
 def test_atomic_lp_geometric_vs_grid_oracle(w1, delta1):
     mu = AtomicMeasure([0.3], [1.0])
-    geo = _atomic_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], 0.9)
+    geo = _atomic_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
     grid = _gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], 0.9)
     assert geo == pytest.approx(grid, rel=2e-3)
 
@@ -663,6 +664,55 @@ def test_atomic_lp_overlapping_atoms_fall_back(w1, delta1):
     single = mu_hat_lp_norm(w1, AtomicMeasure([0.3], [1.0]), delta1, 1.0, 0.9)
     # two nearly coincident unit atoms behave like one atom of mass ~2
     assert single < val < 3.0 * single
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_region_solve_returns_the_60_step_bits(alpha):
+    w = btk.make_exponential_weight(alpha)
+    theta = np.arange(256) * (2.0 * np.pi / 256)
+    rng = np.random.default_rng(int(100 * alpha))
+    spread = 0.97 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
+    for divisor in (4, 8, 16):
+        delta = w.m_tau / divisor
+        for xi in [0.0, 0.5, 0.97, *spread]:
+            got = _atom_region_radii(w, xi, delta, theta)
+            assert got.tobytes() == region_radii_60_steps(w, xi, delta, theta).tobytes()
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.5 * np.exp(1j * np.pi * (7 / 24 + 1))],
+                         ids=["two_cycles", "three_cycles"])
+def test_region_solve_stops_once_its_rays_cycle(w1, delta1, xi, monkeypatch):
+    # at 0.5 the rays settle on cycles of 1 or 2 steps; at the second atom
+    # (the reference scenario's, at phase 7 pi / 24) one ray cycles in 3
+    calls = []
+    tau = btk.weights.RadialWeight.tau
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return tau(self, r)
+
+    theta = np.arange(256) * (2.0 * np.pi / 256)
+    with monkeypatch.context() as m:
+        m.setattr(btk.weights.RadialWeight, "tau", counted)
+        got = _atom_region_radii(w1, xi, delta1, theta)
+    # one call for the starting radius, then one per step on all 256 rays
+    assert calls[0] == 1 and set(calls[1:]) == {256}
+    assert len(calls) - 1 <= 20
+    assert got.tobytes() == region_radii_60_steps(w1, xi, delta1, theta).tobytes()
+
+
+def test_region_rule_integrates_only_inside_r_max(w1, delta1):
+    # at r_max 0.7 the regions of atoms at 0.85 and 0.71 lie outside
+    # |z| <= r_max, and the one at 0.703 crosses it
+    for xi in (0.85, 0.71, 0.703):
+        mu = AtomicMeasure([xi], [1.0])
+        (geo,) = _atomic_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
+        (grid,) = _gridded_muhat_lp_integral(w1, mu, delta1, [1.0], 0.7)
+        if xi < 0.705:
+            assert grid > 0.0
+            assert geo == pytest.approx(grid, rel=1e-3)
+        else:
+            assert geo == grid == 0.0
 
 
 def test_lattice_sum_area_measure(w1, delta1, lat_half, dA):
@@ -791,6 +841,60 @@ def test_lp_batch_raises_when_any_p_fails_to_converge(w1, delta1):
     mu = power_density(2.0, support=(0.0, 0.7))
     with pytest.raises(ConvergenceError):
         mu_hat_lp_norm(w1, mu, delta1, PS, 0.9)
+
+
+def test_muhat_lp_ladder_matches_scalar(w1, delta1, grid_patch):
+    sep = 0.5 * delta1 * float(w1.tau(0.3))
+    # (measure, ladder, quadrature options, the p forms tried)
+    cases = [
+        (power_density(2.0), (0.7, 0.8, 0.6), {}, (1.0, PS)),
+        # a coarse rule keeps the grid's disk masses cheap
+        (grid_patch, (0.35, 0.3), {"n_theta": 16, "tol": 1e-2}, (PS,)),
+        # the atom at 0.703 is clipped differently by every rung; the one at
+        # -0.4j by none, so its ray integrals are reused
+        (AtomicMeasure([0.3, -0.4j, 0.703], [1.0, 0.5, 2.0]), (0.9, 0.7, 0.8, 0.9), {},
+         (1.0, PS)),
+        # overlapping regions: the gridded fallback, rung by rung
+        (AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0]), (0.9, 0.35), {}, (PS,)),
+    ]
+    with warnings.catch_warnings():
+        # the grid patch's query disks are smaller than its cells
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for mu, ladder, kw, p_forms in cases:
+            for p in p_forms:
+                rungs = mu_hat_lp_norm(w1, mu, delta1, p, ladder, **kw)
+                assert isinstance(rungs, list) and len(rungs) == len(ladder)
+                for got, r_max in zip(rungs, ladder):
+                    want = mu_hat_lp_norm(w1, mu, delta1, p, r_max, **kw)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                    assert type(got) is type(want)
+    zeros = mu_hat_lp_norm(w1, zero_measure(), delta1, PS, [0.9, 0.5])
+    assert [z.tolist() for z in zeros] == [[0.0, 0.0, 0.0]] * 2
+
+
+def test_muhat_lp_ladder_raises_before_the_smaller_rungs(w1, delta1, monkeypatch):
+    # the ladder's largest rung, 0.9, is the one that cannot converge
+    mu = power_density(2.0, support=(0.0, 0.7))
+    with pytest.raises(ConvergenceError) as scalar:
+        mu_hat_lp_norm(w1, mu, delta1, PS, 0.9)
+    calls = []
+
+    def counted(*args, _f=btk.measures.lp_lambda_tau_norm, **kw):
+        calls.append(args[3])
+        return _f(*args, **kw)
+
+    monkeypatch.setattr(btk.measures, "lp_lambda_tau_norm", counted)
+    with pytest.raises(ConvergenceError) as ladder:
+        mu_hat_lp_norm(w1, mu, delta1, PS, (0.7, 0.8, 0.9))
+    assert str(ladder.value) == str(scalar.value)
+    assert calls == [0.9]
+
+
+def test_muhat_lp_ladder_checks_every_rung_first(w1, delta1, dA):
+    for mu in (dA, AtomicMeasure([0.3], [1.0]), zero_measure()):
+        for bad in (1.0, [0.5, 1.2], [0.9, 0.0]):
+            with pytest.raises(DomainError):
+                mu_hat_lp_norm(w1, mu, delta1, 1.0, bad)
 
 
 def test_muhat_lp_rejects_options_it_would_ignore(w1, delta1, dA):
