@@ -5,6 +5,9 @@ For a radial weight the monomials z^n / sqrt(h_n) with
 reproducing kernel is the series ``K_z(zeta) = sum (zeta conj(z))^n / h_n``.
 Magnitudes of h_n and of kernel values overflow/underflow doubles quickly, so
 kernels are returned as (log_abs, phase) pairs and diagonal values as logs.
+The weighted basis columns e_n(z) sqrt(omega(z)) behind the Toeplitz factors
+are a real modulus, one exp of its log, times the phases (z/|z|)^n, which
+are built by doubling rather than by a complex exp.
 """
 
 from __future__ import annotations
@@ -65,35 +68,85 @@ def build_basis_table(w: RadialWeight, degree_max: int = 2000) -> BasisTable:
     return BasisTable(w, degree_max, log_monomial_norms(w, degree_max))
 
 
+def unit_powers(unit: np.ndarray, n_terms: int) -> np.ndarray:
+    """p[n, k] = unit_k^n for n < n_terms, by doubling.
+
+    Rows [k, 2k) are rows [0, k) times unit^k, with unit^k from repeated
+    squaring: 11 vector multiplies for 2001 rows.  Each squaring doubles the
+    relative error of unit^k, so row n is off by O(n eps), where
+    exp(i n theta) first rounds theta and n theta, an O(n |theta| eps) error
+    of its own.  1, -1 and +-1j give exact powers.
+    """
+    unit = np.asarray(unit, dtype=complex).ravel()
+    p = np.empty((n_terms, unit.size), dtype=complex)
+    if n_terms == 0:
+        return p
+    p[0] = 1.0
+    step = unit.copy()
+    k = 1
+    while k < n_terms:
+        m = min(k, n_terms - k)
+        np.multiply(p[:m], step, out=p[k : k + m])
+        k *= 2
+        if k < n_terms:
+            step *= step
+    return p
+
+
+def _moduli(bt: BasisTable, log_r: np.ndarray, phi_r: np.ndarray, lo: int, hi: int):
+    """Rows lo..hi-1 of basis_moduli, from log r and phi(r) of its radii."""
+    with np.errstate(invalid="ignore"):
+        t = np.multiply.outer(np.arange(lo, hi), log_r)
+    if lo == 0:
+        # the n = 0 term has no r^n; 0 * log 0 made it nan
+        t[0] = 0.0
+    t -= 0.5 * bt.log_h[lo:hi, None]
+    t -= phi_r
+    return np.exp(t, out=t)
+
+
+def basis_moduli(bt: BasisTable, radii: np.ndarray, n_terms: int) -> np.ndarray:
+    """a[n, k] = |e_n(r_k)| sqrt(omega(r_k)) for n < n_terms and radii r_k >= 0.
+
+    One real exp of n log r - (1/2) log h_n - phi(r); a zero radius keeps
+    only its n = 0 term.
+    """
+    radii = np.asarray(radii, dtype=float).ravel()
+    with np.errstate(divide="ignore"):
+        log_r = np.log(radii)
+    return _moduli(bt, log_r, bt.weight.phi(radii), 0, n_terms)
+
+
+#: rows of the real modulus that basis_columns builds at a time
+MODULUS_ROWS = 64
+
+
 def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
-    """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)) for n < n_terms, computed in log space.
+    """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)) for n < n_terms.
 
     Column k holds the weighted basis at pt_k, so over the first n_terms
     degrees sum_n |u[n, k]|^2 is omega(pt_k) ||K_pt_k||^2, and for columns u
     at points p and v at points q, (u^H v)[j, k] is
-    sqrt(omega(p_j) omega(q_k)) K_p_j(q_k).
+    sqrt(omega(p_j) omega(q_k)) K_p_j(q_k).  u is the phases
+    unit_powers(pt / |pt|) times basis_moduli(|pt|), the moduli built
+    MODULUS_ROWS rows at a time inside the phase array, so that u is the
+    only full-size array: the atomic factor asks for every degree of the
+    table.
     """
     pts = np.asarray(pts, dtype=complex).ravel()
-    n = np.arange(n_terms)
-    # one complex array exponentiated in place: the atomic factor asks for
-    # every degree of the table, where (degree_max+1) x J temporaries would
-    # set its peak memory
-    u = np.empty((n_terms, pts.size), dtype=complex)
-    np.multiply.outer(n, np.angle(pts), out=u.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = np.where(pts == 0, -np.inf, np.log(np.abs(pts)))
-        u.real = (
-            n[:, None] * log_abs[None, :]
-            - 0.5 * bt.log_h[:n_terms, None]
-            - bt.weight.phi(np.abs(pts))[None, :]
-        )
-        # 0 * log 0 is nan in the n = 0 row of a zero point; that column is
-        # overwritten below
-        np.exp(u, out=u)
-    if np.any(pts == 0):
-        zero = pts == 0
-        u[:, zero] = 0.0
-        u[0, zero] = np.exp(-0.5 * bt.log_h[0] - bt.weight.phi(0.0))
+    r = np.abs(pts)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    phi_r = bt.weight.phi(r)
+    # each part divided on its own, so that real points give exact units; a
+    # zero point's unit is 1, its rows n >= 1 having modulus 0
+    with np.errstate(invalid="ignore"):
+        unit = pts.real / r + 1j * (pts.imag / r)
+    unit[r == 0] = 1.0
+    u = unit_powers(unit, n_terms)
+    for lo in range(0, n_terms, MODULUS_ROWS):
+        hi = min(lo + MODULUS_ROWS, n_terms)
+        u[lo:hi] *= _moduli(bt, log_r, phi_r, lo, hi)
     return u
 
 

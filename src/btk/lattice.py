@@ -308,13 +308,13 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
     """The rings of the greedy annular sweep, outward from the origin to r_max."""
     candidate_spacing = 0.45
     state = _GreedyState()
-    state.add_ring(0.0, np.zeros(1), float(w.tau(0.0)))
+    tau_r = float(w.tau(0.0))
+    state.add_ring(0.0, np.zeros(1), tau_r)
 
     r = 0.0
     ring = 0
     last_ring = False
     while not last_ring:
-        tau_r = float(w.tau(r))
         r_next = r + candidate_spacing * delta * tau_r
         if r_next >= r_max:
             # close the sweep with a ring on the rim itself so that the outer
@@ -335,6 +335,8 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
         a, b = a[a < b], b[a < b]
         near = (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim
         state.add_ring(r, free[_first_fit(len(free), a[near], b[near]) == 0], tau_ring)
+        # the next ring steps from this one's radius
+        tau_r = tau_ring
         if len(state) > max_points:
             raise ResourceError(
                 f"lattice exceeded cap of {max_points} points "

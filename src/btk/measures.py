@@ -26,6 +26,7 @@ from .basis import (
     CHUNK_ENTRIES,
     BasisTable,
     basis_columns,
+    basis_moduli,
     kernel,
     kernel_at_points,
     kernel_norm_sq,
@@ -753,8 +754,9 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
     """(r, n_theta) -> B on polar_points(r, n_theta), by folding the angles.
 
     On the polar grid u[n, (i, j)] = a[n, i] e^(i n theta_j) with the real
-    radial columns a = basis_columns(r).  So sum_n |u|^2 depends on r_i
-    only, and (y^H u)[k, (i, j)] = sum_m C[m, i, k] e^(i m theta_j) with
+    radial columns a = basis_moduli(r), which form no phase.  So
+    sum_n |u|^2 depends on r_i only, and
+    (y^H u)[k, (i, j)] = sum_m C[m, i, k] e^(i m theta_j) with
     C[m, i, k] = sum_{n = m mod n_theta} a[n, i] conj(y[n, k]): one batched
     GEMM over the degrees zero-padded to a multiple of n_theta, then an
     unnormalised inverse FFT over m.  A radial measure needs no angles and
@@ -781,7 +783,7 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
             yf = yc.view(float).reshape(rows, n_theta, -1).transpose(1, 0, 2)
             chunk = max(1, CHUNK_ENTRIES // (n_theta * max(rows, y.shape[1])))
         for s0 in range(0, r.size, chunk):
-            a = basis_columns(bt, r[s0 : s0 + chunk], n_terms).real
+            a = basis_moduli(bt, r[s0 : s0 + chunk], n_terms)
             a2 = a * a
             if y is None:
                 num = (t @ a2)[:, None]

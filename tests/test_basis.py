@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,9 @@ from hypothesis import strategies as st
 
 import btk
 from btk.basis import (
+    MODULUS_ROWS,
+    basis_columns,
+    basis_moduli,
     check_submeanvalue,
     kernel,
     kernel_at_points,
@@ -12,6 +18,7 @@ from btk.basis import (
     kernel_norm_sq_many,
     log_normalized_kernel_sq_at,
     normalized_kernel,
+    unit_powers,
 )
 from btk.errors import DomainError, TruncationError
 from btk.quadrature import disk_nodes
@@ -20,6 +27,11 @@ from btk.quadrature import disk_nodes
 @pytest.fixture(scope="module")
 def bt60(w1):
     return btk.build_basis_table(w1, 60)
+
+
+@pytest.fixture(scope="module")
+def bt2000(w1):
+    return btk.build_basis_table(w1, 2000)
 
 
 def _kernel_value(bt, z, zeta):
@@ -106,6 +118,84 @@ def test_domain_validation(bt400):
         kernel_norm_sq(bt400, 1.2)
     with pytest.raises(DomainError):
         kernel_at_points(bt400, 0.2, np.array([1.0]))
+
+
+def test_basis_columns_match_mpmath(bt2000):
+    # e_n(xi) sqrt(omega(xi)) to 40 digits from the same log h_n and phi(|xi|):
+    # the phases (xi/|xi|)^n are exact there, so the error is the modulus's
+    # and the doubled phases', both of order n eps.  A complex exp of
+    # i n arg(xi) first rounds n arg(xi), up to 6.4e-13 off on these atoms
+    # near arg = +-pi; the doubled phases stay below 6.6e-14.
+    atoms = np.array([
+        0.1 * np.exp(1j * (np.pi - 1e-3)),
+        0.5 * np.exp(-1j * (np.pi - 1e-9)),
+        0.5 * np.exp(1j * np.nextafter(np.pi, 0.0)),
+        0.8 * np.exp(3.1j),
+        -0.8 + 0.0j,
+        0.95 * np.exp(-3.14j),
+        0.95 * np.exp(2.9j),
+    ])
+    rows = [0, 1, 10, 100, 500, 1000, 2000]
+    u = basis_columns(bt2000, atoms, bt2000.degree_max + 1)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for k, xi in enumerate(atoms):
+            z = mpmath.mpc(xi.real, xi.imag)
+            r = abs(z)
+            phi = mpmath.mpf(float(bt2000.weight.phi(abs(xi))))
+            for n in rows:
+                log_h = mpmath.mpf(float(bt2000.log_h[n]))
+                log_mod = n * mpmath.log(r) - log_h / 2 - phi
+                ref = complex(mpmath.exp(log_mod) * (z / r) ** n)
+                if abs(ref) > 1e-290:
+                    worst = max(worst, abs(u[n, k] - ref) / abs(ref))
+                else:
+                    # underflow: 0.1^500 and 0.5^2000 leave the doubles
+                    assert abs(u[n, k] - ref) <= 1e-300
+    assert worst <= 2e-13
+
+
+def test_unit_powers_are_exact_on_the_axes():
+    n = np.arange(9)
+    p = unit_powers(np.array([1.0, -1.0, 1j]), n.size)
+    np.testing.assert_array_equal(p[:, 0], np.ones(n.size))
+    np.testing.assert_array_equal(p[:, 1], (-1.0) ** n)
+    np.testing.assert_array_equal(p[:, 2], np.array([1, 1j, -1, -1j])[n % 4])
+    assert not np.any(p[:, :2].imag)
+    assert unit_powers(np.array([0.6 + 0.8j]), 0).shape == (0, 1)
+
+
+def test_basis_columns_at_zero_keep_only_the_constant(bt400):
+    u = basis_columns(bt400, np.array([0.0, 0.3j]), bt400.degree_max + 1)
+    assert u[0, 0] == np.exp(-0.5 * bt400.log_h[0] - bt400.weight.phi(0.0))
+    assert not np.any(u[1:, 0])
+    assert np.all(np.isfinite(u))
+
+
+def test_basis_moduli_are_the_real_columns_bitwise(bt400):
+    radii = np.array([0.0, 0.2, 0.37, 0.5, 0.9, 0.95])
+    n_terms = bt400.degree_max + 1
+    assert n_terms > 2 * MODULUS_ROWS
+    a = basis_moduli(bt400, radii, n_terms)
+    u = basis_columns(bt400, radii, n_terms)
+    np.testing.assert_array_equal(u.real, a)
+    assert not np.any(u.imag)
+    # a row block of the columns is the same rows of the whole array
+    np.testing.assert_array_equal(basis_columns(bt400, radii, 70).real, a[:70])
+
+
+def test_basis_columns_peak_memory_is_the_output(bt2000):
+    # the moduli are built a row block at a time inside the phase array, so
+    # the atomic factor's columns are the only full-size array
+    rng = np.random.default_rng(11)
+    atoms = 0.9 * np.sqrt(rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
+    tracemalloc.start()
+    try:
+        u = basis_columns(bt2000, atoms, bt2000.degree_max + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2**20
 
 
 def test_reproducing_property_by_quadrature(bt60, w1):

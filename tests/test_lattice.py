@@ -268,6 +268,21 @@ def test_sweep_matches_recorded_digests(alpha, delta_div, r_max, probe_count,
     assert lat.probe_pass == (probe_count, 0)
 
 
+def test_sweep_evaluates_tau_once_per_ring(w1, delta1, monkeypatch):
+    # a ring steps outward from the tau of the ring before it, which was
+    # evaluated at the same radius when that ring was placed
+    radii = []
+    tau = btk.weights.RadialWeight.tau
+
+    def counted(self, r):
+        radii.append(float(r))
+        return tau(self, r)
+
+    monkeypatch.setattr(btk.weights.RadialWeight, "tau", counted)
+    state = _sweep(w1, delta1, 0.5, 2_000_000)
+    assert radii == state.radii
+
+
 def test_repair_stops_after_a_round_that_inserts_nothing(w2, probed_sets):
     # one probe has no admissible repair position: the first round inserts
     # points and fails on it, the second inserts nothing and ends the repair
