@@ -8,10 +8,13 @@ position keeps separation (one whose position conflicts is a failed repair);
 each repair round re-probes only the points it inserted, and the lattice records
 the pass so that certify_lattice at the same probe count need not repeat it.
 
-The searches are numpy alone.  A ring's candidates meet the earlier rings
-within reach through angular windows on their sorted angles (_angle_window).
-The probe pass, certify_lattice and partition_separated take their close
-pairs from one search on data sorted into square cells (_pairs).
+The searches are numpy alone.  A ring's candidates lie on an even grid of
+angles, so each point of the earlier rings within reach meets them through a
+window of grid indices found by arithmetic (_index_window), and two
+conflicting candidates of one ring lie a bounded number of places apart
+(_ring_pairs).  The probe pass, certify_lattice and partition_separated take
+their close pairs from one search on data sorted into square cells (_bands,
+read by _pairs and _probe_coverage).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResourceError, load_json
+from .errors import DomainError, ParameterError, ResourceError, load_json, require_keys
 from .weights import RadialWeight
 
 _GOLDEN = 0.6180339887498949
@@ -73,13 +76,23 @@ class Lattice:
 
 
 def lattice_from_json(data: dict, w: RadialWeight) -> Lattice:
-    pts = np.array([complex(x, y) for x, y in data["points"]])
+    require_keys(data, "lattice", "points", "delta", "r_max",
+                 numbers=("points", "delta", "r_max"),
+                 integers=("multiplicity_observed", "repairs_failed"))
+    points = data["points"]
+    if not (isinstance(points, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in points)):
+        raise ParameterError("lattice JSON needs a list of [x, y] pairs at 'points'")
+    delta, r_max = float(data["delta"]), float(data["r_max"])
+    w.require_delta(delta)
+    _require_r_max(r_max)
+    pts = np.array([complex(x, y) for x, y in points])
     if not np.all(np.abs(pts) < 1.0):
         raise DomainError("lattice points must lie in the open unit disk")
     return Lattice(
         weight=w,
-        delta=float(data["delta"]),
-        r_max=float(data["r_max"]),
+        delta=delta,
+        r_max=r_max,
         points=pts,
         multiplicity_observed=int(data.get("multiplicity_observed", -1)),
         taus=w.tau(np.abs(pts)),
@@ -177,27 +190,29 @@ class _GreedyState:
             hit[c] = np.any(d2 < lim * lim, axis=1)
         return hit
 
-    def ring_conflicts(self, r, thetas, tau_c, delta: float) -> np.ndarray:
-        """conflicts for candidates at radius r and angles thetas (in [0, 2 pi)),
-        all with tau tau_c, tested against the rings within _REACH delta tau_c.
+    def ring_conflicts(self, r, n_ang: int, offs: float, tau_c, delta: float) -> np.ndarray:
+        """conflicts for the candidates at radius r and angles (k + offs) 2 pi / n_ang,
+        k = 0 .. n_ang - 1, all with tau tau_c, tested against the rings within
+        _REACH delta tau_c.
 
-        A ring at radius r_k farther than that from r cannot hold a conflict;
-        on the others an angular window on the sorted angles holds every
-        point within reach.
+        A ring at radius r_k farther than that from r cannot hold a conflict.
+        The others are one block of rows, and each of their points meets a
+        window of candidate indices as wide as the innermost ring's, the
+        widest, which holds every candidate within reach of it.
         """
+        thetas = (np.arange(n_ang) + offs) * (2.0 * np.pi / n_ang)
         reach = _REACH * delta * tau_c
         x, y = r * np.cos(thetas), r * np.sin(thetas)
-        c, j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for k in range(bisect.bisect_left(self.radii, r - reach * _BALL_SLACK),
-                       bisect.bisect_right(self.radii, r + reach * _BALL_SLACK)):
-            i, pos = _angle_window(thetas, self.thetas[k], _half_angle(reach, r, self.radii[k]))
-            c.append(i)
-            j.append(self.rows[k] + pos)
-        c, j = np.concatenate(c), np.concatenate(j)
-        pts = self.data[j]
-        d2 = (pts[:, 0] - x[c]) ** 2 + (pts[:, 1] - y[c]) ** 2
-        lim = delta * np.maximum(tau_c, pts[:, 2])
-        hit = np.zeros(len(thetas), dtype=bool)
+        k0 = bisect.bisect_left(self.radii, r - reach * _BALL_SLACK)
+        k1 = bisect.bisect_right(self.radii, r + reach * _BALL_SLACK)
+        hit = np.zeros(n_ang, dtype=bool)
+        if k0 == k1:
+            return hit
+        block = self.data[self.rows[k0]:self.rows[k1] if k1 < len(self.rows) else self.n]
+        c = _index_window(np.concatenate(self.thetas[k0:k1]),
+                          _half_angle(reach, r, self.radii[k0]), n_ang, offs)
+        d2 = (block[:, :1] - x[c]) ** 2 + (block[:, 1:2] - y[c]) ** 2
+        lim = delta * np.maximum(tau_c, block[:, 2:])
         hit[c[d2 < lim * lim]] = True
         return hit
 
@@ -231,12 +246,33 @@ def _half_angle(reach: float, r: float, r_k: float) -> float:
     return math.pi if s <= reach else 2.0 * math.asin(reach / s)
 
 
-def _angle_window(thetas, ring, half: float):
-    """(i, k) for every ring[k] in [thetas[i] - half, thetas[i] + half) modulo
-    2 pi, each once: ring ascending in [0, 2 pi), half <= pi."""
-    ext = np.concatenate([ring - 2.0 * np.pi, ring, ring + 2.0 * np.pi])
-    count, pos = _ranges(np.searchsorted(ext, thetas - half), np.searchsorted(ext, thetas + half))
-    return np.repeat(np.arange(len(thetas)), count), pos % len(ring)
+def _index_window(phi, half: float, n_ang: int, offs: float) -> np.ndarray:
+    """Row j holds the indices i of the candidate angles (i + offs) 2 pi / n_ang
+    in a window that holds every one within half of phi[j] modulo 2 pi, each
+    once; half <= pi.
+
+    The window starts at the floor of its lower end's index and holds one
+    index more than the floor(2 half / step) + 2 that exact arithmetic needs,
+    so that rounding in the index arithmetic drops nothing; so it reaches at
+    most one candidate below its lower end and two above its upper end.  It
+    is the whole circle once that takes n_ang candidates.
+    """
+    step = 2.0 * np.pi / n_ang
+    width = min(n_ang, int(2.0 * half / step) + 3)
+    lo = np.floor((phi - half) / step - offs).astype(np.intp)
+    return (lo[:, None] + np.arange(width)) % n_ang
+
+
+def _ring_pairs(x, y, gap: int, lim: float):
+    """(a, b), a < b, of the points x + iy of one ring closer than lim and at
+    most gap places apart around it, each pair at least once."""
+    m = len(x)
+    gap = max(0, min(m - 1, gap))
+    a = np.tile(np.arange(m), gap)
+    b = (a + np.repeat(np.arange(1, gap + 1), m)) % m
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    near = (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim
+    return a[near], b[near]
 
 
 def _ranges(lo, hi):
@@ -260,8 +296,7 @@ def build_lattice(
     Halton probe grid.
     """
     w.require_delta(delta)
-    if not (0.0 < r_max < 1.0):
-        raise DomainError(f"r_max must lie in (0, 1), got {r_max}")
+    _require_r_max(r_max)
     _require_probe_count(probe_count)
 
     state = _sweep(w, delta, r_max, max_points)
@@ -273,23 +308,29 @@ def build_lattice(
     probes = _probe_points(r_max, probe_count)
     probes = probes[np.argsort(np.abs(probes))]
     probe_xy = _xy(probes)
-    tau_probes = w.tau(np.abs(probes))
     repairs_failed = 0
     covered, counts = _probe_coverage(probe_xy, state.xy, state.taus, delta)
     for _ in range(20):
         if covered.all():
             break
         done = len(state)
-        for p, tau_p in zip(probes[~covered], tau_probes[~covered]):
+        miss = probes[~covered]
+        for p, tau_p in zip(miss, w.tau(np.abs(miss))):
             if state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
                 repairs_failed += 1
             else:
                 state.add(p.real, p.imag, float(tau_p))
         if len(state) == done:
             break
-        more, extra = _probe_coverage(probe_xy, state.xy[done:], state.taus[done:], delta)
-        covered |= more
-        counts += extra
+        # only the probes in the inserted points' bounding box, widened by
+        # their largest search radius, can meet them
+        xy, taus = state.xy[done:], state.taus[done:]
+        pad = 3.0 * delta * taus.max() * _BALL_SLACK
+        box = np.flatnonzero(np.all((probe_xy >= xy.min(axis=0) - pad)
+                                    & (probe_xy <= xy.max(axis=0) + pad), axis=1))
+        more, extra = _probe_coverage(probe_xy[box], xy, taus, delta)
+        covered[box] |= more
+        counts[box] += extra
 
     lat = Lattice(
         weight=w,
@@ -326,15 +367,17 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
         tau_ring = float(w.tau(r))
         n_ang = max(6, int(np.ceil(2.0 * np.pi * r / (candidate_spacing * delta * tau_ring))))
         offs = (ring * _GOLDEN) % 1.0
-        thetas = (np.arange(n_ang) + offs) * (2.0 * np.pi / n_ang)
+        step = 2.0 * np.pi / n_ang
         # the ring's candidates are tested together against the earlier rings
         # within reach; only conflicts inside the ring are resolved in order
-        free = thetas[~state.ring_conflicts(r, thetas, tau_ring, delta)]
-        x, y, lim = r * np.cos(free), r * np.sin(free), delta * tau_ring
-        a, b = _angle_window(free, free, _half_angle(lim * _BALL_SLACK, r, r))
-        a, b = a[a < b], b[a < b]
-        near = (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim
-        state.add_ring(r, free[_first_fit(len(free), a[near], b[near]) == 0], tau_ring)
+        free = np.flatnonzero(~state.ring_conflicts(r, n_ang, offs, tau_ring, delta))
+        thetas = (free + offs) * step
+        x, y, lim = r * np.cos(thetas), r * np.sin(thetas), delta * tau_ring
+        # two conflicting candidates lie at most gap grid indices apart, so at
+        # most gap places apart among the free ones
+        gap = math.ceil(_half_angle(lim * _BALL_SLACK, r, r) / step)
+        a, b = _ring_pairs(x, y, gap, lim)
+        state.add_ring(r, thetas[_first_fit(len(free), a, b) == 0], tau_ring)
         # the next ring steps from this one's radius
         tau_r = tau_ring
         if len(state) > max_points:
@@ -343,6 +386,11 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
                 f"(r_max={r_max} too close to 1 for delta={delta})"
             )
     return state
+
+
+def _require_r_max(r_max: float) -> None:
+    if not (0.0 < r_max < 1.0):
+        raise DomainError(f"r_max must lie in (0, 1), got {r_max}")
 
 
 def _require_probe_count(probe_count: int) -> None:
@@ -372,27 +420,19 @@ def _first_fit(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(colors, dtype=np.intp)
 
 
-def _pairs(xy, radii, data=None) -> tuple[np.ndarray, np.ndarray]:
-    """(row, hit) of a superset of the pairs |xy[row] - data[hit]| <= radii[row].
+def _bands(xy, radii, data):
+    """The search behind _pairs, one band of rows at a time.
 
-    Rows whose radii lie within a factor sqrt(2) of each other (one value of
-    floor(2 log2 r)) form a band.  For each band the data whose norms lie
-    within R of the band's rows' norms, R the band's largest radius, are
-    sorted into square cells of side R/5, column by column, and each row
-    visits, column by column, the run of cells that meets its own disk; so
-    every hit lies within 1.4 radii[row] of its row, and the caller's exact
-    comparisons decide.
-
-    With data None, xy is searched against itself, and each pair of distinct
-    rows is returned once: from the row first in (x, then index) order,
-    which visits only the rows after it.  That order does not depend on a
-    band's cells, so the caller's rule must be covered by either row's radius.
+    Yields (sel, order, count, pos): sel holds the band's rows in cell order,
+    order the data indices sorted by cell, and count and pos are the runs of
+    _ranges, one per row and visited cell column, column offset by column
+    offset: the run of row sel[k] at column offset c is count[c * len(sel) + k]
+    long, and order[pos] over it are its hits.
     """
     radii = np.broadcast_to(radii, (len(xy),))
     pts = xy if data is None else data
-    rows, hits = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     if not len(xy) or not len(pts):
-        return rows[0], hits[0]
+        return
     # visit a rounding margin beyond each disk, so that the cell arithmetic
     # never drops a pair at exactly its radius
     pad = 8.0 * np.finfo(float).eps * (1.0 + np.abs(pts).max() + np.abs(xy).max())
@@ -438,13 +478,34 @@ def _pairs(xy, radii, data=None) -> tuple[np.ndarray, np.ndarray]:
             hi.append(np.where(ok, np.searchsorted(
                 key, base + np.clip(top, 0, nrow - 1).astype(np.intp), side="right"), 0))
         count, pos = _ranges(np.concatenate(lo), np.concatenate(hi))
+        yield sel, order, count, pos
+
+
+def _pairs(xy, radii, data=None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, hit) of a superset of the pairs |xy[row] - data[hit]| <= radii[row].
+
+    Rows whose radii lie within a factor sqrt(2) of each other (one value of
+    floor(2 log2 r)) form a band.  For each band the data whose norms lie
+    within R of the band's rows' norms, R the band's largest radius, are
+    sorted into square cells of side R/5, column by column, and each row
+    visits, column by column, the run of cells that meets its own disk; so
+    every hit lies within 1.4 radii[row] of its row, and the caller's exact
+    comparisons decide.
+
+    With data None, xy is searched against itself, and each pair of distinct
+    rows is returned once: from the row first in (x, then index) order,
+    which visits only the rows after it.  That order does not depend on a
+    band's cells, so the caller's rule must be covered by either row's radius.
+    """
+    rows, hits = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for sel, order, count, pos in _bands(xy, radii, data):
         row = np.repeat(np.tile(sel, len(count) // len(sel)), count)
         hit = order[pos]
         if data is None:
             # the pairs from a row's own column come first: of these, keep the
             # rows after it in (x, index) order
             own = int(count[: len(sel)].sum())
-            px = pts[:, 0]
+            px = xy[:, 0]
             a, b = px[row[:own]], px[hit[:own]]
             keep = np.ones(len(row), dtype=bool)
             keep[:own] = (b > a) | ((b == a) & (hit[:own] > row[:own]))
@@ -465,19 +526,29 @@ def _probe_coverage(probes, xy, taus, delta):
     widened by a rounding margin so that the exact comparisons decide.
     """
     reach = 3.0 * delta * taus
-    j, p = _pairs(xy, reach * _BALL_SLACK, probes)
-    # sqrt(dx*dx + dy*dy) in place, from 1-D gathers of contiguous coordinates:
-    # the same bits as a 2-D gather, with fewer pair-length temporaries
+    cover = delta * taus
     px, py = np.ascontiguousarray(probes.T)
-    x, y = np.ascontiguousarray(xy.T)
-    d = px[p] - x[j]
-    d *= d
-    dy = py[p] - y[j]
-    d += dy * dy
-    np.sqrt(d, out=d)
     covered = np.zeros(len(probes), dtype=bool)
-    covered[p[d < delta * taus[j]]] = True
-    counts = np.bincount(p[d < reach[j]], minlength=len(probes))
+    counts = np.zeros(len(probes), dtype=np.intp)
+    for sel, order, count, pos in _bands(xy, reach * _BALL_SLACK, probes):
+        # per band: the probes gathered once in cell order, and the tallies
+        # kept in cell order; per visited column offset, each row's values
+        # repeated over its run, on few enough pairs to stay in cache
+        qx, qy = px[order], py[order]
+        x, y, row_cover, row_reach = xy[sel, 0], xy[sel, 1], cover[sel], reach[sel]
+        hit = np.zeros(len(order), dtype=bool)
+        tally = np.zeros(len(order), dtype=np.intp)
+        runs = count.reshape(-1, len(sel))
+        for k, p in zip(runs, np.split(pos, np.cumsum(runs.sum(axis=1))[:-1])):
+            d = qx[p] - x.repeat(k)
+            d *= d
+            dy = qy[p] - y.repeat(k)
+            d += dy * dy
+            np.sqrt(d, out=d)
+            hit[p[d < row_cover.repeat(k)]] = True
+            tally += np.bincount(p[d < row_reach.repeat(k)], minlength=len(order))
+        covered[order] |= hit
+        counts[order] += tally
     return covered, counts
 
 
@@ -536,7 +607,7 @@ def count_in_ball(lat: Lattice, zeta: complex, m: int) -> int:
         raise DomainError("zeta must lie in the open unit disk")
     tau_z = float(lat.weight.tau(abs(zeta)))
     lim = (2.0**m) * lat.delta * np.minimum(lat.taus, tau_z)
-    return int(np.sum(np.abs(lat.points - zeta) < lim))
+    return int(np.count_nonzero(np.abs(lat.points - zeta) < lim))
 
 
 def partition_separated(lat: Lattice, m: int) -> list[np.ndarray]:

@@ -16,8 +16,8 @@ from btk.lattice import (
     _REACH,
     Lattice,
     _GreedyState,
-    _angle_window,
     _half_angle,
+    _index_window,
     _pairs,
     _probe_coverage,
     _probe_points,
@@ -103,7 +103,9 @@ def test_count_in_ball_matches_brute_force(lat_tiny, delta1, w1):
         for m in range(1, 5):
             lim = (2.0**m) * delta1 * np.minimum(lat_tiny.taus, tau_z)
             expect = int(np.sum(np.abs(lat_tiny.points - zeta) < lim))
-            assert count_in_ball(lat_tiny, zeta, m) == expect
+            got = count_in_ball(lat_tiny, zeta, m)
+            # a Python int, as the JSON reports and the benchmark's check read it
+            assert got == expect and type(got) is int
     with pytest.raises(DomainError):
         count_in_ball(lat_tiny, 1.0 + 0j, 2)
 
@@ -229,6 +231,33 @@ def test_from_json_rejects_points_outside_the_open_disk(lat_tiny, w1, point):
         lattice_from_json(data, w1)
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda d: _without(d, "delta"), ParameterError, "lacks 'delta'"),
+    (lambda d: _without(d, "points"), ParameterError, "lacks 'points'"),
+    (lambda d: _without(d, "r_max"), ParameterError, "lacks 'r_max'"),
+    (lambda d: d["points"], ParameterError, "must be an object"),
+    (lambda d: {**d, "delta": "small"}, ParameterError, "numbers at 'delta'"),
+    (lambda d: {**d, "repairs_failed": 1.5}, ParameterError, "integers at 'repairs_failed'"),
+    (lambda d: {**d, "points": d["points"] + [[0.1]]}, ParameterError, r"\[x, y\] pairs"),
+    (lambda d: {**d, "points": d["points"] + [[0.1, 0.2, 0.3]]}, ParameterError,
+     r"\[x, y\] pairs"),
+    (lambda d: {**d, "points": 0.5}, ParameterError, r"\[x, y\] pairs"),
+    (lambda d: {**d, "delta": 5.0}, ParameterError, "delta=5.0 outside"),
+    (lambda d: {**d, "delta": 0.0}, ParameterError, "delta=0.0 outside"),
+    (lambda d: {**d, "r_max": 1.5}, DomainError, r"r_max must lie in \(0, 1\)"),
+    (lambda d: {**d, "r_max": 0.0}, DomainError, r"r_max must lie in \(0, 1\)"),
+], ids=["no_delta", "no_points", "no_r_max", "not_an_object", "string_delta",
+        "float_repairs", "short_point", "long_point", "scalar_points", "delta_too_large",
+        "delta_zero", "r_max_outside", "r_max_zero"])
+def test_from_json_rejects_malformed_lattices(lat_tiny, w1, edit, error, match):
+    with pytest.raises(error, match=match):
+        lattice_from_json(edit(lat_tiny.to_json()), w1)
+
+
 def test_build_is_deterministic(w1, delta1):
     a = build_lattice(w1, delta1, 0.25, probe_count=2_000)
     b = build_lattice(w1, delta1, 0.25, probe_count=2_000)
@@ -266,6 +295,21 @@ def test_sweep_matches_recorded_digests(alpha, delta_div, r_max, probe_count,
     assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
     assert lat.repairs_failed == repairs_failed
     assert lat.probe_pass == (probe_count, 0)
+
+
+def test_sweep_heavy_lattice_matches_recorded_digest():
+    # 27,215 points, almost all from the sweep's rings; one probe stays
+    # uncovered because its own position conflicts, so the repair fails once
+    w = btk.make_exponential_weight(0.25)
+    lat = build_lattice(w, w.m_tau / 16, 0.7, probe_count=5_000)
+    pts = np.ascontiguousarray(lat.points, dtype=complex)
+    assert len(lat) == 27_215
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "2184103e7b9824eb7bcbb15278ffc77b4991b935d588a8bfc092dfaf2276f4c0"
+    )
+    assert lat.repairs_failed == 1
+    assert lat.probe_pass == (5_000, 1)
+    assert lat.multiplicity_observed == 26
 
 
 def test_sweep_evaluates_tau_once_per_ring(w1, delta1, monkeypatch):
@@ -332,9 +376,14 @@ def swept_half(w1, delta1):
     return _sweep(w1, delta1, 0.5, 2_000_000)
 
 
+def _ring_angles(n_ang, offs):
+    """A ring's candidate angles, computed as the sweep computes them."""
+    return (np.arange(n_ang) + offs) * (2.0 * np.pi / n_ang)
+
+
 def test_ring_conflicts_within_reach_match_brute_force(swept_half, w1, delta1):
     # rings more than _REACH delta tau from a candidate ring cannot conflict
-    # with its candidates, and on the others the angular windows hold every
+    # with its candidates, and on the others the index windows hold every
     # conflict: the windowed test gives the exact rule against every point,
     # on rings between the swept ones, on the first rings (whose windows are
     # the whole circle) and beside the origin ring
@@ -345,10 +394,10 @@ def test_ring_conflicts_within_reach_match_brute_force(swept_half, w1, delta1):
     for r in (1e-4, radii[1], 0.5 * (radii[1] + radii[2]), radii[3], 0.12, 0.2371, 0.3,
               0.41, 0.4999):
         tau_ring = float(w1.tau(r))
-        thetas = 2.0 * np.pi * (np.arange(500) + 0.3) / 500
+        thetas = _ring_angles(500, 0.3)
         x, y = r * np.cos(thetas), r * np.sin(thetas)
         want = state.conflicts(x, y, np.full(500, tau_ring), delta1)
-        np.testing.assert_array_equal(state.ring_conflicts(r, thetas, tau_ring, delta1), want)
+        np.testing.assert_array_equal(state.ring_conflicts(r, 500, 0.3, tau_ring, delta1), want)
         assert want.any()
     # the first rings see the whole circle of the rings within reach
     reach = _REACH * delta1 * float(w1.tau(radii[1]))
@@ -356,41 +405,91 @@ def test_ring_conflicts_within_reach_match_brute_force(swept_half, w1, delta1):
     assert _half_angle(reach, radii[1], 0.0) == np.pi
 
 
-def _window_brute_force(thetas, ring, half):
-    """Every (i, k) with ring[k] - thetas[i] in [-half, half) modulo 2 pi."""
-    diff = np.mod(ring[None, :] - thetas[:, None] + half, 2.0 * np.pi)
-    return {(i, k) for i, k in zip(*np.nonzero(diff < 2.0 * half))}
+def _checked_sweep(w, delta, r_max):
+    """_sweep with every ring's conflicts and in-ring pairs checked by brute force;
+    returns the number of rings checked."""
+    checked = []
+    ring_conflicts, ring_pairs = _GreedyState.ring_conflicts, btk.lattice._ring_pairs
+
+    def oracle(self, r, n_ang, offs, tau_c, delta):
+        got = ring_conflicts(self, r, n_ang, offs, tau_c, delta)
+        # |c - z_j| >= | r - |z_j| |, so a point farther than its separation
+        # radius from the ring in norm cannot conflict; conflicts tests every
+        # point of the rest
+        xy, taus = self.xy, self.taus
+        near = np.abs(np.hypot(xy[:, 0], xy[:, 1]) - r) < 1.01 * delta * np.maximum(tau_c, taus)
+        rest = _GreedyState()
+        rest.add(xy[near, 0], xy[near, 1], taus[near])
+        thetas = _ring_angles(n_ang, offs)
+        want = rest.conflicts(r * np.cos(thetas), r * np.sin(thetas), tau_c, delta)
+        np.testing.assert_array_equal(got, want)
+        checked.append(r)
+        return got
+
+    def pairs(x, y, gap, lim):
+        a, b = ring_pairs(x, y, gap, lim)
+        assert np.all(a < b)
+        d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+        want = set(zip(*np.nonzero(np.triu(d2 < lim * lim, 1))))
+        assert set(zip(a.tolist(), b.tolist())) == want
+        return a, b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_GreedyState, "ring_conflicts", oracle)
+        mp.setattr(btk.lattice, "_ring_pairs", pairs)
+        state = _sweep(w, delta, r_max, 2_000_000)
+    assert checked == state.radii[1:]
+    return len(checked)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("delta_div", [4, 8, 16])
+def test_sweep_windows_match_brute_force_on_every_ring(alpha, delta_div):
+    # every ring of four sweeps: its conflicts against every accepted point
+    # in reach of it by norm, and its in-ring pairs against all pairs
+    w = btk.make_exponential_weight(alpha)
+    rings = [_checked_sweep(w, w.m_tau / delta_div, r_max) for r_max in (0.1, 0.3, 0.5, 0.7)]
+    assert rings == sorted(rings) and rings[0] >= 6
+
+
+def _window_brute_force(phi, half, n_ang, offs):
+    """Every (j, i) with candidate angle i in [phi[j] - half, phi[j] + half)
+    modulo 2 pi."""
+    diff = np.mod(_ring_angles(n_ang, offs)[None, :] - phi[:, None] + half, 2.0 * np.pi)
+    return {(j, i) for j, i in zip(*np.nonzero(diff < 2.0 * half))}
 
 
 @pytest.mark.parametrize("case", ["seam", "whole_circle", "origin"])
 def test_angle_windows_match_brute_force(case):
     rng = np.random.default_rng(3)
     if case == "seam":
-        # angles within the window's width of 0 and of 2 pi, where it wraps
-        ring = np.sort(np.concatenate([rng.uniform(0.0, 0.05, 40),
-                                       2.0 * np.pi - rng.uniform(1e-12, 0.05, 40),
-                                       rng.uniform(0.0, 2.0 * np.pi, 40)]))
-        thetas = np.concatenate([[0.0, 1e-15, np.nextafter(2.0 * np.pi, 0.0)],
-                                 rng.uniform(0.0, 0.03, 20),
-                                 2.0 * np.pi - rng.uniform(1e-12, 0.03, 20)])
-        half = 0.04
+        # points and candidates within the window's width of 0 and of 2 pi,
+        # where it wraps: the last candidate lies just below 2 pi
+        phi = np.concatenate([[0.0, 1e-15, np.nextafter(2.0 * np.pi, 0.0)],
+                              rng.uniform(0.0, 0.05, 40),
+                              2.0 * np.pi - rng.uniform(1e-12, 0.05, 40),
+                              rng.uniform(0.0, 2.0 * np.pi, 40)])
+        n_ang, offs, half = 997, 1.0 - 1e-12, 0.04
     elif case == "whole_circle":
-        # a ring of radius 1e-3 against its own candidates at a reach of 0.01
-        ring = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
-        thetas = ring.copy()
-        half = _half_angle(0.01, 1e-3, 1e-3)
+        # a ring of radius 1e-3 against 7 candidates at a reach of 0.01
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+        n_ang, offs, half = 7, 0.4, _half_angle(0.01, 1e-3, 1e-3)
         assert half == np.pi
     else:
-        ring = np.zeros(1)
-        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, 30))
-        half = _half_angle(0.01, 0.2, 0.0)
+        phi = np.zeros(1)
+        n_ang, offs, half = 30, rng.uniform(), _half_angle(0.01, 0.2, 0.0)
         assert half == np.pi
-    i, k = _angle_window(thetas, ring, half)
-    got = list(zip(i.tolist(), k.tolist()))
-    assert len(got) == len(set(got))
-    assert set(got) == _window_brute_force(thetas, ring, half)
+    window = _index_window(phi, half, n_ang, offs)
+    assert window.shape[0] == len(phi) and window.dtype == np.intp
+    got = {(j, int(i)) for j, row in enumerate(window) for i in row}
+    assert len(got) == window.size
+    # every candidate within the window, and none more than two candidate
+    # spacings beyond it
+    assert _window_brute_force(phi, half, n_ang, offs) <= got
+    step = 2.0 * np.pi / n_ang
+    assert got <= _window_brute_force(phi, min(half + 2.0 * step, np.pi), n_ang, offs)
     if half == np.pi:
-        assert len(got) == len(thetas) * len(ring)
+        assert window.size == len(phi) * n_ang
 
 
 def test_half_angle_holds_every_pair_within_reach():
