@@ -415,13 +415,13 @@ def _checked_sweep(w, delta, r_max):
         got = ring_conflicts(self, r, n_ang, offs, tau_c, delta)
         # |c - z_j| >= | r - |z_j| |, so a point farther than its separation
         # radius from the ring in norm cannot conflict; conflicts tests every
-        # point of the rest
+        # point of the band left
         xy, taus = self.xy, self.taus
         near = np.abs(np.hypot(xy[:, 0], xy[:, 1]) - r) < 1.01 * delta * np.maximum(tau_c, taus)
-        rest = _GreedyState()
-        rest.add(xy[near, 0], xy[near, 1], taus[near])
+        band = _GreedyState()
+        band.add(xy[near, 0], xy[near, 1], taus[near])
         thetas = _ring_angles(n_ang, offs)
-        want = rest.conflicts(r * np.cos(thetas), r * np.sin(thetas), tau_c, delta)
+        want = band.conflicts(r * np.cos(thetas), r * np.sin(thetas), tau_c, delta)
         np.testing.assert_array_equal(got, want)
         checked.append(r)
         return got
