@@ -10,7 +10,7 @@ import numpy as np
 
 from btk import (
     AtomicMeasure,
-    berezin_measure,
+    berezin_many,
     build_basis_table,
     carleson_constant,
     indicator_density,
@@ -48,12 +48,11 @@ def main():
 
     # the Berezin transform of dA is identically 1 (the kernel reproduces
     # itself); for atoms it concentrates near the atom
-    print(f"\nBerezin(dA)(0.4)    = {berezin_measure(bt, dA, 0.4):.10f}")
+    print(f"\nBerezin(dA)(0.4)    = {berezin_many(bt, dA, np.array([0.4]))[0]:.10f}")
     z_near = 0.3 + 0.5 * delta * float(w.tau(0.3))
-    print(f"Berezin(atoms) near the atom at 0.3: "
-          f"{berezin_measure(bt, atoms, z_near):.4f}")
-    print(f"Berezin(atoms) far away at -0.6:     "
-          f"{berezin_measure(bt, atoms, -0.6):.4e}")
+    near, far = berezin_many(bt, atoms, np.array([z_near, -0.6]))
+    print(f"Berezin(atoms) near the atom at 0.3: {near:.4f}")
+    print(f"Berezin(atoms) far away at -0.6:     {far:.4e}")
 
     # L^p(d lambda_tau) norms of mu_hat drive the Schatten-class tests
     # mu_hat of a compactly supported measure has kinks at the support edge,

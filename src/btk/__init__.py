@@ -33,7 +33,7 @@ from .measures import (
     GridDensityMeasure,
     Measure,
     RadialDensityMeasure,
-    berezin_measure,
+    berezin_many,
     carleson_constant,
     compensated_density,
     indicator_density,

@@ -244,12 +244,6 @@ def normalized_kernel(bt: BasisTable, z: complex, zeta: complex):
     return (la - 0.5 * kernel_norm_sq(bt, z), ph)
 
 
-def log_normalized_kernel_sq_at(bt: BasisTable, z: complex, pts: np.ndarray) -> np.ndarray:
-    """log |k_z(pt)|^2, vectorized over pts."""
-    la, _ = kernel_at_points(bt, z, pts)
-    return 2.0 * la - kernel_norm_sq(bt, z)
-
-
 def _log_abs_poly(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     vals = np.polynomial.polynomial.polyval(pts, coeffs)
     with np.errstate(divide="ignore"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -92,6 +93,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
+    if args.grid < 2:
+        raise ParameterError(f"--grid must be >= 2 radii for a spread, got {args.grid}")
     w = _load_weight(args.weight)
     bt = cached_basis_table(w, args.degree)
     ratio_min, ratio_max, spread = kernel_ratio_range(
@@ -114,13 +117,18 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_toeplitz(args) -> int:
+    try:
+        ps = [float(p) for p in args.p.split(",")]
+    except ValueError:
+        ps = []
+    if not ps or not all(0.0 < p < math.inf for p in ps):
+        raise ParameterError(f"--p must be comma-separated positive numbers, got {args.p!r}")
     w = _load_weight(args.weight)
     mu = load_measure(args.measure, w)
     degree = max(args.degree, args.dim - 1)
     bt = cached_basis_table(w, degree)
     tm = assemble_toeplitz(bt, mu, args.dim)
     rep = spectrum(tm)
-    ps = [float(p) for p in args.p.split(",")]
     _emit(spectrum_to_json(rep, ps=ps))
     return 0
 

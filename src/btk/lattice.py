@@ -3,18 +3,20 @@
 The construction is a deterministic greedy annular sweep: candidates are laid
 on concentric rings with spacing proportional to delta*tau and accepted when
 they keep the separation rule |c - z_j| >= delta * max(tau(c), tau(z_j)).
-A low-discrepancy probe pass then inserts each uncovered probe whose own
-position keeps separation (one whose position conflicts is a failed repair);
-each repair round re-probes only the points it inserted, and the lattice records
-the pass so that certify_lattice at the same probe count need not repeat it.
+A low-discrepancy probe pass then repairs the covering: in each round the
+uncovered probes are inserted, innermost first, by the same greedy rule as
+a ring's candidates (one whose position conflicts is a failed repair); each
+round re-probes only the points it inserted, and the lattice records the pass
+so that certify_lattice at the same probe count need not repeat it.
 
-The searches are numpy alone.  A ring's candidates lie on an even grid of
-angles, so each point of the earlier rings within reach meets them through a
-window of grid indices found by arithmetic (_index_window), and two
-conflicting candidates of one ring lie a bounded number of places apart
-(_ring_pairs).  The probe pass, certify_lattice and partition_separated take
-their close pairs from one search on data sorted into square cells (_bands,
-read by _pairs and _probe_coverage).
+The searches are numpy alone, and one rule (_conflict) decides separation in
+all of them.  A ring's candidates lie on an even grid of angles, so each point
+of the earlier rings within reach meets them through a window of grid indices
+found by arithmetic (_index_window), and two conflicting candidates of one
+ring lie a bounded number of places apart (_ring_pairs).  The repair, the
+probe pass, certify_lattice and partition_separated take their close pairs
+from one search on data sorted into square cells (_bands, read by _pairs and
+_probe_coverage).
 """
 
 from __future__ import annotations
@@ -174,26 +176,10 @@ class _GreedyState:
     def taus(self) -> np.ndarray:
         return self.data[: self.n, 2]
 
-    def conflicts(self, x, y, tau_c, delta: float) -> np.ndarray:
-        """Per candidate: any accepted z_j with |c - z_j| < delta * max(tau_c, tau_j)?
-
-        Every accepted point is tested, in blocks of candidates.
-        """
-        x, y = np.atleast_1d(x), np.atleast_1d(y)
-        tau_c = np.broadcast_to(tau_c, x.shape)
-        px, py, pt = self.data[: self.n].T
-        hit = np.empty(x.shape, dtype=bool)
-        for s in range(0, len(x), 64):
-            c = slice(s, s + 64)
-            d2 = (px - x[c, None]) ** 2 + (py - y[c, None]) ** 2
-            lim = delta * np.maximum(tau_c[c, None], pt)
-            hit[c] = np.any(d2 < lim * lim, axis=1)
-        return hit
-
     def ring_conflicts(self, r, n_ang: int, offs: float, tau_c, delta: float) -> np.ndarray:
-        """conflicts for the candidates at radius r and angles (k + offs) 2 pi / n_ang,
-        k = 0 .. n_ang - 1, all with tau tau_c, tested against the rings within
-        _REACH delta tau_c.
+        """Per candidate at radius r and angle (k + offs) 2 pi / n_ang,
+        k = 0 .. n_ang - 1, all with tau tau_c: does it conflict with a point
+        of the rings within _REACH delta tau_c?
 
         A ring at radius r_k farther than that from r cannot hold a conflict.
         The others are one block of rows, and each of their points meets a
@@ -211,9 +197,8 @@ class _GreedyState:
         block = self.data[self.rows[k0]:self.rows[k1] if k1 < len(self.rows) else self.n]
         c = _index_window(np.concatenate(self.thetas[k0:k1]),
                           _half_angle(reach, r, self.radii[k0]), n_ang, offs)
-        d2 = (block[:, :1] - x[c]) ** 2 + (block[:, 1:2] - y[c]) ** 2
-        lim = delta * np.maximum(tau_c, block[:, 2:])
-        hit[c[d2 < lim * lim]] = True
+        hit[c[_conflict(block[:, :1] - x[c], block[:, 1:2] - y[c],
+                        tau_c, block[:, 2:], delta)]] = True
         return hit
 
     def add(self, x, y, tau_c):
@@ -234,6 +219,13 @@ class _GreedyState:
         self.rows.append(self.n)
         self.thetas.append(thetas)
         self.add(r * np.cos(thetas), r * np.sin(thetas), tau_c)
+
+
+def _conflict(dx, dy, tau_a, tau_b, delta: float):
+    """Do two points dx + i dy apart conflict under the separation rule,
+    |dx + i dy| < delta * max(tau_a, tau_b)?  Compared squared."""
+    lim = delta * np.maximum(tau_a, tau_b)
+    return dx**2 + dy**2 < lim * lim
 
 
 def _half_angle(reach: float, r: float, r_k: float) -> float:
@@ -263,16 +255,45 @@ def _index_window(phi, half: float, n_ang: int, offs: float) -> np.ndarray:
     return (lo[:, None] + np.arange(width)) % n_ang
 
 
-def _ring_pairs(x, y, gap: int, lim: float):
-    """(a, b), a < b, of the points x + iy of one ring closer than lim and at
-    most gap places apart around it, each pair at least once."""
+def _ring_pairs(x, y, gap: int, tau: float, delta: float):
+    """(a, b), a < b, of the points x + iy of one ring (all with the ring's
+    tau) that conflict and lie at most gap places apart around it, each pair
+    at least once."""
     m = len(x)
     gap = max(0, min(m - 1, gap))
     a = np.tile(np.arange(m), gap)
     b = (a + np.repeat(np.arange(1, gap + 1), m)) % m
     a, b = np.minimum(a, b), np.maximum(a, b)
-    near = (x[a] - x[b]) ** 2 + (y[a] - y[b]) ** 2 < lim * lim
+    near = _conflict(x[a] - x[b], y[a] - y[b], tau, tau, delta)
     return a[near], b[near]
+
+
+def _in_box(pts, around, pad: float) -> np.ndarray:
+    """Indices of the rows of pts in the bounding box of the rows of around,
+    widened by pad."""
+    return np.flatnonzero(np.all((pts >= around.min(axis=0) - pad)
+                                 & (pts <= around.max(axis=0) + pad), axis=1))
+
+
+def _repair_round(state: _GreedyState, xy, taus, delta: float) -> np.ndarray:
+    """Indices, ascending, of the uncovered probes xy (with taus) that one
+    repair round inserts: in order, each that conflicts neither with a point
+    of state nor with a probe inserted before it.
+
+    One search finds the probes' conflicts with the points in reach, one
+    self-search those among the probes free of these; the relation being
+    symmetric, the sequential greedy inserts those of first-fit colour 0.
+    """
+    reach = _REACH * delta * taus
+    box = _in_box(state.xy, xy, reach.max() * _BALL_SLACK)
+    pts, pt = state.xy[box], state.taus[box]
+    row, hit = _pairs(xy, reach, pts)
+    blocked = _conflict(*(xy[row] - pts[hit]).T, taus[row], pt[hit], delta)
+    free = np.setdiff1d(np.arange(len(xy)), row[blocked])
+    a, b = _pairs(xy[free], reach[free])
+    near = _conflict(*(xy[free[a]] - xy[free[b]]).T, taus[free[a]], taus[free[b]], delta)
+    a, b = a[near], b[near]
+    return free[_first_fit(len(free), np.minimum(a, b), np.maximum(a, b)) == 0]
 
 
 def _ranges(lo, hi):
@@ -313,21 +334,17 @@ def build_lattice(
     for _ in range(20):
         if covered.all():
             break
-        done = len(state)
         miss = probes[~covered]
-        for p, tau_p in zip(miss, w.tau(np.abs(miss))):
-            if state.conflicts(p.real, p.imag, float(tau_p), delta)[0]:
-                repairs_failed += 1
-            else:
-                state.add(p.real, p.imag, float(tau_p))
-        if len(state) == done:
+        miss_xy, miss_taus = _xy(miss), w.tau(np.abs(miss))
+        keep = _repair_round(state, miss_xy, miss_taus, delta)
+        repairs_failed += len(miss) - len(keep)
+        if not len(keep):
             break
+        xy, taus = miss_xy[keep], miss_taus[keep]
+        state.add(xy[:, 0], xy[:, 1], taus)
         # only the probes in the inserted points' bounding box, widened by
         # their largest search radius, can meet them
-        xy, taus = state.xy[done:], state.taus[done:]
-        pad = 3.0 * delta * taus.max() * _BALL_SLACK
-        box = np.flatnonzero(np.all((probe_xy >= xy.min(axis=0) - pad)
-                                    & (probe_xy <= xy.max(axis=0) + pad), axis=1))
+        box = _in_box(probe_xy, xy, 3.0 * delta * taus.max() * _BALL_SLACK)
         more, extra = _probe_coverage(probe_xy[box], xy, taus, delta)
         covered[box] |= more
         counts[box] += extra
@@ -372,11 +389,11 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
         # within reach; only conflicts inside the ring are resolved in order
         free = np.flatnonzero(~state.ring_conflicts(r, n_ang, offs, tau_ring, delta))
         thetas = (free + offs) * step
-        x, y, lim = r * np.cos(thetas), r * np.sin(thetas), delta * tau_ring
+        x, y = r * np.cos(thetas), r * np.sin(thetas)
         # two conflicting candidates lie at most gap grid indices apart, so at
         # most gap places apart among the free ones
-        gap = math.ceil(_half_angle(lim * _BALL_SLACK, r, r) / step)
-        a, b = _ring_pairs(x, y, gap, lim)
+        gap = math.ceil(_half_angle(delta * tau_ring * _BALL_SLACK, r, r) / step)
+        a, b = _ring_pairs(x, y, gap, tau_ring, delta)
         state.add_ring(r, thetas[_first_fit(len(free), a, b) == 0], tau_ring)
         # the next ring steps from this one's radius
         tau_r = tau_ring

@@ -31,7 +31,6 @@ from .basis import (
     kernel_at_points,
     kernel_norm_sq,
     kernel_norm_sq_many,
-    log_normalized_kernel_sq_at,
 )
 from .errors import (
     ConvergenceError,
@@ -675,32 +674,6 @@ def operator_factor(bt: BasisTable, mu: Measure, n_terms: int):
     return factor, None, nodes[np.argmax(np.abs(nodes))]
 
 
-def berezin_measure(bt: BasisTable, mu: Measure, z: complex) -> float:
-    """B(z) = int |k_z(xi)|^2 omega(xi) d mu(xi), one kernel series per node.
-
-    The scalar oracle for berezin_many.
-    """
-    if abs(z) >= 1.0:
-        raise DomainError("z must lie in the open unit disk")
-    if mu.is_zero:
-        return 0.0
-    if isinstance(mu, RadialDensityMeasure):
-        # <T_mu k_z, k_z> for a diagonal symbol: sum t_n |z|^(2n)/h_n / ||K_z||^2
-        _, t, _ = operator_factor(bt, mu, bt.degree_max + 1)
-        a = abs(z)
-        n = np.arange(bt.degree_max + 1)
-        if a == 0.0:
-            base = np.where(n == 0, -bt.log_h, -np.inf)
-        else:
-            base = n * (2.0 * np.log(a)) - bt.log_h
-        terms = np.exp(base - np.max(base))
-        return float(np.sum(t * terms) / np.sum(terms))
-    # the checked node rule of operator_factor, summed one kernel series per node
-    pts, wts = _checked_nodes(mu)
-    log_k2 = log_normalized_kernel_sq_at(bt, z, pts)
-    return float(np.sum(wts * np.exp(log_k2 + bt.weight.log_weight(np.abs(pts)))))
-
-
 def _check_berezin_truncation(bt: BasisTable, z_out: complex, outer) -> None:
     """Raise TruncationError when some point with |z| <= |z_out| is inadequate.
 
@@ -905,7 +878,7 @@ def _atomic_muhat_lp_integral(
     lies in |z| <= r_max.  A region is solved once for every r_max, and its
     tau(z) serves every p; an r_max that leaves an atom's rays as the one
     before left them reuses their integrals.
-    Overlapping regions fall back to a deterministic midpoint grid per r_max.
+    Overlapping regions fall back to a deterministic midpoint grid.
     """
     pts, masses = mu.points, mu.masses
     taus = w.tau(np.abs(pts))
@@ -915,7 +888,7 @@ def _atomic_muhat_lp_integral(
     overlap = sep < (r_out[:, None] + r_out[None, :])
     np.fill_diagonal(overlap, False)
     if np.any(overlap):
-        return [_gridded_muhat_lp_integral(w, mu, delta, ps, r) for r in r_maxes]
+        return _gridded_muhat_lp_integral(w, mu, delta, ps, r_maxes)
     theta = np.arange(256) * (2.0 * np.pi / 256)
     e = np.exp(1j * theta)
     x01, w01 = gauss_legendre_rule(48)
@@ -948,12 +921,14 @@ def _atomic_muhat_lp_integral(
 
 
 def _gridded_muhat_lp_integral(
-    w: RadialWeight, mu: AtomicMeasure, delta: float, ps: list[float], r_max: float
+    w: RadialWeight, mu: AtomicMeasure, delta: float, ps: list[float], r_maxes: list[float]
 ) -> list:
-    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions.
+    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions:
+    per r_max in r_maxes, a list with one value per p in ps.
 
-    The grid has 1200 x 1200 cells on the atoms' bounding box; each row's
-    disk masses serve every p in ps.
+    The grid has 1200 x 1200 cells on the atoms' bounding box.  Each row's
+    disk masses are computed once, on its cells in |z| <= max(r_maxes), and
+    serve every p and every rung, which sums over its own |z| <= r_max.
     """
     taus = w.tau(np.abs(mu.points))
     r_out = (4.0 / 3.0) * delta * taus
@@ -966,10 +941,10 @@ def _gridded_muhat_lp_integral(
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) / np.pi
-    totals = [0.0] * len(ps)
+    totals = [[0.0] * len(ps) for _ in r_maxes]
     for row_y in cy:
         z = cx + 1j * row_y
-        keep = np.abs(z) <= r_max
+        keep = np.abs(z) <= max(r_maxes)
         if not keep.any():
             continue
         z = z[keep]
@@ -977,10 +952,12 @@ def _gridded_muhat_lp_integral(
         mass = mu.disk_mass_many(z, delta * tau_z)
         pos = mass > 0
         if pos.any():
-            for k, p in enumerate(ps):
-                totals[k] += cell * float(
-                    np.sum(mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0))
-                )
+            terms = [mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0) for p in ps]
+            r_pos = np.abs(z[pos])
+            for rung, r_max in zip(totals, r_maxes):
+                inner = r_pos <= r_max
+                for k, t in enumerate(terms):
+                    rung[k] += cell * float(np.sum(t[inner]))
     return totals
 
 

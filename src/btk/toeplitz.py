@@ -54,14 +54,6 @@ class ToeplitzMatrix:
     diag: np.ndarray | None = None      # (dim,) real
     factor: np.ndarray | None = None    # (rows >= dim, J) complex
 
-    def entries(self) -> np.ndarray:
-        """The dim x dim Hermitian matrix."""
-        if self.diag is not None:
-            return np.diag(self.diag.astype(complex))
-        f = self.factor[: self.dim]
-        m = f.conj() @ f.T
-        return 0.5 * (m + m.conj().T)
-
 
 def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
     """Assemble the truncated Toeplitz matrix of mu in the monomial basis."""

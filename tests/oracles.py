@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from btk.basis import basis_columns
-from btk.errors import ConvergenceError
+from btk.basis import basis_columns, kernel_at_points, kernel_norm_sq
+from btk.errors import ConvergenceError, DomainError
+from btk.measures import RadialDensityMeasure, _checked_nodes, operator_factor
 from btk.quadrature import gauss_legendre_nodes
 
 
@@ -63,6 +64,48 @@ def matrix_trace(tm) -> float:
     if tm.diag is not None:
         return float(np.sum(tm.diag))
     return float(np.sum(np.abs(tm.factor[: tm.dim]) ** 2))
+
+
+def dense_entries(tm) -> np.ndarray:
+    """The dim x dim Hermitian matrix of tm, from its diagonal or factor rows."""
+    if tm.diag is not None:
+        return np.diag(tm.diag.astype(complex))
+    f = tm.factor[: tm.dim]
+    m = f.conj() @ f.T
+    return 0.5 * (m + m.conj().T)
+
+
+def log_normalized_kernel_sq_at(bt, z: complex, pts: np.ndarray) -> np.ndarray:
+    """log |k_z(pt)|^2, vectorized over pts."""
+    la, _ = kernel_at_points(bt, z, pts)
+    return 2.0 * la - kernel_norm_sq(bt, z)
+
+
+def berezin_measure(bt, mu, z: complex) -> float:
+    """B(z) = int |k_z(xi)|^2 omega(xi) d mu(xi), one kernel series per node.
+
+    The scalar oracle for berezin_many: a radial measure sums its diagonal
+    symbols against |z|^(2n) / h_n, any other measure reads the checked node
+    rule of operator_factor.
+    """
+    if abs(z) >= 1.0:
+        raise DomainError("z must lie in the open unit disk")
+    if mu.is_zero:
+        return 0.0
+    if isinstance(mu, RadialDensityMeasure):
+        # <T_mu k_z, k_z> for a diagonal symbol: sum t_n |z|^(2n)/h_n / ||K_z||^2
+        _, t, _ = operator_factor(bt, mu, bt.degree_max + 1)
+        a = abs(z)
+        n = np.arange(bt.degree_max + 1)
+        if a == 0.0:
+            base = np.where(n == 0, -bt.log_h, -np.inf)
+        else:
+            base = n * (2.0 * np.log(a)) - bt.log_h
+        terms = np.exp(base - np.max(base))
+        return float(np.sum(t * terms) / np.sum(terms))
+    pts, wts = _checked_nodes(mu)
+    log_k2 = log_normalized_kernel_sq_at(bt, z, pts)
+    return float(np.sum(wts * np.exp(log_k2 + bt.weight.log_weight(np.abs(pts)))))
 
 
 def region_radii_60_steps(w, xi: complex, delta: float, theta: np.ndarray) -> np.ndarray:

@@ -16,12 +16,13 @@ from btk.basis import (
     kernel_at_points,
     kernel_norm_sq,
     kernel_norm_sq_many,
-    log_normalized_kernel_sq_at,
     normalized_kernel,
     unit_powers,
 )
 from btk.errors import DomainError, TruncationError
 from btk.quadrature import disk_nodes
+
+from oracles import log_normalized_kernel_sq_at
 
 
 @pytest.fixture(scope="module")

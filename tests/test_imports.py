@@ -1,0 +1,61 @@
+"""Every name a btk module imports is used there, or is a site that the
+benchmark's traced run patches (perfbench/layers.py's _sites)."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import btk
+
+SRC = Path(btk.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+# __init__ imports every name in order to export it
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# (module, name) imported only so that the traced run can patch it there
+PATCH_ONLY = {
+    ("btk.measures", "kernel_at_points"),
+    ("btk.measures", "kernel_norm_sq_many"),
+    ("btk.toeplitz", "jacobi_eigvalsh"),
+    ("btk.toeplitz", "radial_log_moments"),
+}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names imported anywhere in the module at path and read nowhere in it."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.fixture(scope="module")
+def patch_sites():
+    """(module name, attribute) of every module site in _sites()."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        layers = importlib.import_module("layers")
+        return {(owner.__name__, attr)
+                for _, owners, _ in layers._sites() for owner, attr in owners
+                if isinstance(owner, types.ModuleType)}
+
+
+def test_every_import_is_used_or_patched(patch_sites):
+    unused = {(f"btk.{p.stem}", name) for p in MODULES for name in _unused_imports(p)}
+    assert unused == PATCH_ONLY
+    assert PATCH_ONLY <= patch_sites
+
+
+def test_unused_import_check_can_fail(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\nimport math\nimport numpy as np\n"
+                    "from .basis import kernel, kernel_norm_sq as kns\n\n"
+                    "def f(x: np.ndarray):\n    return kernel(x)\n")
+    assert _unused_imports(path) == {"math", "kns"}

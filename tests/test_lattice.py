@@ -22,6 +22,7 @@ from btk.lattice import (
     _probe_coverage,
     _probe_points,
     _radical_inverse,
+    _repair_round,
     _sweep,
     _xy,
     build_lattice,
@@ -336,44 +337,66 @@ def test_repair_stops_after_a_round_that_inserts_nothing(w2, probed_sets):
     assert lat.probe_pass == (20_000, 1)
 
 
-def _conflicts_brute_force(lat, x, y, tau_c):
-    """The exact separation rule against every point, as conflicts evaluates it."""
-    dx = lat.points.real[None, :] - x[:, None]
-    dy = lat.points.imag[None, :] - y[:, None]
-    lim = lat.delta * np.maximum(tau_c[:, None], lat.taus[None, :])
-    return np.any(dx**2 + dy**2 < lim * lim, axis=1)
+def _conflicts_brute_force(xy, taus, delta, x, y, tau_c):
+    """Per candidate x + iy with tau tau_c: is some point of xy, with taus,
+    closer than delta * max(tau_c, tau_j)?  The exact separation rule against
+    every point, 64 candidates at a time."""
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    tau_c = np.broadcast_to(tau_c, x.shape)
+    hit = np.empty(x.shape, dtype=bool)
+    for s in range(0, len(x), 64):
+        c = slice(s, s + 64)
+        d2 = (xy[:, 0] - x[c, None]) ** 2 + (xy[:, 1] - y[c, None]) ** 2
+        lim = delta * np.maximum(tau_c[c, None], taus)
+        hit[c] = np.any(d2 < lim * lim, axis=1)
+    return hit
 
 
-def _state_of(lat):
-    state = _GreedyState()
-    state.add(lat.points.real, lat.points.imag, lat.taus)
-    return state
-
-
-def test_conflicts_match_brute_force(lat_half, w1, delta1, rng):
-    state = _state_of(lat_half)
-    pts, taus = lat_half.points, lat_half.taus
-    # random candidates, and candidates just outside a lattice point, near
-    # its disk's rim: there the point's tau is the larger one and decides
-    k = rng.integers(1, len(pts), 2_000)
-    near = pts[k] * (1.0 + delta1 * taus[k] * rng.uniform(0.9, 1.1, len(k)) / np.abs(pts[k]))
-    cand = np.concatenate([
-        0.5 * np.sqrt(rng.random(3_000)) * np.exp(2j * np.pi * rng.random(3_000)), near,
-    ])
-    x, y, tau_c = cand.real, cand.imag, w1.tau(np.abs(cand))
-    want = _conflicts_brute_force(lat_half, x, y, tau_c)
-    np.testing.assert_array_equal(state.conflicts(x, y, tau_c, delta1), want)
-    # both outcomes occur, and some conflicts hold only by the point's tau
-    d = np.abs(near[:, None] - pts[None, :])
-    by_tau_j = np.any((d < delta1 * taus[None, :]) & (d >= delta1 * tau_c[-len(k):, None]),
-                      axis=1)
-    assert 0 < want.sum() < len(want) and by_tau_j.any()
+def _sequential_repair(xy, taus, delta, cand_xy, cand_taus):
+    """Indices of the candidates that the repair inserts, one at a time: each
+    one free, by the brute-force rule, of the points and of the candidates
+    inserted before it."""
+    kept = []
+    for i, ((x, y), tau_c) in enumerate(zip(cand_xy, cand_taus)):
+        if not _conflicts_brute_force(xy, taus, delta, x, y, tau_c)[0]:
+            kept.append(i)
+            xy, taus = np.vstack([xy, [[x, y]]]), np.append(taus, tau_c)
+    return np.array(kept, dtype=np.intp)
 
 
 @pytest.fixture(scope="module")
 def swept_half(w1, delta1):
     """The sweep's rings of lat_half, before the repair."""
     return _sweep(w1, delta1, 0.5, 2_000_000)
+
+
+def test_repair_round_matches_sequential_greedy(swept_half, w1, delta1):
+    # the sweep with a fifth of its points dropped leaves about a thousand
+    # probes uncovered; beside them, candidates just outside a kept point,
+    # near its disk's rim, where the point's tau is the larger one and decides
+    rng = np.random.default_rng(26)
+    kept = rng.random(len(swept_half)) >= 0.2
+    state = _GreedyState()
+    state.add(swept_half.xy[kept, 0], swept_half.xy[kept, 1], swept_half.taus[kept])
+    probes = _probe_points(0.5, 20_000)
+    probes = probes[np.argsort(np.abs(probes))]
+    covered, _ = _probe_coverage(_xy(probes), state.xy, state.taus, delta1)
+    pts, taus = state.xy[:, 0] + 1j * state.xy[:, 1], state.taus
+    k = rng.integers(1, len(pts), 500)
+    near = pts[k] * (1.0 + delta1 * taus[k] * rng.uniform(0.9, 1.1, len(k)) / np.abs(pts[k]))
+    cand = np.concatenate([probes[~covered], near])
+    cand_xy, cand_taus = _xy(cand), w1.tau(np.abs(cand))
+    got = _repair_round(state, cand_xy, cand_taus, delta1)
+    want = _sequential_repair(state.xy, taus, delta1, cand_xy, cand_taus)
+    # the same insertions, so the same len(cand) - len(got) failed repairs,
+    # and hundreds of each
+    np.testing.assert_array_equal(got, want)
+    assert np.sum(~covered) > 1_000 and 100 < len(got) < len(cand) - 100
+    # some rim candidates conflict only by the point's tau, and are refused
+    d = np.abs(near[:, None] - pts[None, :])
+    by_tau_j = np.any((d < delta1 * taus) & (d >= delta1 * cand_taus[-len(k):, None]), axis=1)
+    assert by_tau_j.any()
+    assert not np.isin(len(cand) - len(k) + np.flatnonzero(by_tau_j), got).any()
 
 
 def _ring_angles(n_ang, offs):
@@ -396,7 +419,7 @@ def test_ring_conflicts_within_reach_match_brute_force(swept_half, w1, delta1):
         tau_ring = float(w1.tau(r))
         thetas = _ring_angles(500, 0.3)
         x, y = r * np.cos(thetas), r * np.sin(thetas)
-        want = state.conflicts(x, y, np.full(500, tau_ring), delta1)
+        want = _conflicts_brute_force(state.xy, state.taus, delta1, x, y, tau_ring)
         np.testing.assert_array_equal(state.ring_conflicts(r, 500, 0.3, tau_ring, delta1), want)
         assert want.any()
     # the first rings see the whole circle of the rings within reach
@@ -414,22 +437,22 @@ def _checked_sweep(w, delta, r_max):
     def oracle(self, r, n_ang, offs, tau_c, delta):
         got = ring_conflicts(self, r, n_ang, offs, tau_c, delta)
         # |c - z_j| >= | r - |z_j| |, so a point farther than its separation
-        # radius from the ring in norm cannot conflict; conflicts tests every
-        # point of the band left
+        # radius from the ring in norm cannot conflict; the brute force tests
+        # every point of the band left
         xy, taus = self.xy, self.taus
         near = np.abs(np.hypot(xy[:, 0], xy[:, 1]) - r) < 1.01 * delta * np.maximum(tau_c, taus)
-        band = _GreedyState()
-        band.add(xy[near, 0], xy[near, 1], taus[near])
         thetas = _ring_angles(n_ang, offs)
-        want = band.conflicts(r * np.cos(thetas), r * np.sin(thetas), tau_c, delta)
+        want = _conflicts_brute_force(xy[near], taus[near], delta,
+                                      r * np.cos(thetas), r * np.sin(thetas), tau_c)
         np.testing.assert_array_equal(got, want)
         checked.append(r)
         return got
 
-    def pairs(x, y, gap, lim):
-        a, b = ring_pairs(x, y, gap, lim)
+    def pairs(x, y, gap, tau, delta):
+        a, b = ring_pairs(x, y, gap, tau, delta)
         assert np.all(a < b)
         d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+        lim = delta * tau
         want = set(zip(*np.nonzero(np.triu(d2 < lim * lim, 1))))
         assert set(zip(a.tolist(), b.tolist())) == want
         return a, b
@@ -521,20 +544,20 @@ def test_multiplicity_gate_can_fail(w1, delta1):
 
 
 def test_failed_repairs_are_counted(w1, delta1, monkeypatch):
-    # the repair tests each uncovered probe alone; one whose own position
-    # conflicts is a failed repair
-    conflicts = btk.lattice._GreedyState.conflicts
+    # an uncovered probe that conflicts with a point, or with a probe that
+    # its round inserted before it, is a failed repair: each round's
+    # refusals are counted here by the brute-force rule
+    repair_round = btk.lattice._repair_round
     refused = []
 
-    def spy(self, x, y, tau_c, delta):
-        hit = conflicts(self, x, y, tau_c, delta)
-        if np.ndim(x) == 0 and hit[0]:
-            refused.append((x, y))
-        return hit
+    def spy(state, xy, taus, delta):
+        kept = _sequential_repair(state.xy, state.taus, delta, xy, taus)
+        refused.append(len(xy) - len(kept))
+        return repair_round(state, xy, taus, delta)
 
-    monkeypatch.setattr(btk.lattice._GreedyState, "conflicts", spy)
+    monkeypatch.setattr(btk.lattice, "_repair_round", spy)
     lat = build_lattice(w1, delta1, 0.25, probe_count=2_000)
-    assert refused and lat.repairs_failed == len(refused)
+    assert sum(refused) > 0 and lat.repairs_failed == sum(refused)
     again = lattice_from_json(lat.to_json(), w1)
     assert again.repairs_failed == lat.repairs_failed
     old = lat.to_json()
@@ -580,25 +603,18 @@ def test_repair_rounds_merge_exactly(w1, delta1, monkeypatch, probed_sets):
     # repair round inserts only the innermost uncovered probe that keeps
     # separation, so the repair runs all 20 rounds and still misses probes
     lat_mod = btk.lattice
-    first_fit, conflicts = lat_mod._first_fit, lat_mod._GreedyState.conflicts
+    first_fit = lat_mod._first_fit
 
     def holes(n, a, b):
         # colour 1 is dropped by the sweep, which keeps colour 0
         return first_fit(n, a, b) + (np.arange(n) % 5 == 2)
 
-    rounds_used = set()  # by len(probed_sets), which is the round number
-
-    def one_per_round(self, x, y, tau_c, delta):
-        hit = conflicts(self, x, y, tau_c, delta)
-        if np.ndim(x) == 0:  # a repair probe, which is inserted when it is free
-            if len(probed_sets) in rounds_used:
-                return np.ones(1, dtype=bool)
-            if not hit[0]:
-                rounds_used.add(len(probed_sets))
-        return hit
+    def one_per_round(state, xy, taus, delta):
+        hit = _conflicts_brute_force(state.xy, state.taus, delta, xy[:, 0], xy[:, 1], taus)
+        return np.flatnonzero(~hit)[:1]
 
     monkeypatch.setattr(lat_mod, "_first_fit", holes)
-    monkeypatch.setattr(lat_mod._GreedyState, "conflicts", one_per_round)
+    monkeypatch.setattr(lat_mod, "_repair_round", one_per_round)
     lat = build_lattice(w1, delta1, 0.3, probe_count=5_000)
     assert len(probed_sets) == 21
     assert [len(xy) for xy in probed_sets[1:]] == [1] * 20

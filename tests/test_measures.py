@@ -18,7 +18,6 @@ from btk.measures import (
     _berezin_polar_field,
     _gridded_muhat_lp_integral,
     berezin_many,
-    berezin_measure,
     carleson_constant,
     compensated_density,
     indicator_density,
@@ -34,7 +33,7 @@ from btk.measures import (
     zero_measure,
 )
 
-from oracles import region_radii_60_steps, simpson_doubling
+from oracles import berezin_measure, region_radii_60_steps, simpson_doubling
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +652,7 @@ def test_muhat_lp_area_measure(w1, delta1, dA):
 def test_atomic_lp_geometric_vs_grid_oracle(w1, delta1):
     mu = AtomicMeasure([0.3], [1.0])
     geo = _atomic_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
-    grid = _gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], 0.9)
+    grid = _gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
     assert geo == pytest.approx(grid, rel=2e-3)
 
 
@@ -707,7 +706,7 @@ def test_region_rule_integrates_only_inside_r_max(w1, delta1):
     for xi in (0.85, 0.71, 0.703):
         mu = AtomicMeasure([xi], [1.0])
         (geo,) = _atomic_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
-        (grid,) = _gridded_muhat_lp_integral(w1, mu, delta1, [1.0], 0.7)
+        (grid,) = _gridded_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
         if xi < 0.705:
             assert grid > 0.0
             assert geo == pytest.approx(grid, rel=1e-3)
@@ -845,6 +844,7 @@ def test_lp_batch_raises_when_any_p_fails_to_converge(w1, delta1):
 
 def test_muhat_lp_ladder_matches_scalar(w1, delta1, grid_patch):
     sep = 0.5 * delta1 * float(w1.tau(0.3))
+    sep_rim = 0.5 * delta1 * float(w1.tau(0.703))
     # (measure, ladder, quadrature options, the p forms tried)
     cases = [
         (power_density(2.0), (0.7, 0.8, 0.6), {}, (1.0, PS)),
@@ -854,8 +854,10 @@ def test_muhat_lp_ladder_matches_scalar(w1, delta1, grid_patch):
         # -0.4j by none, so its ray integrals are reused
         (AtomicMeasure([0.3, -0.4j, 0.703], [1.0, 0.5, 2.0]), (0.9, 0.7, 0.8, 0.9), {},
          (1.0, PS)),
-        # overlapping regions: the gridded fallback, rung by rung
+        # overlapping regions: the gridded fallback, one grid for the ladder,
+        # inside every rung and clipped by the rung 0.7
         (AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0]), (0.9, 0.35), {}, (PS,)),
+        (AtomicMeasure([0.703, 0.703 + sep_rim], [1.0, 1.0]), (0.9, 0.7), {}, (PS,)),
     ]
     with warnings.catch_warnings():
         # the grid patch's query disks are smaller than its cells

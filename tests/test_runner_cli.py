@@ -391,6 +391,27 @@ def test_cli_kernel_check(cli_files, capsys):
     assert code == 1 and out["passed"] is False
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("toeplitz", "--p", "abc"),
+    ("toeplitz", "--p", "0.5,,2"),
+    ("kernel-check", "--grid", "0"),
+    ("kernel-check", "--grid", "-3"),
+    # one radius gives a spread of 1 whatever the kernel, a check that cannot fail
+    ("kernel-check", "--grid", "1"),
+])
+def test_cli_malformed_option_values_exit_2(cli_files, capsys, command, option, value):
+    # a value that parses as no number list or no grid is a btk error, not a
+    # traceback whose exit status 1 would read as a failed check
+    files = [str(cli_files / "weight.json")]
+    if command == "toeplitz":
+        files.append(str(cli_files / "measure.json"))
+    assert cli_main([command, *files, option, value, "--degree", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"btk: ParameterError: {option} must be ")
+    assert value in captured.err and captured.err.count("\n") == 1
+
+
 def test_cli_toeplitz(cli_files, capsys):
     code, out = _run(capsys, [
         "toeplitz", str(cli_files / "weight.json"),

@@ -22,7 +22,6 @@ from btk.measures import (
     Measure,
     berezin_lp_norm,
     berezin_many,
-    berezin_measure,
     indicator_density,
     power_density,
     zero_measure,
@@ -37,7 +36,13 @@ from btk.toeplitz import (
     spectrum_to_json,
 )
 
-from oracles import matrix_trace, radial_factor, simpson_doubling
+from oracles import (
+    berezin_measure,
+    dense_entries,
+    matrix_trace,
+    radial_factor,
+    simpson_doubling,
+)
 
 
 def _random_hermitian(rng, n):
@@ -100,7 +105,7 @@ def test_radial_dense_oracle_matches_diagonal(bt400):
     mu = indicator_density(0.2, 0.6)
     dim = 48
     fast = assemble_toeplitz(bt400, mu, dim)
-    m = ToeplitzMatrix(bt400, dim, "dense", factor=radial_factor(bt400, mu, dim)).entries()
+    m = dense_entries(ToeplitzMatrix(bt400, dim, "dense", factor=radial_factor(bt400, mu, dim)))
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(m)))
     np.testing.assert_allclose(np.diag(m).real, fast.diag, rtol=1e-8)
@@ -139,7 +144,7 @@ def test_finite_rank_factor_matches_dense_oracle(bt400):
     # test_finite_rank_gram_matches_per_pair_kernel_loop
     mu = AtomicMeasure([0.3, -0.15 + 0.2j, 0.6j], [1.0, 0.6, 0.25])
     tm = assemble_toeplitz(bt400, mu, 48)
-    assert matrix_trace(tm) == pytest.approx(np.trace(tm.entries()).real, rel=1e-13)
+    assert matrix_trace(tm) == pytest.approx(np.trace(dense_entries(tm)).real, rel=1e-13)
 
 
 def test_atomic_spectrum_relatively_accurate_against_mpmath(w1):
@@ -249,7 +254,7 @@ def test_atomic_dense_truncation_converges(bt400):
     gaps = []
     for dim in (16, 32, 64):
         tm = assemble_toeplitz(bt400, mu, dim)
-        ev = np.linalg.eigvalsh(tm.entries())[::-1][:3]
+        ev = np.linalg.eigvalsh(dense_entries(tm))[::-1][:3]
         gaps.append(np.max(np.abs(ev - exact) / exact))
     assert gaps[-1] <= gaps[0]
     assert gaps[-1] < 1e-8
@@ -259,15 +264,15 @@ def test_linearity_for_atomic_measures(bt400):
     a = AtomicMeasure([0.3], [1.0])
     b = AtomicMeasure([-0.4j], [0.5])
     ab = AtomicMeasure([0.3, -0.4j], [1.0, 0.5])
-    da = assemble_toeplitz(bt400, a, 32).entries()
-    db = assemble_toeplitz(bt400, b, 32).entries()
-    dab = assemble_toeplitz(bt400, ab, 32).entries()
+    da = dense_entries(assemble_toeplitz(bt400, a, 32))
+    db = dense_entries(assemble_toeplitz(bt400, b, 32))
+    dab = dense_entries(assemble_toeplitz(bt400, ab, 32))
     np.testing.assert_allclose(dab, da + db, atol=1e-14 * np.max(np.abs(dab)))
 
 
 def test_entries_hermitian(bt400):
     mu = GridDensityMeasure.area_measure(nr=10, ntheta=12, r_outer=0.6)
-    m = assemble_toeplitz(bt400, mu, 24).entries()
+    m = dense_entries(assemble_toeplitz(bt400, mu, 24))
     np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
 
 
@@ -419,8 +424,6 @@ def test_berezin_operator_identity(bt400):
 
 
 def test_berezin_operator_matches_measure_for_atoms(bt400):
-    from btk.measures import berezin_measure
-
     zs = np.array([0.0, 0.1, 0.4 * np.exp(0.9j), -0.5j, 0.7 * np.exp(-2.0j)])
     mu = AtomicMeasure([0.3, -0.15 + 0.2j], [1.0, 0.6])
     tm = assemble_toeplitz(bt400, mu, 256)
