@@ -5,9 +5,10 @@ For a radial weight the monomials z^n / sqrt(h_n) with
 reproducing kernel is the series ``K_z(zeta) = sum (zeta conj(z))^n / h_n``.
 Magnitudes of h_n and of kernel values overflow/underflow doubles quickly, so
 kernels are returned as (log_abs, phase) pairs and diagonal values as logs.
-The weighted basis columns e_n(z) sqrt(omega(z)) behind the Toeplitz factors
-are a real modulus, one exp of its log, times the phases (z/|z|)^n, which
-are built by doubling rather than by a complex exp.
+Every series term is a real modulus a_n(r) = |e_n(r)| sqrt(omega(r)), one
+exp of its log, times phases built by doubling rather than by a complex exp:
+the weighted basis columns behind the Toeplitz factors are a_n(|z|) (z/|z|)^n,
+and the kernel series at w = zeta conj(z) sums a_n(sqrt|w|)^2 (w/|w|)^n.
 """
 
 from __future__ import annotations
@@ -121,6 +122,19 @@ def basis_moduli(bt: BasisTable, radii: np.ndarray, n_terms: int) -> np.ndarray:
 MODULUS_ROWS = 64
 
 
+def polar_parts(pts: np.ndarray):
+    """(|pt|, pt / |pt|) per point, with unit 1 at a zero point.
+
+    Each part is divided on its own, so that real points give exact units; a
+    zero point's unit is 1, its rows n >= 1 having modulus 0.
+    """
+    r = np.abs(pts)
+    with np.errstate(invalid="ignore"):
+        unit = pts.real / r + 1j * (pts.imag / r)
+    unit[r == 0] = 1.0
+    return r, unit
+
+
 def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
     """u[n, k] = e_n(pt_k) sqrt(omega(pt_k)) for n < n_terms.
 
@@ -133,16 +147,10 @@ def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
     only full-size array: the atomic factor asks for every degree of the
     table.
     """
-    pts = np.asarray(pts, dtype=complex).ravel()
-    r = np.abs(pts)
+    r, unit = polar_parts(np.asarray(pts, dtype=complex).ravel())
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
     phi_r = bt.weight.phi(r)
-    # each part divided on its own, so that real points give exact units; a
-    # zero point's unit is 1, its rows n >= 1 having modulus 0
-    with np.errstate(invalid="ignore"):
-        unit = pts.real / r + 1j * (pts.imag / r)
-    unit[r == 0] = 1.0
     u = unit_powers(unit, n_terms)
     for lo in range(0, n_terms, MODULUS_ROWS):
         hi = min(lo + MODULUS_ROWS, n_terms)
@@ -152,47 +160,44 @@ def basis_columns(bt: BasisTable, pts: np.ndarray, n_terms: int) -> np.ndarray:
 
 def _require_in_disk(*zs):
     for z in zs:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError(f"point {z} is not in the open unit disk")
 
 
-def _series(bt: BasisTable, log_w: np.ndarray, arg_w: np.ndarray | None, caller: str):
+def _series(bt: BasisTable, s: np.ndarray, unit: np.ndarray | None, caller: str):
     """sum_n w^n / h_n over every degree of the table, per point, in log space.
 
-    log_w holds log|w| (-inf for w = 0) and arg_w holds arg w, or is None
-    when every w >= 0, which skips the phase.  Returns (log_abs, phase)
-    arrays shaped like log_w; phase is None when arg_w is.  Points are
-    summed in chunks of at most CHUNK_ENTRIES terms (one point at least),
-    and TruncationError, naming caller, is raised when some point's last
-    term exceeds TAIL_FRACTION of its magnitude sum.
+    w = s^2 unit with s = sqrt|w| and unit = w / |w|, or None when every
+    w >= 0, which skips the phase.  The terms are a_n(s)^2 unit^n with
+    a = basis_moduli(s), a_n(s)^2 = |w|^n / h_n exp(-2 phi(s)), so the value
+    is log|sum| + 2 phi(s); phase is None when unit is.  Points are summed in
+    chunks of at most CHUNK_ENTRIES terms (one point at least), each point's
+    a^2 one contiguous row, whose sum does not depend on the chunk.
+    TruncationError, naming caller, is raised when some point's a_N^2
+    exceeds TAIL_FRACTION of its sum_n a_n^2.
     """
-    n = np.arange(bt.degree_max + 1)
-    log_abs = np.empty(log_w.shape)
-    phase = None if arg_w is None else np.empty(log_w.shape)
-    chunk = max(1, CHUNK_ENTRIES // n.size)
-    for s0 in range(0, log_w.size, chunk):
+    n_terms = bt.degree_max + 1
+    log_abs = np.empty(s.shape)
+    phase = None if unit is None else np.empty(s.shape)
+    chunk = max(1, CHUNK_ENTRIES // n_terms)
+    for s0 in range(0, s.size, chunk):
         cut = slice(s0, s0 + chunk)
-        with np.errstate(invalid="ignore"):
-            t = n * log_w[cut, None] - bt.log_h
-        # the n = 0 term is 1 / h_0 for every w; 0 * log 0 made it nan
-        t[:, 0] = -bt.log_h[0]
-        m = np.max(t, axis=1)
-        mag = np.exp(t - m[:, None])
-        mag_sum = np.sum(mag, axis=1)
-        bad = mag[:, -1] > TAIL_FRACTION * mag_sum
+        a2 = np.square(basis_moduli(bt, s[cut], n_terms).T, order="C")
+        mag_sum = np.sum(a2, axis=1)
+        bad = a2[:, -1] > TAIL_FRACTION * mag_sum
         if np.any(bad):
             raise TruncationError(
                 f"{caller}: last series term above {TAIL_FRACTION:g} of the magnitude "
                 f"sum at point {s0 + int(np.argmax(bad))}; increase degree_max or "
                 "move off the boundary"
             )
-        if arg_w is None:
-            log_abs[cut] = m + np.log(mag_sum)
+        if unit is None:
+            total = mag_sum
         else:
-            s = np.einsum("ij,ij->i", mag, np.exp(1j * n * arg_w[cut, None]))
-            with np.errstate(divide="ignore"):
-                log_abs[cut] = m + np.log(np.abs(s))
-            phase[cut] = np.angle(s)
+            total = np.einsum("kn,nk->k", a2, unit_powers(unit[cut], n_terms))
+            phase[cut] = np.angle(total)
+        with np.errstate(divide="ignore"):
+            log_abs[cut] = np.log(np.abs(total)) + 2.0 * bt.weight.phi(s[cut])
     return log_abs, phase
 
 
@@ -202,9 +207,8 @@ def kernel(bt: BasisTable, z: complex, zeta: complex):
     Raises TruncationError when the truncated series is inadequate at (z, zeta).
     """
     _require_in_disk(z, zeta)
-    w = np.array([zeta * np.conj(z)])
-    with np.errstate(divide="ignore"):
-        la, ph = _series(bt, np.log(np.abs(w)), np.angle(w), "kernel")
+    r, unit = polar_parts(np.array([zeta * np.conj(z)]))
+    la, ph = _series(bt, np.sqrt(r), unit, "kernel")
     return float(la[0]), float(ph[0])
 
 
@@ -212,29 +216,26 @@ def kernel_at_points(bt: BasisTable, z: complex, pts: np.ndarray):
     """Vectorized K_z(pt) for an array of points; returns (log_abs, phase) arrays."""
     _require_in_disk(z)
     pts = np.asarray(pts, dtype=complex)
-    if np.any(np.abs(pts) >= 1.0):
+    if not np.all(np.abs(pts) < 1.0):
         raise DomainError("evaluation points must lie in the open unit disk")
-    w = pts.ravel() * np.conj(z)
-    with np.errstate(divide="ignore"):
-        la, ph = _series(bt, np.log(np.abs(w)), np.angle(w), "kernel_at_points")
+    r, unit = polar_parts(pts.ravel() * np.conj(z))
+    la, ph = _series(bt, np.sqrt(r), unit, "kernel_at_points")
     return la.reshape(pts.shape), ph.reshape(pts.shape)
 
 
 def kernel_norm_sq(bt: BasisTable, z: complex) -> float:
     """log ||K_z||^2 = log K_z(z) = log sum |z|^(2n) / h_n."""
     _require_in_disk(z)
-    with np.errstate(divide="ignore"):
-        la, _ = _series(bt, 2.0 * np.log([abs(z)]), None, "kernel_norm_sq")
+    la, _ = _series(bt, np.array([abs(z)]), None, "kernel_norm_sq")
     return float(la[0])
 
 
 def kernel_norm_sq_many(bt: BasisTable, radii: np.ndarray) -> np.ndarray:
     """Vectorized log ||K_r||^2 over an array of radii in [0, 1)."""
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii >= 1.0) or np.any(radii < 0.0):
+    if not np.all((radii >= 0.0) & (radii < 1.0)):
         raise DomainError("radii must lie in [0, 1)")
-    with np.errstate(divide="ignore"):
-        la, _ = _series(bt, 2.0 * np.log(radii.ravel()), None, "kernel_norm_sq_many")
+    la, _ = _series(bt, radii.ravel(), None, "kernel_norm_sq_many")
     return la.reshape(radii.shape)
 
 
@@ -266,7 +267,7 @@ def check_submeanvalue(
     disk rule has 64 radial and 128 angular nodes.
     """
     _require_in_disk(z)
-    if p <= 0:
+    if not p > 0:
         raise DomainError("p must be positive")
     w = bt.weight
     coeffs = np.asarray(f_coeffs, dtype=complex)

@@ -104,7 +104,7 @@ def lattice_from_json(data: dict, w: RadialWeight) -> Lattice:
 
 def quasi_distance(w: RadialWeight, z: complex, zeta: complex) -> float:
     """d_tau(z, zeta) = |z - zeta| / min(tau(z), tau(zeta))."""
-    if abs(z) >= 1.0 or abs(zeta) >= 1.0:
+    if not (abs(z) < 1.0 and abs(zeta) < 1.0):
         raise DomainError("quasi_distance arguments must lie in the open disk")
     if z == zeta:
         return 0.0
@@ -620,7 +620,7 @@ def certify_lattice(lat: Lattice, probe_count: int = 100_000) -> LatticeCertific
 
 def count_in_ball(lat: Lattice, zeta: complex, m: int) -> int:
     """#{z_j : d_tau(z_j, zeta) < 2^m * delta}."""
-    if abs(zeta) >= 1.0:
+    if not abs(zeta) < 1.0:
         raise DomainError("zeta must lie in the open unit disk")
     tau_z = float(lat.weight.tau(abs(zeta)))
     lim = (2.0**m) * lat.delta * np.minimum(lat.taus, tau_z)

@@ -121,10 +121,10 @@ class AtomicMeasure(Measure):
         masses = np.asarray(masses, dtype=float).ravel()
         if points.shape != masses.shape:
             raise DomainError("points and masses must have matching length")
-        if np.any(np.abs(points) >= 1.0):
+        if not np.all(np.abs(points) < 1.0):
             raise DomainError("atoms must lie strictly inside the unit disk")
-        if np.any(masses < 0.0):
-            raise DomainError("atom masses must be nonnegative")
+        if not np.all((masses >= 0.0) & (masses < np.inf)):
+            raise DomainError("atom masses must be finite and nonnegative")
         self.points = points
         self.masses = masses
         self.total_mass = float(np.sum(masses))
@@ -281,13 +281,12 @@ class RadialDensityMeasure(Measure):
         return out
 
     def scaled(self, c: float) -> "RadialDensityMeasure":
-        log_c = np.log(c)
-        base = self.log_g
+        if not 0.0 <= c < np.inf:
+            raise DomainError(f"scale {c} is not a finite nonnegative number")
         meta = dict(self.meta)
         meta["scale"] = c * meta.get("scale", 1.0)
-        return RadialDensityMeasure(
-            lambda r, _b=base, _s=log_c: _b(r) + _s, self.support, meta
-        )
+        return RadialDensityMeasure(lambda r, _b=self.log_g, _s=np.log(c): _b(r) + _s,
+                                    self.support, meta)
 
     def to_json(self) -> dict:
         return {"kind": "radial", "support": list(self.support), **self.meta}
@@ -312,8 +311,8 @@ class GridDensityMeasure(Measure):
         cells = np.asarray(cells, dtype=float)
         if cells.ndim != 2:
             raise DomainError("cells must be a 2-D (nr x ntheta) array")
-        if np.any(cells < 0.0):
-            raise DomainError("cell masses must be nonnegative")
+        if not np.all((cells >= 0.0) & (cells < np.inf)):
+            raise DomainError("cell masses must be finite and nonnegative")
         if not (0.0 < r_outer < 1.0):
             raise DomainError("r_outer must lie in (0, 1)")
         self.cells = cells
@@ -477,7 +476,7 @@ def compensated_density(
     w: RadialWeight, s: float, beta: float, support=(0.0, 0.99)
 ) -> RadialDensityMeasure:
     """g(r) = omega(r)^(-s) (1 - r^2)^beta, s < 1, to stress Carleson bounds."""
-    if s >= 1.0:
+    if not s < 1.0:
         raise ParameterError("compensated density requires s < 1")
     return RadialDensityMeasure(
         lambda r: 2.0 * s * w.phi(np.asarray(r, dtype=float))
@@ -529,6 +528,8 @@ def measure_from_json(data: dict, w: RadialWeight | None = None) -> Measure:
         require_keys(data, "grid measure", "nr", "ntheta", "cells",
                      numbers=("cells", "r_outer"), integers=("nr", "ntheta"))
         nr, ntheta = data["nr"], data["ntheta"]
+        if nr < 1 or ntheta < 1:
+            raise ParameterError(f"grid measure needs nr, ntheta >= 1, not {nr}, {ntheta}")
         try:
             cells = np.array(data["cells"], dtype=float)
         except ValueError:
@@ -563,7 +564,7 @@ def mu_hat(w: RadialWeight, mu: Measure, delta: float, z):
     """
     w.require_delta(delta)
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) >= 1.0):
+    if not np.all(np.abs(zs) < 1.0):
         raise DomainError("z must lie in the open unit disk")
     taus = w.tau(np.abs(zs))
     mass = mu.disk_mass_many(zs.ravel(), (delta * taus).ravel()).reshape(zs.shape)

@@ -85,7 +85,7 @@ class Scenario:
                 raise ParameterError(f"unknown {what} names {unknown}; known: {sorted(known)}")
         object.__setattr__(self, "windows", {**DEFAULT_WINDOWS, **self.windows})
         self.weight.require_delta(self.effective_delta)
-        if any(p <= 0 for p in self.ps):
+        if not all(p > 0 for p in self.ps):
             raise ParameterError("all p values must be positive")
         if not self.measures:
             raise ParameterError("scenario needs at least one measure")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, svd
 
-from .basis import BasisTable, kernel, kernel_norm_sq
+from .basis import BasisTable, basis_moduli, kernel, kernel_norm_sq, polar_parts, unit_powers
 from .errors import ConvergenceError, DomainError, ParameterError
 
 # jacobi_eigvalsh and radial_log_moments are not called here.  They stay
@@ -137,30 +137,26 @@ def spectrum(tm: ToeplitzMatrix) -> SpectrumReport:
 
 def schatten_norm(report: SpectrumReport, p: float) -> float:
     """(sum lambda_n^p)^(1/p) with compensated summation."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError("p must be positive")
     s = math.fsum(float(x) ** p for x in report.eigenvalues if x > 0.0)
     return s ** (1.0 / p)
 
 
 def berezin_operator(bt: BasisTable, tm: ToeplitzMatrix, z: complex) -> float:
-    """T~(z) = <T k_z, k_z> = v* M v with v_n = conj(z)^n / (sqrt(h_n) ||K_z||)."""
-    if abs(z) >= 1.0:
-        raise DomainError("z must lie in the open unit disk")
-    dim = tm.dim
-    n = np.arange(dim)
-    a = abs(z)
-    with np.errstate(divide="ignore"):
-        log_abs_v = (
-            (n * np.log(a) if a > 0 else np.where(n == 0, 0.0, -np.inf))
-            - 0.5 * bt.log_h[:dim]
-            - 0.5 * kernel_norm_sq(bt, z)
-        )
+    """T~(z) = <T k_z, k_z> = v* M v with v_n = conj(z)^n / (sqrt(h_n) ||K_z||).
+
+    |v_n| is basis_moduli(|z|) over sqrt(omega(z)) ||K_z||, the phases are
+    unit_powers(conj(z) / |z|), and kernel_norm_sq checks that |z| < 1.
+    """
+    log_k = kernel_norm_sq(bt, z)
+    r, unit = polar_parts(np.array([np.conj(z)]))
+    v = basis_moduli(bt, r, tm.dim)[:, 0] * np.exp(bt.weight.phi(r[0]) - 0.5 * log_k)
     if tm.diag is not None:
         # a diagonal needs only |v_n|^2, so no phase is formed
-        return float(np.dot(tm.diag, np.exp(2.0 * log_abs_v)))
-    v = np.exp(log_abs_v) * np.exp(-1j * n * np.angle(z))
-    return float(np.sum(np.abs(tm.factor[:dim].T @ v) ** 2))
+        return float(np.dot(tm.diag, v * v))
+    v = v * unit_powers(unit, tm.dim)[:, 0]
+    return float(np.sum(np.abs(tm.factor[: tm.dim].T @ v) ** 2))
 
 
 def spectrum_to_json(report: SpectrumReport, ps=(0.5, 1.0, 2.0)) -> dict:

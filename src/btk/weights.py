@@ -215,7 +215,7 @@ def make_custom_weight(
 
     Intended for certification experiments; kernel machinery requires phi.
     """
-    if c1 <= 0 or c2 <= 0:
+    if not (c1 > 0 and c2 > 0):
         raise DomainError("c1 and c2 must be positive")
 
     def log_tau(r):

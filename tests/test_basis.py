@@ -1,4 +1,6 @@
+import decimal
 import tracemalloc
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -19,8 +21,9 @@ from btk.basis import (
     normalized_kernel,
     unit_powers,
 )
-from btk.errors import DomainError, TruncationError
+from btk.errors import DomainError, ParameterError, TruncationError
 from btk.quadrature import disk_nodes
+from btk.toeplitz import assemble_toeplitz, berezin_operator
 
 from oracles import log_normalized_kernel_sq_at
 
@@ -119,6 +122,98 @@ def test_domain_validation(bt400):
         kernel_norm_sq(bt400, 1.2)
     with pytest.raises(DomainError):
         kernel_at_points(bt400, 0.2, np.array([1.0]))
+
+
+_NAN = float("nan")
+_ATOM = btk.AtomicMeasure([0.3], [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda bt, w, d: kernel(bt, _NAN, 0.2), id="kernel-z"),
+    pytest.param(lambda bt, w, d: kernel(bt, 0.2, complex(0.1, _NAN)), id="kernel-zeta"),
+    pytest.param(lambda bt, w, d: kernel_at_points(bt, 0.2, np.array([0.1, _NAN])),
+                 id="kernel_at_points"),
+    pytest.param(lambda bt, w, d: kernel_norm_sq(bt, _NAN), id="kernel_norm_sq"),
+    pytest.param(lambda bt, w, d: kernel_norm_sq_many(bt, np.array([0.2, _NAN])),
+                 id="kernel_norm_sq_many"),
+    pytest.param(lambda bt, w, d: berezin_operator(bt, assemble_toeplitz(bt, _ATOM, 8), _NAN),
+                 id="berezin_operator"),
+    pytest.param(lambda bt, w, d: btk.mu_hat(w, _ATOM, d, np.array([0.1, _NAN])), id="mu_hat"),
+    pytest.param(lambda bt, w, d: btk.AtomicMeasure([_NAN], [1.0]), id="atom-point"),
+    pytest.param(lambda bt, w, d: btk.AtomicMeasure([0.3], [_NAN]), id="atom-mass"),
+    pytest.param(lambda bt, w, d: btk.GridDensityMeasure([[1.0, _NAN]]), id="grid-cell"),
+    pytest.param(lambda bt, w, d: btk.power_density(2.0).scaled(_NAN), id="radial-scale"),
+    pytest.param(lambda bt, w, d: btk.quasi_distance(w, 0.1, _NAN), id="quasi_distance"),
+    pytest.param(lambda bt, w, d: btk.make_custom_weight(w.tau, _NAN, 1.0), id="custom-c1"),
+    pytest.param(lambda bt, w, d: check_submeanvalue(bt, [1.0], 0.3, _NAN, 0.0, d),
+                 id="submeanvalue-p"),
+])
+def test_nan_raises_domain_error(bt400, w1, delta1, call):
+    # domain checks written as "not (x < 1)" and np.all(...): a check such
+    # as abs(z) >= 1 is false for nan, which then passes as a point
+    with pytest.raises(DomainError):
+        call(bt400, w1, delta1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda w: btk.measures.compensated_density(w, _NAN, 1.0), id="compensated-s"),
+    pytest.param(lambda w: btk.Scenario("nan", w, (("atom", _ATOM),), ps=(1.0, _NAN)),
+                 id="scenario-p"),
+])
+def test_nan_parameter_raises_parameter_error(w1, call):
+    with pytest.raises(ParameterError):
+        call(w1)
+
+
+def _decimal_kernel_sums(log_h, z, pts):
+    """(log|K_z(pt)|, C, log ||K_pt||^2) per point, from 50-digit sums.
+
+    The terms (pt conj(z))^n / h_n take 1 / h_n = exp(-log_h[n]) from the
+    same doubles as the library, and C = sum |terms| / |sum terms| is the
+    sum's cancellation factor.  Plain stdlib decimal arithmetic: the same
+    digits as an mpmath sum, at a tenth of its time.
+    """
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        inv_h = [(-Decimal(float(x))).exp() for x in log_h]
+        zr, zi = Decimal(float(z.real)), -Decimal(float(z.imag))
+        for p in pts:
+            xr, xi = Decimal(float(p.real)), Decimal(float(p.imag))
+            wr, wi = xr * zr - xi * zi, xr * zi + xi * zr
+            w_abs = (wr * wr + wi * wi).sqrt()
+            r2 = xr * xr + xi * xi
+            sr = si = mag = norm = Decimal(0)
+            pr, pi, pa, pq = Decimal(1), Decimal(0), Decimal(1), Decimal(1)
+            for ih in inv_h:
+                sr += pr * ih
+                si += pi * ih
+                mag += pa * ih
+                norm += pq * ih
+                pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+                pa *= w_abs
+                pq *= r2
+            s2 = sr * sr + si * si
+            out.append((float(s2.ln() / 2), float(mag / s2.sqrt()), float(norm.ln())))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("degree, radius", [(150, 0.7), (2000, 0.9)])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_kernel_matches_50_digit_sums(alpha, degree, radius):
+    # log|K| is off by about eps times the cancellation factor C; before the
+    # series shared basis_moduli's terms, alpha = 2 at degree 2000 was 1.13e-15
+    # of max(1e3, C) off, and it is 4.4e-16 now.  The radius keeps the
+    # degree-150 series inside the table's reach.
+    bt = btk.build_basis_table(btk.make_exponential_weight(alpha), degree)
+    rng = np.random.default_rng(27)
+    pts = radius * np.sqrt(rng.random(60)) * np.exp(2j * np.pi * rng.random(60))
+    z = radius * np.exp(0.3j)
+    ref = _decimal_kernel_sums(bt.log_h, z, pts)
+    la, _ = kernel_at_points(bt, z, pts)
+    norms = kernel_norm_sq_many(bt, np.abs(pts))
+    assert np.max(np.abs(la - ref[:, 0]) / np.maximum(1e3, ref[:, 1])) <= 5e-16
+    assert np.max(np.abs(norms - ref[:, 2])) <= 5e-16 * 1e3
 
 
 def test_basis_columns_match_mpmath(bt2000):

@@ -530,6 +530,35 @@ def test_cli_wrong_json_types_exit_2(tmp_path, capsys, command, payloads, messag
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("measure, error, message", [
+    ({"kind": "grid", "nr": -1, "ntheta": -1, "cells": [1.0]}, "ParameterError",
+     "nr, ntheta >= 1"),
+    ({"kind": "grid", "nr": 0, "ntheta": 2, "cells": []}, "ParameterError", "nr, ntheta >= 1"),
+    ({"kind": "grid", "nr": 1, "ntheta": 2, "cells": [1.0, float("nan")]}, "DomainError",
+     "finite and nonnegative"),
+    ({"kind": "radial", "density": "power", "beta": 2.0, "scale": -1.0}, "DomainError",
+     "scale -1.0"),
+    ({"kind": "radial", "density": "power", "beta": 2.0, "scale": float("nan")}, "DomainError",
+     "scale nan"),
+    ({"kind": "radial", "density": "power", "beta": 2.0, "scale": float("inf")}, "DomainError",
+     "scale inf"),
+    ({"kind": "atomic", "atoms": [[0.1, 0.2, float("nan")]]}, "DomainError",
+     "finite and nonnegative"),
+    ({"kind": "atomic", "atoms": [[float("nan"), 0.2, 1.0]]}, "DomainError", "unit disk"),
+])
+def test_cli_malformed_measure_values_exit_2(tmp_path, capsys, measure, error, message):
+    # json reads NaN and Infinity, and a grid of -1 x -1 holds one cell: each
+    # is one btk: line with exit 2, not a traceback or a measure of nan mass
+    weight = tmp_path / "weight.json"
+    weight.write_text(json.dumps({"family": "exponential", "alpha": 1.0}))
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    assert cli_main(["toeplitz", str(weight), str(path), "--dim", "8", "--degree", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"btk: {error}: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_cli_malformed_json_exits_2(tmp_path, capsys):
     weight = tmp_path / "weight.json"
     weight.write_text(json.dumps({"family": "exponential"}))

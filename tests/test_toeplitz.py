@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from numpy.linalg import LinAlgError, svd
 
 import btk
-from btk.basis import basis_columns, kernel, kernel_norm_sq
+from btk.basis import (
+    basis_columns,
+    basis_moduli,
+    kernel,
+    kernel_norm_sq,
+    polar_parts,
+    unit_powers,
+)
 from btk.errors import (
     ConvergenceError,
     DomainError,
@@ -348,8 +355,9 @@ def test_schatten_monotone_in_p(rng):
 
 
 def test_schatten_validation():
-    with pytest.raises(ParameterError):
-        schatten_norm(_report([1.0]), 0.0)
+    for p in (0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            schatten_norm(_report([1.0]), p)
 
 
 def test_spectrum_raises_when_svd_fails(bt400, monkeypatch):
@@ -476,12 +484,15 @@ def _berezin_points():
 
 
 def test_operator_path_is_bit_identical_to_the_numpy_oracle(bt400):
-    # the operator Berezin symbol against numpy's GEMV, step for step
+    # the operator Berezin symbol against numpy's GEMV, step for step: the
+    # modulus from basis_moduli over sqrt(omega(z)) ||K_z||, the phases
+    # (conj(z) / |z|)^n from unit_powers
     for tm in _operator_cases(bt400):
         for z in _berezin_points():
-            n = np.arange(tm.dim)
-            v = np.exp(n * np.log(abs(z)) - 0.5 * bt400.log_h[: tm.dim]
-                       - 0.5 * kernel_norm_sq(bt400, z)) * np.exp(-1j * n * np.angle(z))
+            r, unit = polar_parts(np.array([np.conj(z)]))
+            v = basis_moduli(bt400, r, tm.dim)[:, 0] * np.exp(
+                bt400.weight.phi(r[0]) - 0.5 * kernel_norm_sq(bt400, z))
+            v = v * unit_powers(unit, tm.dim)[:, 0]
             want = float(np.sum(np.abs(tm.factor[: tm.dim].T @ v) ** 2))
             assert berezin_operator(bt400, tm, z) == want
 
