@@ -174,7 +174,8 @@ def _series(bt: BasisTable, s: np.ndarray, unit: np.ndarray | None, caller: str)
     chunks of at most CHUNK_ENTRIES terms (one point at least), each point's
     a^2 one contiguous row, whose sum does not depend on the chunk.
     TruncationError, naming caller, is raised when some point's a_N^2
-    exceeds TAIL_FRACTION of its sum_n a_n^2.
+    exceeds TAIL_FRACTION of its sum_n a_n^2, or when that sum is 0 or inf:
+    far beyond the table's reach, exp(-2 phi(s)) scales every term out of range.
     """
     n_terms = bt.degree_max + 1
     log_abs = np.empty(s.shape)
@@ -184,7 +185,7 @@ def _series(bt: BasisTable, s: np.ndarray, unit: np.ndarray | None, caller: str)
         cut = slice(s0, s0 + chunk)
         a2 = np.square(basis_moduli(bt, s[cut], n_terms).T, order="C")
         mag_sum = np.sum(a2, axis=1)
-        bad = a2[:, -1] > TAIL_FRACTION * mag_sum
+        bad = (a2[:, -1] > TAIL_FRACTION * mag_sum) | ~((mag_sum > 0.0) & (mag_sum < np.inf))
         if np.any(bad):
             raise TruncationError(
                 f"{caller}: last series term above {TAIL_FRACTION:g} of the magnitude "

@@ -423,6 +423,18 @@ def test_cli_toeplitz(cli_files, capsys):
     assert out["operator_norm"] > 0.0
 
 
+def test_cli_toeplitz_atom_beyond_the_table_exits_2(tmp_path, capsys):
+    # every series term at the atom 0.99 underflows for alpha = 2 at degree
+    # 2000; the spectrum would drop that atom, so the run must fail instead
+    weight, measure = tmp_path / "w.json", tmp_path / "mu.json"
+    weight.write_text(json.dumps({"family": "exponential", "alpha": 2.0}))
+    atoms = [[0.3, 0.0, 1.0], [0.99, 0.0, 1.0]]
+    measure.write_text(json.dumps({"kind": "atomic", "atoms": atoms}))
+    assert cli_main(["toeplitz", str(weight), str(measure), "--dim", "8", "--degree", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("btk: TruncationError: ")
+
+
 def test_cli_verify(cli_files, capsys):
     report = cli_files / "report.csv"
     code, out = _run(capsys, [
