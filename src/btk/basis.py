@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .quadrature import MONOMIAL_NORM_TOL, disk_nodes, log_monomial_norms
+from .quadrature import disk_nodes, log_monomial_norms
 from .weights import RadialWeight
 
 #: a truncated series is adequate when its last term is below this fraction of
@@ -31,21 +31,12 @@ TAIL_FRACTION = 1e-15
 CHUNK_ENTRIES = 2**19
 
 
-def table_fingerprint(w: RadialWeight, degree_max: int) -> str:
-    """Key of the monomial norm table of w up to degree_max: weight, degree, rule, tolerance.
-
-    "gl" names the per-row Gauss-Legendre rule of log_monomial_norms; keys
-    without it are tables of an earlier rule, which a cache does not serve.
-    """
-    return f"{w.fingerprint()}-d{degree_max}-gl-t{MONOMIAL_NORM_TOL:g}"
-
-
 @dataclass(frozen=True)
 class BasisTable:
     """Monomial norm table log h_n, n = 0..degree_max, for one weight.
 
     Raises DomainError unless log_h holds degree_max + 1 strictly decreasing
-    values, whether they were computed or loaded from a cache.
+    values.
     """
 
     weight: RadialWeight
@@ -60,9 +51,6 @@ class BasisTable:
             )
         if not np.all(np.diff(self.log_h) < 0.0):
             raise DomainError("monomial norms are not strictly decreasing")
-
-    def fingerprint(self) -> str:
-        return table_fingerprint(self.weight, self.degree_max)
 
 
 def build_basis_table(w: RadialWeight, degree_max: int = 2000) -> BasisTable:

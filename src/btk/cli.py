@@ -7,9 +7,9 @@ Subcommands:
   toeplitz        assemble a Toeplitz matrix, report spectrum and norms
   verify          run a scenario JSON, write CSV + JSON reports
 
-Basis tables are cached under $BTK_CACHE_DIR when set.  Exit status is 0 iff
-every configured window passed, and 1 when one failed.  A btk error (bad
-input, a failed guard or quadrature) prints one line on stderr and exits 2.
+Exit status is 0 iff every configured window passed, and 1 when one failed.
+A btk error (bad input, a failed guard or quadrature) prints one line on
+stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
+from .basis import build_basis_table
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -34,7 +36,6 @@ from .errors import (
 from .lattice import build_lattice, certify_lattice, save_lattice
 from .measures import load_measure
 from .runner import (
-    cached_basis_table,
     kernel_ratio_range,
     run_scenario,
     scenario_from_json,
@@ -96,7 +97,7 @@ def _cmd_kernel_check(args) -> int:
     if args.grid < 2:
         raise ParameterError(f"--grid must be >= 2 radii for a spread, got {args.grid}")
     w = _load_weight(args.weight)
-    bt = cached_basis_table(w, args.degree)
+    bt = build_basis_table(w, args.degree)
     ratio_min, ratio_max, spread = kernel_ratio_range(
         bt, np.linspace(0.0, args.r_max, args.grid)
     )
@@ -126,7 +127,7 @@ def _cmd_toeplitz(args) -> int:
     w = _load_weight(args.weight)
     mu = load_measure(args.measure, w)
     degree = max(args.degree, args.dim - 1)
-    bt = cached_basis_table(w, degree)
+    bt = build_basis_table(w, degree)
     tm = assemble_toeplitz(bt, mu, args.dim)
     rep = spectrum(tm)
     _emit(spectrum_to_json(rep, ps=ps))
@@ -137,7 +138,7 @@ def _cmd_verify(args) -> int:
     s = scenario_from_json(load_json(args.scenario))
     rows = run_scenario(s)
     write_report_csv(rows, args.out)
-    write_report_json(rows, args.out.rsplit(".", 1)[0] + ".json")
+    write_report_json(rows, os.path.splitext(args.out)[0] + ".json")
     ok = all(r.passed for r in rows)
     _emit(
         {

@@ -285,7 +285,9 @@ class RadialDensityMeasure(Measure):
             raise DomainError(f"scale {c} is not a finite nonnegative number")
         meta = dict(self.meta)
         meta["scale"] = c * meta.get("scale", 1.0)
-        return RadialDensityMeasure(lambda r, _b=self.log_g, _s=np.log(c): _b(r) + _s,
+        with np.errstate(divide="ignore"):  # c = 0: log 0 = -inf, the zero density
+            log_c = np.log(c)
+        return RadialDensityMeasure(lambda r, _b=self.log_g, _s=log_c: _b(r) + _s,
                                     self.support, meta)
 
     def to_json(self) -> dict:

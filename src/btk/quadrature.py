@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .weights import RadialWeight
 
-#: relative tolerance of every monomial norm table; part of its fingerprint
+#: relative tolerance of every monomial norm table
 MONOMIAL_NORM_TOL = 1e-9
 
 #: Gauss-Legendre orders tried, in turn, on every row still open

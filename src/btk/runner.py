@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisTable, build_basis_table, kernel_norm_sq_many, table_fingerprint
+from .basis import BasisTable, build_basis_table, kernel_norm_sq_many
 from .errors import ParameterError, require_keys
 from .lattice import Lattice, build_lattice, certify_lattice
 from .measures import (
@@ -85,6 +84,8 @@ class Scenario:
                 raise ParameterError(f"unknown {what} names {unknown}; known: {sorted(known)}")
         object.__setattr__(self, "windows", {**DEFAULT_WINDOWS, **self.windows})
         self.weight.require_delta(self.effective_delta)
+        if not self.ps or not self.r_max_ladder:
+            raise ParameterError("scenario needs at least one p value and one r_max")
         if not all(p > 0 for p in self.ps):
             raise ParameterError("all p values must be positive")
         if not self.measures:
@@ -143,26 +144,6 @@ class ReportRow:
     @property
     def passed(self) -> bool:
         return all(self.flags.values()) if self.flags else True
-
-
-def cached_basis_table(w: RadialWeight, degree_max: int) -> BasisTable:
-    """Build a basis table, or load it from the cache.
-
-    The cache directory is BTK_CACHE_DIR (unset: no cache), and the file is
-    named by table_fingerprint.  A loaded table is checked as a built one
-    is: DomainError unless it holds degree_max + 1 strictly decreasing
-    values.
-    """
-    cache_dir = os.environ.get("BTK_CACHE_DIR")
-    if not cache_dir:
-        return build_basis_table(w, degree_max)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"basis-{table_fingerprint(w, degree_max)}.npy")
-    if os.path.exists(path):
-        return BasisTable(w, degree_max, np.load(path))
-    bt = build_basis_table(w, degree_max)
-    np.save(path, bt.log_h)
-    return bt
 
 
 def _in_window(x: float, window) -> bool:
@@ -288,7 +269,7 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
 
 
 def run_scenario(s: Scenario) -> list[ReportRow]:
-    bt = cached_basis_table(s.weight, s.degree_max)
+    bt = build_basis_table(s.weight, s.degree_max)
     lat = build_lattice(s.weight, s.effective_delta, s.lattice_r_max,
                         probe_count=LATTICE_PROBES)
     rows = []

@@ -144,6 +144,13 @@ def test_truncation_error_where_every_term_underflows(bt2000_a2, call):
         call(bt2000_a2)
 
 
+def test_basis_table_rejects_a_bad_log_h(w1):
+    good = btk.build_basis_table(w1, 50).log_h
+    for bad in (good[:-1], good[::-1]):  # one entry short, increasing
+        with pytest.raises(DomainError):
+            btk.BasisTable(w1, 50, bad)
+
+
 def test_domain_validation(bt400):
     with pytest.raises(DomainError):
         kernel(bt400, 1.0, 0.2)

@@ -1,5 +1,6 @@
 """Every name a btk module imports is used there, or is a site that the
-benchmark's traced run patches (perfbench/layers.py's _sites)."""
+benchmark's traced run patches (perfbench/layers.py's _sites); and no btk
+module reads the environment."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ SRC = Path(btk.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 # __init__ imports every name in order to export it
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+#: os attributes through which a module would read an environment variable
+ENVIRON_READS = {"environ", "environb", "getenv", "getenvb"}
 
 # (module, name) imported only so that the traced run can patch it there
 PATCH_ONLY = {
@@ -34,6 +37,18 @@ def _unused_imports(path: Path) -> set:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _environ_reads(path: Path) -> set:
+    """Line numbers at which the module at path names os.environ or os.getenv."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRON_READS:
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and ENVIRON_READS & {a.name for a in node.names}):
+            lines.add(node.lineno)
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +74,16 @@ def test_unused_import_check_can_fail(tmp_path):
                     "from .basis import kernel, kernel_norm_sq as kns\n\n"
                     "def f(x: np.ndarray):\n    return kernel(x)\n")
     assert _unused_imports(path) == {"math", "kns"}
+
+
+def test_no_module_reads_the_environment():
+    # btk takes its settings from arguments only: no environment knobs
+    reads = {p.name: _environ_reads(p) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_environment_check_can_fail(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import os\nfrom os import getenv as ge\n\n"
+                    "def f():\n    return os.environ.get('X'), ge('Y')\n")
+    assert _environ_reads(path) == {2, 5}

@@ -272,6 +272,14 @@ def test_scaling_homogeneity(dA):
         )
 
 
+def test_radial_scaled_by_zero_is_the_zero_density_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = power_density(2.0).scaled(0.0)
+        assert s.log_g(np.array([0.1, 0.5])).tolist() == [-np.inf, -np.inf]
+    assert s.meta["scale"] == 0.0
+
+
 def test_measure_json_round_trips(w1, tmp_path, dA):
     cases = [
         AtomicMeasure([0.3, 0.1 - 0.2j], [1.0, 0.5]),

@@ -1,23 +1,20 @@
 import dataclasses
 import filecmp
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import btk
 from btk.cli import main as cli_main
-from btk.errors import DomainError, ParameterError
+from btk.errors import ParameterError
 from btk.measures import AtomicMeasure, indicator_density, zero_measure
 from btk.runner import (
     DEFAULT_WINDOWS,
     Scenario,
     _measure_row,
-    cached_basis_table,
     run_scenario,
     scenario_from_json,
     sweep_family,
@@ -59,6 +56,30 @@ def test_scenario_validation(w1):
         Scenario("bad", w1, measures=(("m", zero_measure()),), ps=(0.5, -1.0))
     with pytest.raises(ParameterError):
         Scenario("bad", w1, measures=(("m", zero_measure()),), delta=w1.m_tau)
+
+
+@pytest.mark.parametrize("field, key", [("ps", "p"), ("r_max_ladder", "r_max_ladder")])
+def test_scenario_rejects_an_empty_ladder(w1, tmp_path, capsys, field, key):
+    # an empty p ladder would pass schatten_equivalence with nothing checked,
+    # and an empty r_max ladder has no largest radius for the Carleson sup
+    measures = (("atoms", AtomicMeasure([0.3], [1.0])),)
+    with pytest.raises(ParameterError, match="at least one p value and one r_max"):
+        Scenario("empty", w1, measures, **{field: ()})
+    data = {
+        "id": "empty",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "atoms", "kind": "atomic", "atoms": [[0.3, 0.0, 1.0]]}],
+        key: [],
+    }
+    with pytest.raises(ParameterError, match="at least one p value"):
+        scenario_from_json(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("btk: ParameterError: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_run_scenario_rows_and_flags(small_rows):
@@ -213,46 +234,11 @@ def test_sweep_family_dim(w1):
         sweep_family(s, "bogus", (1,))
 
 
-def test_cached_basis_table_round_trip(w1, tmp_path, monkeypatch):
-    cache = str(tmp_path / "cache")
-    monkeypatch.setenv("BTK_CACHE_DIR", cache)
-    a = cached_basis_table(w1, 50)
-    b = cached_basis_table(w1, 50)  # loaded from disk
-    np.testing.assert_array_equal(a.log_h, b.log_h)
-    # the file name names the quadrature rule and keeps the table tolerance
-    assert os.listdir(cache) == [f"basis-{w1.fingerprint()}-d50-gl-t1e-09.npy"]
-
-
-def test_cached_basis_table_ignores_tables_of_the_simpson_rule(w1, tmp_path, monkeypatch):
-    # a file under the key of the Simpson era (no rule in it) is never served
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("BTK_CACHE_DIR", str(cache))
-    stale = cache / f"basis-{w1.fingerprint()}-d50-t1e-09.npy"
-    np.save(stale, np.linspace(0.0, -50.0, 51))
-    bt = cached_basis_table(w1, 50)
-    np.testing.assert_array_equal(bt.log_h, btk.build_basis_table(w1, 50).log_h)
-    assert sorted(os.listdir(cache)) == sorted([stale.name, f"basis-{bt.fingerprint()}.npy"])
-
-
-def test_cached_basis_table_rejects_a_bad_file(w1, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("BTK_CACHE_DIR", str(cache))
-    a = cached_basis_table(w1, 50)
-    path = cache / f"basis-{a.fingerprint()}.npy"
-    assert path.exists()
-    for bad in (a.log_h[:-1], a.log_h[::-1]):  # wrong length, increasing
-        np.save(path, bad)
-        with pytest.raises(DomainError):
-            cached_basis_table(w1, 50)
-
-
 # --- CLI --------------------------------------------------------------------
 
 
 @pytest.fixture()
-def cli_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("BTK_CACHE_DIR", str(tmp_path / "cache"))
+def cli_files(tmp_path):
     wpath = tmp_path / "weight.json"
     wpath.write_text(json.dumps({"family": "exponential", "alpha": 1.0}))
     mpath = tmp_path / "measure.json"
@@ -444,6 +430,18 @@ def test_cli_verify(cli_files, capsys):
     assert out["passed"] is True and out["failures"] == []
     assert report.exists()
     assert (cli_files / "report.json").exists()
+
+
+def test_cli_verify_json_report_beside_an_out_without_extension(cli_files, capsys):
+    # the JSON path drops the extension of the file name, never a directory's
+    out_dir = cli_files / "out.d"
+    out_dir.mkdir()
+    code, _ = _run(capsys, [
+        "verify", str(cli_files / "scenario.json"), "--out", str(out_dir / "report"),
+    ])
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report", "report.json"]
+    assert not (cli_files / "out.json").exists()
 
 
 def test_scenario_rejects_unknown_check_and_window_names(w1, tmp_path, capsys):
