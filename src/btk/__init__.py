@@ -12,6 +12,7 @@ from .basis import (
     normalized_kernel,
 )
 from .errors import (
+    BtkError,
     ConvergenceError,
     DomainError,
     ParameterError,

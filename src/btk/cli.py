@@ -8,7 +8,8 @@ Subcommands:
   verify          run a scenario JSON, write CSV + JSON reports
 
 Exit status is 0 iff every configured window passed, and 1 when one failed.
-A btk error (bad input, a failed guard or quadrature) prints one line on
+A btk error (bad input, a failed guard or quadrature), an input file that
+cannot be read or an output that cannot be written prints one line on
 stderr and exits 2.
 """
 
@@ -24,15 +25,7 @@ import sys
 import numpy as np
 
 from .basis import build_basis_table
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    PSDViolationError,
-    ResourceError,
-    TruncationError,
-    load_json,
-)
+from .errors import BtkError, ParameterError, load_json
 from .lattice import build_lattice, certify_lattice, save_lattice
 from .measures import load_measure
 from .runner import (
@@ -44,10 +37,6 @@ from .runner import (
 )
 from .toeplitz import assemble_toeplitz, spectrum, spectrum_to_json
 from .weights import certify_class_L, weight_from_json
-
-
-_BTK_ERRORS = (DomainError, ParameterError, ResourceError, TruncationError,
-               ConvergenceError, PSDViolationError)
 
 
 def _load_weight(path: str):
@@ -195,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _BTK_ERRORS as exc:
+    except (BtkError, OSError) as exc:
         print(f"btk: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

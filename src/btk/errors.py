@@ -3,11 +3,15 @@
 import json
 
 
-class DomainError(ValueError):
+class BtkError(Exception):
+    """Base of every btk error; the CLI prints one line for it and exits 2."""
+
+
+class DomainError(BtkError, ValueError):
     """An argument lies outside its mathematical domain (e.g. a point not in the open disk)."""
 
 
-class ParameterError(ValueError):
+class ParameterError(BtkError, ValueError):
     """A tuning parameter violates its admissible range (e.g. delta outside (0, m_tau))."""
 
 
@@ -47,17 +51,17 @@ def load_json(path: str):
             ) from None
 
 
-class ResourceError(RuntimeError):
+class ResourceError(BtkError, RuntimeError):
     """A computation would exceed a configured resource cap (e.g. lattice point budget)."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(BtkError, RuntimeError):
     """A series truncation is inadequate for the requested evaluation point."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(BtkError, RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-class PSDViolationError(RuntimeError):
+class PSDViolationError(BtkError, RuntimeError):
     """A matrix that must be positive semidefinite has a significantly negative eigenvalue."""

@@ -40,6 +40,8 @@ _BALL_SLACK = 1.0 + 1e-9
 # delta*max(tau_c, tau_j) has the larger tau below 4/3 of the smaller one and
 # lies within (4/3)*delta*tau_c of c: a search to _REACH*delta*tau_c finds it
 _REACH = 1.5
+# the most points a sweep may place before build_lattice raises ResourceError
+MAX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,6 @@ def build_lattice(
     delta: float,
     r_max: float,
     probe_count: int = 100_000,
-    max_points: int = 2_000_000,
 ) -> Lattice:
     """Greedy annular-sweep lattice on {|z| <= r_max} with covering repair.
 
@@ -320,7 +321,7 @@ def build_lattice(
     _require_r_max(r_max)
     _require_probe_count(probe_count)
 
-    state = _sweep(w, delta, r_max, max_points)
+    state = _sweep(w, delta, r_max)
 
     # covering repair: insert uncovered probes (innermost first), then probe
     # only the inserted points; covered is an OR and counts a sum over points.
@@ -362,7 +363,7 @@ def build_lattice(
     return lat
 
 
-def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _GreedyState:
+def _sweep(w: RadialWeight, delta: float, r_max: float) -> _GreedyState:
     """The rings of the greedy annular sweep, outward from the origin to r_max."""
     candidate_spacing = 0.45
     state = _GreedyState()
@@ -397,9 +398,9 @@ def _sweep(w: RadialWeight, delta: float, r_max: float, max_points: int) -> _Gre
         state.add_ring(r, thetas[_first_fit(len(free), a, b) == 0], tau_ring)
         # the next ring steps from this one's radius
         tau_r = tau_ring
-        if len(state) > max_points:
+        if len(state) > MAX_POINTS:
             raise ResourceError(
-                f"lattice exceeded cap of {max_points} points "
+                f"lattice exceeded cap of {MAX_POINTS} points "
                 f"(r_max={r_max} too close to 1 for delta={delta})"
             )
     return state

@@ -594,8 +594,7 @@ def _carleson_grid(mu: Measure, r_max: float, n_r: int, n_theta: int) -> np.ndar
     radii = np.linspace(0.0, r_max, n_r)
     if isinstance(mu, RadialDensityMeasure):
         return radii.astype(complex)
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    pts = polar_points(radii, n_theta).ravel()
     if isinstance(mu, AtomicMeasure) and len(mu.points):
         # refine near atoms, where the sup of mu_hat is attained
         ring = np.exp(2j * np.pi * np.arange(8) / 8)
@@ -826,11 +825,8 @@ def lp_lambda_tau_norm(
                 continue
             fp = np.mean(f**q, axis=1)
             cur = float(np.dot(wq, fp * 2.0 * r / (tau * tau)))
-            if prev[k] is not None:
-                if cur == prev[k] == 0.0:
-                    vals[k] = 0.0
-                elif abs(cur - prev[k]) <= tol * max(abs(cur), abs(prev[k])):
-                    vals[k] = cur ** (1.0 / q)
+            if prev[k] is not None and abs(cur - prev[k]) <= tol * max(abs(cur), abs(prev[k])):
+                vals[k] = cur ** (1.0 / q)
             prev[k] = cur
         if None not in vals:
             return _per_p(p, vals)
@@ -997,9 +993,7 @@ def mu_hat_lp_norm(
     quad = {k: v for k, v in quad.items() if v is not None}
     if isinstance(mu, AtomicMeasure) and quad:
         raise ParameterError(f"atomic measures take no quadrature options: {sorted(quad)}")
-    if mu.is_zero:
-        rungs = [_per_p(p, [0.0] * len(ps)) for _ in r_maxes]
-    elif isinstance(mu, AtomicMeasure):
+    if isinstance(mu, AtomicMeasure):
         rungs = [_per_p(p, [t ** (1.0 / q) for t, q in zip(totals, ps)])
                  for totals in _atomic_muhat_lp_integral(w, mu, delta, ps, r_maxes)]
     else:
@@ -1040,7 +1034,5 @@ def lattice_lp_sum(w: RadialWeight, mu: Measure, lat: Lattice, delta: float, p):
     """
     ps = _p_ladder(p)
     w.require_delta(delta)
-    if mu.is_zero:
-        return _per_p(p, [0.0] * len(ps))
     vals = mu_hat(w, mu, delta, lat.points)
     return _per_p(p, [float(np.sum(vals**q) ** (1.0 / q)) for q in ps])

@@ -60,6 +60,10 @@ DEFAULT_WINDOWS = {
 LATTICE_PROBES = 20_000
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One weight, its measures and checks; windows override DEFAULT_WINDOWS."""
@@ -82,12 +86,23 @@ class Scenario:
             unknown = sorted(set(names) - set(known))
             if unknown:
                 raise ParameterError(f"unknown {what} names {unknown}; known: {sorted(known)}")
+        for key, value in self.windows.items():
+            if isinstance(DEFAULT_WINDOWS[key], tuple):
+                if not (isinstance(value, (list, tuple)) and len(value) == 2
+                        and all(map(_is_real, value))):
+                    raise ParameterError(f"scenario windows need a [low, high] pair at {key!r}")
+            elif not _is_real(value):
+                raise ParameterError(f"scenario windows need one number at {key!r}")
         object.__setattr__(self, "windows", {**DEFAULT_WINDOWS, **self.windows})
         self.weight.require_delta(self.effective_delta)
         if not self.ps or not self.r_max_ladder:
             raise ParameterError("scenario needs at least one p value and one r_max")
         if not all(p > 0 for p in self.ps):
             raise ParameterError("all p values must be positive")
+        if not all(0.0 < r < 1.0 for r in self.r_max_ladder):
+            raise ParameterError(f"r_max_ladder entries must lie in (0, 1): {self.r_max_ladder}")
+        if not 1 <= self.dim <= self.degree_max + 1:
+            raise ParameterError(f"dim must lie in [1, degree_max + 1], got {self.dim}")
         if not self.measures:
             raise ParameterError("scenario needs at least one measure")
 
@@ -111,14 +126,7 @@ def scenario_from_json(data: dict) -> Scenario:
                  numbers=("r_max_ladder", "p", "lattice_r_max"))
     if data.get("delta") is not None:
         require_keys(data, "scenario", numbers=("delta",))
-    windows = data.get("windows", {})
-    require_keys(windows, "scenario windows", numbers=tuple(windows))
-    for key, value in windows.items():  # Scenario names the unknown keys
-        if key in DEFAULT_WINDOWS:
-            pair = isinstance(DEFAULT_WINDOWS[key], tuple)
-            if isinstance(value, list) != pair or pair and len(value) != 2:
-                shape = "a [low, high] pair" if pair else "one number"
-                raise ParameterError(f"scenario windows JSON needs {shape} at {key!r}")
+    require_keys(data.get("windows", {}), "scenario windows")  # Scenario checks the values
     if not isinstance(data["measures"], list) or not all(isinstance(m, dict)
                                                          for m in data["measures"]):
         raise ParameterError("scenario JSON needs a list of objects at 'measures'")
@@ -207,11 +215,9 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
         return row
 
     if "compactness" in s.checks:
-        sups = list(rep.tail_sups)
-        decayed = sups[-1] < 1e-3 * rep.value
-        nonincreasing = all(a >= b for a, b in zip(sups, sups[1:]))
-        q["tail_decayed"] = decayed
-        row.flags["compactness"] = nonincreasing
+        sups = rep.tail_sups
+        q["tail_decayed"] = rep.compact_signature
+        row.flags["compactness"] = all(a >= b for a, b in zip(sups, sups[1:]))
 
     tm = None
     need_spectrum = {"boundedness", "schatten_equivalence"} & set(s.checks)

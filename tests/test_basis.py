@@ -191,6 +191,8 @@ def test_nan_raises_domain_error(bt400, w1, delta1, call):
     pytest.param(lambda w: btk.measures.compensated_density(w, _NAN, 1.0), id="compensated-s"),
     pytest.param(lambda w: btk.Scenario("nan", w, (("atom", _ATOM),), ps=(1.0, _NAN)),
                  id="scenario-p"),
+    pytest.param(lambda w: btk.Scenario("nan", w, (("atom", _ATOM),), dim=_NAN),
+                 id="scenario-dim"),
 ])
 def test_nan_parameter_raises_parameter_error(w1, call):
     with pytest.raises(ParameterError):
@@ -372,6 +374,11 @@ def test_log_normalized_kernel_sq_at_self(bt400):
 def test_submeanvalue_constant_is_exact(bt400, delta1):
     r = check_submeanvalue(bt400, [1.0], 0.3 + 0.2j, p=2.0, beta=0.0, delta=delta1)
     assert r == pytest.approx(1.0, abs=1e-10)
+
+
+def test_submeanvalue_rejects_the_zero_polynomial(bt400, delta1):
+    with pytest.raises(DomainError, match="vanishes identically"):
+        check_submeanvalue(bt400, [0.0, 0.0], 0.3, p=2.0, beta=0.0, delta=delta1)
 
 
 def test_submeanvalue_subharmonic_below_one(bt400, delta1):

@@ -199,13 +199,15 @@ def test_partition_m_validation(lat_half):
         partition_separated(lat_half, 1)
 
 
-def test_build_validation(w1, delta1):
+def test_build_validation(w1, delta1, monkeypatch):
     with pytest.raises(DomainError):
         build_lattice(w1, delta1, 1.2)
     with pytest.raises(ParameterError):
         build_lattice(w1, w1.m_tau * 2, 0.5)
-    with pytest.raises(ResourceError):
-        build_lattice(w1, delta1, 0.5, probe_count=1_000, max_points=10)
+    # the point cap is read when the sweep runs
+    monkeypatch.setattr(btk.lattice, "MAX_POINTS", 10)
+    with pytest.raises(ResourceError, match="cap of 10 points"):
+        build_lattice(w1, delta1, 0.5, probe_count=1_000)
 
 
 def test_json_round_trip(lat_tiny, w1, tmp_path):
@@ -324,7 +326,7 @@ def test_sweep_evaluates_tau_once_per_ring(w1, delta1, monkeypatch):
         return tau(self, r)
 
     monkeypatch.setattr(btk.weights.RadialWeight, "tau", counted)
-    state = _sweep(w1, delta1, 0.5, 2_000_000)
+    state = _sweep(w1, delta1, 0.5)
     assert radii == state.radii
 
 
@@ -367,7 +369,7 @@ def _sequential_repair(xy, taus, delta, cand_xy, cand_taus):
 @pytest.fixture(scope="module")
 def swept_half(w1, delta1):
     """The sweep's rings of lat_half, before the repair."""
-    return _sweep(w1, delta1, 0.5, 2_000_000)
+    return _sweep(w1, delta1, 0.5)
 
 
 def test_repair_round_matches_sequential_greedy(swept_half, w1, delta1):
@@ -460,7 +462,7 @@ def _checked_sweep(w, delta, r_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_GreedyState, "ring_conflicts", oracle)
         mp.setattr(btk.lattice, "_ring_pairs", pairs)
-        state = _sweep(w, delta, r_max, 2_000_000)
+        state = _sweep(w, delta, r_max)
     assert checked == state.radii[1:]
     return len(checked)
 

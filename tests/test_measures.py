@@ -64,6 +64,24 @@ def test_atomic_validation():
         AtomicMeasure([0.5, 0.2], [1.0])
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: RadialDensityMeasure(lambda r: 0.0 * r, (-0.1, 0.5)),
+                 "bad radial support", id="radial-below-0"),
+    pytest.param(lambda: RadialDensityMeasure(lambda r: 0.0 * r, (0.2, 1.5)),
+                 "bad radial support", id="radial-above-1"),
+    pytest.param(lambda: RadialDensityMeasure(lambda r: 0.0 * r, (0.6, 0.3)),
+                 "bad radial support", id="radial-reversed"),
+    pytest.param(lambda: GridDensityMeasure([1.0, 2.0, 3.0]), "2-D", id="grid-1d-cells"),
+    pytest.param(lambda: GridDensityMeasure(np.ones((2, 3)), r_outer=1.0), "r_outer",
+                 id="grid-r_outer-1"),
+    pytest.param(lambda: GridDensityMeasure(np.ones((2, 3)), r_outer=0.0), "r_outer",
+                 id="grid-r_outer-0"),
+])
+def test_density_measure_validation(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def test_power_density_total_mass():
     # 2 int (1 - r^2) r dr = 1/2
     mu = power_density(1.0)
@@ -396,6 +414,12 @@ def test_carleson_atomic_compact(w1, delta1):
     # argmax is pushed just past the atom toward the boundary)
     assert abs(rep.argmax - 0.4) < 2.0 * delta1 * tau
     assert rep.compact_signature
+
+
+def test_carleson_validation(w1, delta1, dA):
+    for r_max in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="r_max"):
+            carleson_constant(w1, dA, delta1, r_max)
 
 
 def test_carleson_zero_measure(w1, delta1):
@@ -747,6 +771,29 @@ def test_zero_measure_through_all_functionals(w1, bt400, delta1, lat_half):
     assert mu_hat_lp_norm(w1, z0, delta1, 1.0, 0.9) == 0.0
     assert btk.measures.berezin_lp_norm(bt400, z0, 1.0, 0.9) == 0.0
     assert lattice_lp_sum(w1, z0, lat_half, delta1, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("mu", [
+    pytest.param(zero_measure(), id="atomic"),
+    pytest.param(power_density(2.0).scaled(0.0), id="radial"),
+    pytest.param(GridDensityMeasure(np.zeros((4, 6)), r_outer=0.9), id="grid"),
+])
+def test_zero_measure_lp_takes_the_general_rules(w1, delta1, lat_half, mu):
+    # the general rules sum zeros to the float 0.0
+    with warnings.catch_warnings():
+        # the coarse grid's cells are larger than the query disks
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.8) == 0.0
+        ladder = mu_hat_lp_norm(w1, mu, delta1, PS, [0.8, 0.6])
+        assert [v.tolist() for v in ladder] == [[0.0, 0.0, 0.0]] * 2
+        assert lattice_lp_sum(w1, mu, lat_half, delta1, 1.0) == 0.0
+        assert lattice_lp_sum(w1, mu, lat_half, delta1, PS).tolist() == [0.0, 0.0, 0.0]
+    if not isinstance(mu, AtomicMeasure):
+        # and its quadrature options are checked like any other measure's
+        with pytest.raises(ParameterError):
+            mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.8, n_theta=0)
+        with pytest.raises(ParameterError):
+            mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.8, max_doublings=0)
 
 
 # --- one quadrature pass for a ladder of p ----------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import btk
+import btk.errors
 from btk.cli import main as cli_main
-from btk.errors import ParameterError
+from btk.errors import BtkError, ParameterError
 from btk.measures import AtomicMeasure, indicator_density, zero_measure
 from btk.runner import (
     DEFAULT_WINDOWS,
@@ -82,6 +84,70 @@ def test_scenario_rejects_an_empty_ladder(w1, tmp_path, capsys, field, key):
     assert not (tmp_path / "r.csv").exists()
 
 
+_LADDER, _DIM = "r_max_ladder entries must lie in (0, 1)", "dim must lie in [1, degree_max + 1]"
+
+
+@pytest.mark.parametrize("options, message", [
+    pytest.param({"r_max_ladder": [0.5, 1.2]}, _LADDER, id="r_max-above-1"),
+    pytest.param({"r_max_ladder": [0.5, float("nan")]}, _LADDER, id="r_max-nan"),
+    pytest.param({"r_max_ladder": [0.0, 0.5]}, _LADDER, id="r_max-0"),
+    pytest.param({"dim": 0}, _DIM, id="dim-0"),
+    pytest.param({"dim": 500, "degree_max": 60}, _DIM, id="dim-above-degree"),
+])
+def test_scenario_rejects_out_of_range_values(w1, tmp_path, capsys, options, message):
+    # unchecked, each fails every measure row with the same DomainError, an
+    # exit status 1 that reads as a failed window
+    measures = (("atoms", AtomicMeasure([0.3], [1.0])),)
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in options.items()}
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        Scenario("bad", w1, measures, **fields)
+    data = {
+        "id": "bad",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "atoms", "kind": "atomic", "atoms": [[0.3, 0.0, 1.0]]}],
+        **options,
+    }
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        scenario_from_json(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("btk: ParameterError: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("windows, message", [
+    # unchecked, the first ends the measure row on a TypeError and the
+    # second escapes run_scenario as one
+    pytest.param({"boundedness_ratio": 5.0}, "pair at 'boundedness_ratio'", id="scalar-pair"),
+    pytest.param({"kernel_ratio_spread": (1, 2)}, "one number at 'kernel_ratio_spread'",
+                 id="pair-scalar"),
+    pytest.param({"schatten_ratio": (1e-3,)}, "pair at 'schatten_ratio'", id="one-of-pair"),
+    pytest.param({"schatten_ratio": "1e-3, 1e10"}, "pair at 'schatten_ratio'", id="str-pair"),
+    # a bool is not a number
+    pytest.param({"berezin_rel_error": True}, "one number at 'berezin_rel_error'",
+                 id="bool-scalar"),
+    pytest.param({"boundedness_ratio": [False, 1e7]}, "pair at 'boundedness_ratio'",
+                 id="bool-in-pair"),
+])
+def test_scenario_checks_window_values_from_python(w1, windows, message):
+    measures = (("atoms", AtomicMeasure([0.3], [1.0])),)
+    with pytest.raises(ParameterError, match=message):
+        Scenario("bad", w1, measures, windows=windows)
+
+
+@pytest.mark.parametrize("pair", [[1e-3, 1e8], (1e-3, 1e8), (1, 10**8)])
+def test_scenario_takes_a_list_or_tuple_window_pair(w1, pair):
+    s = Scenario("ok", w1, (("atoms", AtomicMeasure([0.3], [1.0])),),
+                 windows={"boundedness_ratio": pair, "berezin_rel_error": 1e-6})
+    assert s.windows["boundedness_ratio"] is pair
+    assert s.windows["berezin_rel_error"] == 1e-6
+    # replace() checks the merged windows again, and they pass
+    assert dataclasses.replace(s, dim=16).windows == s.windows
+
+
 def test_run_scenario_rows_and_flags(small_rows):
     ids = [r.measure_id for r in small_rows]
     assert ids == ["(weight)", "dA", "atoms", "zero"]
@@ -115,6 +181,31 @@ def test_zero_measure_row(small_rows):
     row = next(r for r in small_rows if r.measure_id == "zero")
     assert "zero measure: ratio cells undefined" in row.notes
     assert row.quantities["C_mu"] == 0.0
+    assert row.passed
+
+
+def test_berezin_only_atomic_row_assembles_its_operator(small_scenario, small_rows):
+    # with no spectrum check the Berezin check assembles T_mu itself, and
+    # gets the cells of the full run
+    atoms = next(mu for mid, mu in small_scenario.measures if mid == "atoms")
+    s = dataclasses.replace(small_scenario, measures=(("atoms", atoms),),
+                            checks=("berezin_equivalence",))
+    (row,) = run_scenario(s)
+    full = next(r for r in small_rows if r.measure_id == "atoms")
+    assert set(row.flags) == {"berezin_equivalence"} and row.passed
+    berezin = {k: v for k, v in full.quantities.items() if k.startswith("berezin_")}
+    assert {k: v for k, v in row.quantities.items() if k.startswith("berezin_")} == berezin
+
+
+def test_tail_decayed_when_mu_hat_vanishes_on_the_carleson_grid(w1):
+    # the atom lies beyond the reach of every disk D(z, delta tau(z)) with
+    # |z| <= 0.7, so C_mu = 0 while the measure is not zero
+    s = Scenario("far", w1, (("far", AtomicMeasure([0.95], [1.0])),),
+                 r_max_ladder=(0.5, 0.6, 0.7), dim=16, degree_max=200,
+                 lattice_r_max=0.4, checks=("compactness",))
+    (row,) = run_scenario(s)
+    assert row.quantities["C_mu"] == 0.0
+    assert row.quantities["tail_decayed"] is True
     assert row.passed
 
 
@@ -232,6 +323,22 @@ def test_sweep_family_dim(w1):
         )
     with pytest.raises(ParameterError):
         sweep_family(s, "bogus", (1,))
+
+
+def test_sweep_family_alpha(w1):
+    # the scenario's own alpha gives run_scenario's cells; another alpha
+    # rebuilds the weight, and delta follows it as m_tau / 8
+    s = Scenario("sweep", w1, (("dA", indicator_density(0.0, 1.0)),), dim=16,
+                 degree_max=200, lattice_r_max=0.4, r_max_ladder=(0.5, 0.6, 0.7),
+                 checks=("boundedness", "compactness"))
+    own, other = sweep_family(s, "alpha", (1.0, 2.0))
+    (row,) = run_scenario(s)
+    assert {k[2:]: v for k, v in own.items() if k.startswith("q:")} == row.quantities
+    assert own["ratio:lambda1_over_Cmu"] == row.ratios["lambda1_over_Cmu"]
+    delta2 = btk.make_exponential_weight(2.0).m_tau / 8.0
+    assert other["value"] == 2.0 and other["passed"]
+    assert other["q:C_mu"] == pytest.approx(delta2**2, rel=1e-6)
+    assert other["ratio:lambda1_over_Cmu"] == pytest.approx(1.0 / delta2**2, rel=1e-5)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -366,6 +473,68 @@ def test_btk_runs_on_numpy_alone(cli_files):
     assert wide_rows < wide_cols and tall_rows > tall_cols
     assert out["scipy"] == []
     assert (cli_files / "report.json").exists()
+
+
+def test_every_error_class_derives_from_btk_error():
+    classes = [c for c in vars(btk.errors).values()
+               if isinstance(c, type) and c.__module__ == "btk.errors"]
+    assert len(classes) == 7
+    assert all(issubclass(c, BtkError) for c in classes)
+    # each keeps its builtin base, so except ValueError still catches it
+    assert issubclass(btk.DomainError, ValueError) and issubclass(ParameterError, ValueError)
+    assert issubclass(btk.ConvergenceError, RuntimeError)
+
+
+def test_cli_prints_any_btk_error_in_one_line(cli_files, capsys, monkeypatch):
+    class FreshError(BtkError):
+        pass
+
+    def fail(*args, **kwargs):
+        raise FreshError("a new kind of failure")
+
+    monkeypatch.setattr("btk.cli.certify_class_L", fail)
+    assert cli_main(["certify-weight", str(cli_files / "weight.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "btk: FreshError: a new kind of failure\n"
+
+
+@pytest.mark.parametrize("command", [
+    "certify-weight", "lattice", "kernel-check", "toeplitz", "verify", "verify-directory",
+])
+def test_cli_unreadable_input_exits_2(cli_files, capsys, command):
+    missing = str(cli_files / "missing.json")
+    weight = str(cli_files / "weight.json")
+    argv = {
+        "certify-weight": ["certify-weight", missing],
+        "lattice": ["lattice", missing, "--r-max", "0.3", "--probes", "3000"],
+        "kernel-check": ["kernel-check", missing, "--degree", "50"],
+        "toeplitz": ["toeplitz", weight, missing, "--dim", "8", "--degree", "50"],
+        "verify": ["verify", missing, "--out", str(cli_files / "r.csv")],
+        "verify-directory": ["verify", str(cli_files), "--out", str(cli_files / "r.csv")],
+    }[command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    error = "IsADirectoryError" if command == "verify-directory" else "FileNotFoundError"
+    assert captured.out == ""
+    assert captured.err.startswith(f"btk: {error}: ") and captured.err.count("\n") == 1
+    assert not (cli_files / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "lattice"])
+def test_cli_unwritable_out_exits_2(cli_files, capsys, command):
+    # the run completes, and writing its output fails
+    out = str(cli_files / "no-such-dir" / "out")
+    argv = {
+        "verify": ["verify", str(cli_files / "scenario.json"), "--out", out + ".csv"],
+        "lattice": ["lattice", str(cli_files / "weight.json"), "--r-max", "0.3",
+                    "--probes", "3000", "--out", out + ".json"],
+    }[command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("btk: FileNotFoundError: ") and "no-such-dir" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_kernel_check(cli_files, capsys):
@@ -514,6 +683,13 @@ def test_scenario_rejects_unknown_check_and_window_names(w1, tmp_path, capsys):
     (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
                           "windows": {"berezin_rel_error": [1e-8, 1e-6]}},
      "one number at 'berezin_rel_error'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": {"berezin_rel_error": True}},
+     "one number at 'berezin_rel_error'"),
+    (scenario_from_json, {"weight": {"family": "exponential", "alpha": 1.0}, "measures": [],
+                          "windows": [1e-8]}, "scenario windows JSON must be an object"),
+    (btk.measures.measure_from_json, {"kind": "radial", "density": "gauss"},
+     "unknown radial density family 'gauss'"),
 ])
 def test_json_loaders_name_what_is_malformed(loader, data, key):
     with pytest.raises(ParameterError, match=key):
