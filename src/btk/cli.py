@@ -10,13 +10,15 @@ Subcommands:
 Exit status is 0 iff every configured window passed, and 1 when one failed.
 A btk error (bad input, a failed guard or quadrature), an input file that
 cannot be read or an output that cannot be written prints one line on
-stderr and exits 2.
+stderr and exits 2.  Outputs are checked before any work, also for
+overwriting an input or another output.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -43,6 +45,22 @@ def _load_weight(path: str):
     return weight_from_json(load_json(path))
 
 
+def _check_outputs(inputs: list, outputs: list) -> None:
+    """Fail before any work on an output path that cannot be written, or that
+    would overwrite an input file or an earlier output."""
+    taken = {os.path.realpath(p): "an input" for p in inputs}
+    for out in outputs:
+        real = os.path.realpath(out)
+        if real in taken:
+            raise ParameterError(f"output {out} would overwrite {taken[real]}")
+        taken[real] = "another output"
+        folder = os.path.dirname(real)
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), folder)
+        if os.path.isdir(real):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=float)
     sys.stdout.write("\n")
@@ -59,6 +77,7 @@ def _cmd_certify_weight(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    _check_outputs([args.weight], [args.out] if args.out else [])
     w = _load_weight(args.weight)
     delta = args.delta if args.delta is not None else w.m_tau / 8.0
     lat = build_lattice(w, delta, args.r_max, probe_count=args.probes)
@@ -124,10 +143,12 @@ def _cmd_toeplitz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    json_out = os.path.splitext(args.out)[0] + ".json"
+    _check_outputs([args.scenario], [args.out, json_out])
     s = scenario_from_json(load_json(args.scenario))
     rows = run_scenario(s)
     write_report_csv(rows, args.out)
-    write_report_json(rows, os.path.splitext(args.out)[0] + ".json")
+    write_report_json(rows, json_out)
     ok = all(r.passed for r in rows)
     _emit(
         {

@@ -170,11 +170,11 @@ class RadialDensityMeasure(Measure):
         self.meta = dict(meta or {})
         try:
             self.total_mass = self._mass_between(lo, self.support[1])
-        except FloatingPointError:
-            raise DomainError(
-                f"radial density {self.meta or 'log_g'} overflows doubles "
-                f"on its support [{lo}, {self.support[1]}]"
-            ) from None
+        except FloatingPointError:  # g overflows doubles
+            self.total_mass = np.inf
+        if not np.isfinite(self.total_mass):  # NaN too, which JSON input can give
+            raise DomainError(f"radial density {self.meta or 'log_g'} has total mass "
+                              f"{self.total_mass} on its support [{lo}, {self.support[1]}]")
 
     def g(self, r):
         r = np.asarray(r, dtype=float)
@@ -869,30 +869,30 @@ def _atomic_muhat_lp_integral(
     a list with one value per p in ps.
 
     mu_hat is piecewise constant (it jumps where an atom enters the disk
-    D(delta tau(z))), so smooth quadrature cannot converge.  When the atoms'
-    influence regions are pairwise disjoint the field is m_j^p on the region
-    of atom j and the integral splits; each region is integrated in polar
-    coordinates around its atom with the boundary radius solved exactly on
-    256 rays, and 48 Gauss-Legendre nodes along the part of each ray that
-    lies in |z| <= r_max.  A region is solved once for every r_max, and its
-    tau(z) serves every p; an r_max that leaves an atom's rays as the one
-    before left them reuses their integrals.
-    Overlapping regions fall back to a deterministic midpoint grid.
+    D(delta tau(z))), so smooth quadrature cannot converge.  It vanishes
+    outside the union of the atoms' regions R_j = {z : |z - xi_j| < delta
+    tau(z)}, and the integral over the union is sum_j int_{R_j} F / N with
+    N(z) the number of regions that hold z.  Each region is integrated in
+    polar coordinates around its atom with the boundary radius solved
+    exactly on 256 rays, and 48 Gauss-Legendre nodes along the part of each
+    ray that lies in |z| <= r_max.  A node of R_j that other regions hold
+    gets their masses in mu_hat and divides by their count; where no other
+    region reaches, that factor is exactly 1.  A region is solved once for
+    every r_max, and its tau(z) serves every p; an r_max that leaves an
+    atom's rays as the one before left them reuses their integrals.
+    Massless atoms add to mu_hat nowhere and are dropped.
     """
-    pts, masses = mu.points, mu.masses
-    taus = w.tau(np.abs(pts))
+    massive = mu.masses > 0
+    pts, masses = mu.points[massive], mu.masses[massive]
     # regions are contained in disks of radius (4/3) delta tau(xi)
-    r_out = (4.0 / 3.0) * delta * taus
-    sep = np.abs(pts[:, None] - pts[None, :])
-    overlap = sep < (r_out[:, None] + r_out[None, :])
-    np.fill_diagonal(overlap, False)
-    if np.any(overlap):
-        return _gridded_muhat_lp_integral(w, mu, delta, ps, r_maxes)
+    r_out = (4.0 / 3.0) * delta * w.tau(np.abs(pts))
+    near = np.abs(pts[:, None] - pts[None, :]) < (r_out[:, None] + r_out[None, :])
+    np.fill_diagonal(near, False)
     theta = np.arange(256) * (2.0 * np.pi / 256)
     e = np.exp(1j * theta)
     x01, w01 = gauss_legendre_rule(48)
     totals = [[0.0] * len(ps) for _ in r_maxes]
-    for xi, m in zip(pts, masses):
+    for xi, m, others in zip(pts, masses, near):
         rho = _atom_region_radii(w, xi, delta, theta)
         b = np.real(np.conj(xi) * e)
         last = means = None
@@ -910,53 +910,21 @@ def _atomic_muhat_lp_integral(
                 half = 0.5 * (hi - lo)[:, None]
                 r_nodes = lo[:, None] + half * (x01[None, :] + 1.0)
                 wr = half * w01[None, :] * r_nodes
-                tau_z = w.tau(np.abs(xi + r_nodes * e[:, None]))
+                z = xi + r_nodes * e[:, None]
+                tau_z = w.tau(np.abs(z))
+                radius = delta * tau_z
+                mass, count = np.full(z.shape, m), np.ones(z.shape)
+                for xk, mk in zip(pts[others], masses[others]):
+                    held = np.abs(z - xk) < radius
+                    mass += mk * held
+                    count += held
                 # integrand mu_hat^p * tau^(-2) = m^p tau(z)^(-2p) * tau(z)^(-2)
-                means = [float(np.mean(np.sum(wr * tau_z ** (-2.0 * p - 2.0), axis=1)))
-                         for p in ps]
+                # times this node's share (mu_hat / m)^p / N of it
+                means = [float(np.mean(np.sum(
+                    wr * tau_z ** (-2.0 * p - 2.0) * ((mass / m) ** p / count), axis=1)))
+                    for p in ps]
             for k, (p, mean) in enumerate(zip(ps, means)):
                 rung[k] += m**p * mean * 2.0
-    return totals
-
-
-def _gridded_muhat_lp_integral(
-    w: RadialWeight, mu: AtomicMeasure, delta: float, ps: list[float], r_maxes: list[float]
-) -> list:
-    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions:
-    per r_max in r_maxes, a list with one value per p in ps.
-
-    The grid has 1200 x 1200 cells on the atoms' bounding box.  Each row's
-    disk masses are computed once, on its cells in |z| <= max(r_maxes), and
-    serve every p and every rung, which sums over its own |z| <= r_max.
-    """
-    taus = w.tau(np.abs(mu.points))
-    r_out = (4.0 / 3.0) * delta * taus
-    lo_x = float(np.min(mu.points.real - r_out))
-    hi_x = float(np.max(mu.points.real + r_out))
-    lo_y = float(np.min(mu.points.imag - r_out))
-    hi_y = float(np.max(mu.points.imag + r_out))
-    xs = np.linspace(lo_x, hi_x, 1201)
-    ys = np.linspace(lo_y, hi_y, 1201)
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) / np.pi
-    totals = [[0.0] * len(ps) for _ in r_maxes]
-    for row_y in cy:
-        z = cx + 1j * row_y
-        keep = np.abs(z) <= max(r_maxes)
-        if not keep.any():
-            continue
-        z = z[keep]
-        tau_z = w.tau(np.abs(z))
-        mass = mu.disk_mass_many(z, delta * tau_z)
-        pos = mass > 0
-        if pos.any():
-            terms = [mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0) for p in ps]
-            r_pos = np.abs(z[pos])
-            for rung, r_max in zip(totals, r_maxes):
-                inner = r_pos <= r_max
-                for k, t in enumerate(terms):
-                    rung[k] += cell * float(np.sum(t[inner]))
     return totals
 
 
@@ -979,10 +947,10 @@ def mu_hat_lp_norm(
     each the scalar call's result.  The call is all or nothing: radial and
     grid rungs run from the largest r_max down, so a ladder whose largest
     rung fails to converge raises before the smaller rungs are computed.
-    Atoms solve each region once for every rung.  n_theta, tol and
-    max_doublings go to lp_lambda_tau_norm, whose defaults hold unless
-    given; a grid measure defaults to n_theta=32, tol=1e-3.  Atoms are
-    integrated region by region and take no quadrature options.
+    n_theta, tol and max_doublings go to lp_lambda_tau_norm, whose defaults
+    hold unless given; a grid measure defaults to n_theta=32, tol=1e-3.
+    Atoms take no quadrature options: one rule integrates them region by
+    region, overlapping or not, and solves each region once for every rung.
     """
     ps = _p_ladder(p)
     r_maxes = np.asarray(r_max, dtype=float).ravel().tolist()

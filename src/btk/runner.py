@@ -101,6 +101,8 @@ class Scenario:
             raise ParameterError("all p values must be positive")
         if not all(0.0 < r < 1.0 for r in self.r_max_ladder):
             raise ParameterError(f"r_max_ladder entries must lie in (0, 1): {self.r_max_ladder}")
+        if not 0.0 < self.lattice_r_max < 1.0:
+            raise ParameterError(f"lattice_r_max must lie in (0, 1), got {self.lattice_r_max}")
         if not 1 <= self.dim <= self.degree_max + 1:
             raise ParameterError(f"dim must lie in [1, degree_max + 1], got {self.dim}")
         if not self.measures:
@@ -179,7 +181,7 @@ def kernel_ratio_range(bt: BasisTable, radii: np.ndarray) -> tuple[float, float,
     return float(np.exp(lo)), float(np.exp(hi)), float(np.exp(hi - lo))
 
 
-def _weight_level_row(s: Scenario, bt: BasisTable, lat: Lattice) -> ReportRow:
+def _weight_level_row(s: Scenario, bt: BasisTable, lat: Lattice | None) -> ReportRow:
     """Checks that depend only on the weight: kernel ratio spread, lattice cert."""
     row = ReportRow(s.scenario_id, "(weight)")
     if "kernel_estimates" in s.checks:
@@ -195,7 +197,7 @@ def _weight_level_row(s: Scenario, bt: BasisTable, lat: Lattice) -> ReportRow:
     return row
 
 
-def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
+def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice | None,
                  measure_id: str, mu: Measure) -> ReportRow:
     row = ReportRow(s.scenario_id, measure_id)
     w = s.weight
@@ -276,8 +278,11 @@ def _measure_row(s: Scenario, bt: BasisTable, lat: Lattice,
 
 def run_scenario(s: Scenario) -> list[ReportRow]:
     bt = build_basis_table(s.weight, s.degree_max)
-    lat = build_lattice(s.weight, s.effective_delta, s.lattice_r_max,
-                        probe_count=LATTICE_PROBES)
+    lat = None
+    if {"lattice_cert", "schatten_equivalence"} & set(s.checks):
+        # only the lattice certificate and the lattice sum read the lattice
+        lat = build_lattice(s.weight, s.effective_delta, s.lattice_r_max,
+                            probe_count=LATTICE_PROBES)
     rows = []
     if {"kernel_estimates", "lattice_cert"} & set(s.checks):
         rows.append(_weight_level_row(s, bt, lat))

@@ -4,7 +4,13 @@ import numpy as np
 
 from btk.basis import basis_columns, kernel_at_points, kernel_norm_sq
 from btk.errors import ConvergenceError, DomainError
-from btk.measures import RadialDensityMeasure, _checked_nodes, operator_factor
+from btk.measures import (
+    AtomicMeasure,
+    RadialDensityMeasure,
+    _checked_nodes,
+    mu_hat_lp_norm,
+    operator_factor,
+)
 from btk.quadrature import gauss_legendre_nodes
 
 
@@ -119,3 +125,52 @@ def region_radii_60_steps(w, xi: complex, delta: float, theta: np.ndarray) -> np
     for _ in range(60):
         rho = delta * w.tau(np.minimum(np.abs(xi + rho * e), 1.0 - 1e-12))
     return rho
+
+
+def gridded_muhat_lp_integral(w, mu, delta: float, ps: list, r_maxes: list) -> list:
+    """Midpoint-grid integral of mu_hat^p d lambda_tau over the atoms' regions:
+    per r_max in r_maxes, a list with one value per p in ps.
+
+    The grid has 1200 x 1200 cells on the atoms' bounding box.  Each row's
+    disk masses are computed once, on its cells in |z| <= max(r_maxes), and
+    serve every p and every rung, which sums over its own |z| <= r_max.
+    Checks the region rule of mu_hat_lp_norm on clustered atoms, overlapping
+    ones included, to a few 1e-5 relative.  The cells scale with the
+    bounding box, so atoms spread far apart leave small regions coarsely
+    resolved: 0.85 and 0.9i beside a pair near 0.3 read 4.8% low at p = 1.
+    """
+    r_out = (4.0 / 3.0) * delta * w.tau(np.abs(mu.points))
+    lo_x, hi_x = np.min(mu.points.real - r_out), np.max(mu.points.real + r_out)
+    lo_y, hi_y = np.min(mu.points.imag - r_out), np.max(mu.points.imag + r_out)
+    xs = np.linspace(lo_x, hi_x, 1201)
+    ys = np.linspace(lo_y, hi_y, 1201)
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
+    cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) / np.pi
+    totals = [[0.0] * len(ps) for _ in r_maxes]
+    for row_y in cy:
+        z = cx + 1j * row_y
+        z = z[np.abs(z) <= max(r_maxes)]
+        if z.size == 0:
+            continue
+        tau_z = w.tau(np.abs(z))
+        mass = mu.disk_mass_many(z, delta * tau_z)
+        pos = mass > 0
+        terms = [mass[pos] ** p * tau_z[pos] ** (-2.0 * p - 2.0) for p in ps]
+        r_pos = np.abs(z[pos])
+        for rung, r_max in zip(totals, r_maxes):
+            inner = r_pos <= r_max
+            for k, t in enumerate(terms):
+                rung[k] += cell * float(np.sum(t[inner]))
+    return totals
+
+
+def fubini_muhat_l1(w, mu, delta: float, r_max: float) -> float:
+    """int mu_hat d lambda_tau over |z| <= r_max at p = 1, by Fubini.
+
+    int mu_hat d lambda_tau = sum_j m_j int_{R_j} tau^(-4) dA, and each
+    single-atom integral is the region rule's with nothing to share; so for
+    overlapping atoms this checks the sharing against a sum that has none.
+    """
+    return sum(float(m) * mu_hat_lp_norm(w, AtomicMeasure([xi], [1.0]), delta, 1.0, r_max)
+               for xi, m in zip(mu.points, mu.masses))

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import mpmath
@@ -16,7 +18,6 @@ from btk.measures import (
     _atom_region_radii,
     _atomic_muhat_lp_integral,
     _berezin_polar_field,
-    _gridded_muhat_lp_integral,
     berezin_many,
     carleson_constant,
     compensated_density,
@@ -33,7 +34,13 @@ from btk.measures import (
     zero_measure,
 )
 
-from oracles import berezin_measure, region_radii_60_steps, simpson_doubling
+from oracles import (
+    berezin_measure,
+    fubini_muhat_l1,
+    gridded_muhat_lp_integral,
+    region_radii_60_steps,
+    simpson_doubling,
+)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +339,20 @@ def test_radial_density_mass_overflow_raises_domain_error(w2):
         )
     # the same density is representable on a shorter support
     assert np.isfinite(compensated_density(w2, 0.5, 1.0, (0.0, 0.9)).total_mass)
+
+
+@pytest.mark.parametrize("beta, message", [
+    (float("nan"), "'beta': nan} has total mass nan "),
+    (-np.inf, "'beta': -inf} has total mass inf "),
+])
+def test_radial_density_refuses_a_non_finite_total_mass(w1, beta, message):
+    # unchecked, NaN built a measure whose operator had an all-zero spectrum
+    with pytest.raises(DomainError, match=re.escape(message)):
+        power_density(beta)
+    # Python's JSON parser reads NaN and -Infinity
+    text = json.dumps({"kind": "radial", "density": "power", "beta": beta})
+    with pytest.raises(DomainError, match=re.escape(message)):
+        measure_from_json(json.loads(text), w1)
 
 
 def test_measure_json_omitted_keys_take_constructor_defaults(w1):
@@ -684,17 +705,76 @@ def test_muhat_lp_area_measure(w1, delta1, dA):
 def test_atomic_lp_geometric_vs_grid_oracle(w1, delta1):
     mu = AtomicMeasure([0.3], [1.0])
     geo = _atomic_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
-    grid = _gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
+    grid = gridded_muhat_lp_integral(w1, mu, delta1, [0.5, 1.0, 2.0], [0.9])[0]
     assert geo == pytest.approx(grid, rel=2e-3)
 
 
-def test_atomic_lp_overlapping_atoms_fall_back(w1, delta1):
+def _overlapping(w, delta, name):
+    """Atoms whose regions overlap: a pair 0.5 delta tau(0.3) apart, or k
+    atoms of masses in [0.5, 1.5) within 3 delta tau(0.5) of 0.5."""
+    if name == "pair":
+        return AtomicMeasure([0.3, 0.3 + 0.5 * delta * float(w.tau(0.3))], [1.0, 0.5])
+    k = int(name.removeprefix("cluster"))
+    rng = np.random.default_rng(k)
+    reach = 3.0 * delta * float(w.tau(0.5))
+    pts = 0.5 + reach * np.sqrt(rng.random(k)) * np.exp(2j * np.pi * rng.random(k))
+    return AtomicMeasure(pts, 0.5 + rng.random(k))
+
+
+@pytest.mark.parametrize("name", ["pair", "cluster16"])
+def test_atomic_lp_overlapping_atoms_share_the_rays(w1, delta1, name):
+    # the grid oracle resolves these regions to a few 1e-5
+    mu = _overlapping(w1, delta1, name)
+    one = _atomic_muhat_lp_integral(w1, mu, delta1, PS, [0.9])[0]
+    grid = gridded_muhat_lp_integral(w1, mu, delta1, PS, [0.9])[0]
+    assert one == pytest.approx(grid, rel=5e-4)
+
+
+@pytest.mark.parametrize("name", ["pair", "cluster16", "cluster32"])
+def test_atomic_lp_overlapping_atoms_sum_to_fubini_at_p1(w1, delta1, name):
+    mu = _overlapping(w1, delta1, name)
+    got = mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.9)
+    assert got == pytest.approx(fubini_muhat_l1(w1, mu, delta1, 0.9), rel=2e-4)
+
+
+def test_atomic_lp_overlap_leaves_distant_atoms_exact(w1, delta1):
+    # atoms at 0.85 and 0.9i overlap nothing, and keep their region rule
+    # next to an overlapping pair: a grid over all four missed by 4.8%
     sep = 0.5 * delta1 * float(w1.tau(0.3))
-    mu = AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0])
-    val = mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.9)
-    single = mu_hat_lp_norm(w1, AtomicMeasure([0.3], [1.0]), delta1, 1.0, 0.9)
-    # two nearly coincident unit atoms behave like one atom of mass ~2
-    assert single < val < 3.0 * single
+    mu = AtomicMeasure([0.3, 0.3 + sep, 0.85, 0.9j], [1.0, 0.5, 1.0, 1.0])
+    got = mu_hat_lp_norm(w1, mu, delta1, 1.0, 0.95)
+    assert got == pytest.approx(fubini_muhat_l1(w1, mu, delta1, 0.95), rel=1e-4)
+
+
+def test_atomic_lp_coincident_atoms_are_one_atom(w1, delta1):
+    # two atoms at one point hold the same region, where mu_hat sums them
+    for xi in (0.3, 0.703):
+        one = mu_hat_lp_norm(w1, AtomicMeasure([xi], [1.5]), delta1, PS, [0.9, 0.7])
+        two = mu_hat_lp_norm(w1, AtomicMeasure([xi, xi], [1.0, 0.5]), delta1, PS,
+                             [0.9, 0.7])
+        for a, b in zip(one, two):
+            np.testing.assert_allclose(b, a, rtol=1e-12)
+
+
+def test_atomic_lp_drops_massless_atoms(w1, delta1, monkeypatch):
+    solved = []
+
+    def counted(w, xi, delta, theta, _f=_atom_region_radii):
+        solved.append(xi)
+        return _f(w, xi, delta, theta)
+
+    monkeypatch.setattr(btk.measures, "_atom_region_radii", counted)
+    sep = 0.5 * delta1 * float(w1.tau(0.3))
+    single = mu_hat_lp_norm(w1, AtomicMeasure([0.3], [1.0]), delta1, PS, 0.9)
+    with_massless = mu_hat_lp_norm(w1, AtomicMeasure([0.3, 0.3 + sep], [1.0, 0.0]),
+                                   delta1, PS, 0.9)
+    assert with_massless.tobytes() == single.tobytes()
+    assert solved == [0.3, 0.3]
+    # overlapping or not, massless atoms solve no region and give the float 0.0
+    for pts in ([0.3, 0.3 + sep], [0.3, -0.4j]):
+        got = mu_hat_lp_norm(w1, AtomicMeasure(pts, [0.0, 0.0]), delta1, 1.0, 0.9)
+        assert got == 0.0 and type(got) is float
+    assert len(solved) == 2
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
@@ -738,7 +818,7 @@ def test_region_rule_integrates_only_inside_r_max(w1, delta1):
     for xi in (0.85, 0.71, 0.703):
         mu = AtomicMeasure([xi], [1.0])
         (geo,) = _atomic_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
-        (grid,) = _gridded_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
+        (grid,) = gridded_muhat_lp_integral(w1, mu, delta1, [1.0], [0.7])[0]
         if xi < 0.705:
             assert grid > 0.0
             assert geo == pytest.approx(grid, rel=1e-3)
@@ -825,7 +905,7 @@ def test_muhat_lp_batch_matches_scalar(w1, delta1, grid_patch):
         # a coarse rule keeps the grid's disk masses cheap
         (grid_patch, 0.5, {"n_theta": 16, "tol": 1e-2}),
         (AtomicMeasure([0.3, -0.4j], [1.0, 0.5]), 0.9, {}),
-        # overlapping regions: the gridded fallback
+        # overlapping regions share their rays
         (AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0]), 0.9, {}),
     ]
     with warnings.catch_warnings():
@@ -909,8 +989,7 @@ def test_muhat_lp_ladder_matches_scalar(w1, delta1, grid_patch):
         # -0.4j by none, so its ray integrals are reused
         (AtomicMeasure([0.3, -0.4j, 0.703], [1.0, 0.5, 2.0]), (0.9, 0.7, 0.8, 0.9), {},
          (1.0, PS)),
-        # overlapping regions: the gridded fallback, one grid for the ladder,
-        # inside every rung and clipped by the rung 0.7
+        # overlapping regions, inside every rung and clipped by the rung 0.7
         (AtomicMeasure([0.3, 0.3 + sep], [1.0, 1.0]), (0.9, 0.35), {}, (PS,)),
         (AtomicMeasure([0.703, 0.703 + sep_rim], [1.0, 1.0]), (0.9, 0.7), {}, (PS,)),
     ]

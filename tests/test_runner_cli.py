@@ -118,6 +118,53 @@ def test_scenario_rejects_out_of_range_values(w1, tmp_path, capsys, options, mes
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("checks", [("berezin_equivalence",), ("kernel_estimates",),
+                                    ("lattice_cert",)])
+@pytest.mark.parametrize("value", [0.0, 1.0, float("nan")])
+def test_scenario_rejects_a_lattice_r_max_outside_the_disk(w1, tmp_path, capsys, checks,
+                                                          value):
+    # every check set refuses it, also those that build no lattice
+    measures = (("atoms", AtomicMeasure([0.3], [1.0])),)
+    message = f"lattice_r_max must lie in (0, 1), got {value}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        Scenario("bad", w1, measures, checks=checks, lattice_r_max=value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "id": "bad",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "atoms", "kind": "atomic", "atoms": [[0.3, 0.0, 1.0]]}],
+        "checks": list(checks),
+        "lattice_r_max": value,
+    }))
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"btk: ParameterError: {message}\n"
+
+
+@pytest.mark.parametrize("checks, builds", [
+    (("berezin_equivalence", "compactness"), 0),
+    (("kernel_estimates", "boundedness"), 0),
+    (("lattice_cert",), 1),
+    (("schatten_equivalence",), 1),
+])
+def test_run_scenario_builds_the_lattice_only_for_the_checks_that_read_it(
+        w1, monkeypatch, checks, builds):
+    calls = []
+
+    def spy(*args, _f=btk.runner.build_lattice, **kw):
+        calls.append(args[2])
+        return _f(*args, **kw)
+
+    monkeypatch.setattr(btk.runner, "build_lattice", spy)
+    s = Scenario("lazy", w1, (("atoms", AtomicMeasure([0.3, -0.2j], [1.0, 0.5])),),
+                 r_max_ladder=(0.6,), dim=16, degree_max=200, lattice_r_max=0.3,
+                 checks=checks)
+    rows = run_scenario(s)
+    assert calls == [0.3] * builds
+    assert not any(r.notes for r in rows)
+
+
 @pytest.mark.parametrize("windows, message", [
     # unchecked, the first ends the measure row on a TypeError and the
     # second escapes run_scenario as one
@@ -436,6 +483,23 @@ def test_cli_verify_reports_a_load_error_in_one_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_cli_verify_refuses_a_nan_density_exponent(tmp_path, capsys):
+    # Python's JSON parser reads NaN; unchecked, the row failed on a
+    # ConvergenceError note and the run exited 1, the status of a failed window
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "id": "nan",
+        "weight": {"family": "exponential", "alpha": 1.0},
+        "measures": [{"id": "p", "kind": "radial", "density": "power", "beta": float("nan")}],
+    }))
+    assert "NaN" in path.read_text()
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("btk: DomainError: ") and "total mass nan" in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
 _NUMPY_ALONE = """
 import json, sys
 import btk
@@ -523,7 +587,7 @@ def test_cli_unreadable_input_exits_2(cli_files, capsys, command):
 
 @pytest.mark.parametrize("command", ["verify", "lattice"])
 def test_cli_unwritable_out_exits_2(cli_files, capsys, command):
-    # the run completes, and writing its output fails
+    # an output in a missing directory
     out = str(cli_files / "no-such-dir" / "out")
     argv = {
         "verify": ["verify", str(cli_files / "scenario.json"), "--out", out + ".csv"],
@@ -535,6 +599,47 @@ def test_cli_unwritable_out_exits_2(cli_files, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("btk: FileNotFoundError: ") and "no-such-dir" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    "verify-missing-dir", "verify-over-scenario", "verify-json-out", "verify-out-dir",
+    "lattice-missing-dir", "lattice-over-weight",
+])
+def test_cli_checks_output_paths_before_any_work(cli_files, capsys, monkeypatch, case):
+    # unchecked, a missing directory failed after the whole run, and the
+    # other paths overwrote the input file or the CSV report
+    calls = []
+    for owner, name in ((btk.cli, "scenario_from_json"), (btk.cli, "run_scenario"),
+                        (btk.cli, "build_lattice"), (btk.runner, "build_lattice")):
+        def spy(*args, _f=getattr(owner, name), _name=name, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    scenario, weight = cli_files / "scenario.json", cli_files / "weight.json"
+    lattice = ["lattice", str(weight), "--r-max", "0.3", "--probes", "3000", "--out"]
+    argv, error, word = {
+        "verify-missing-dir": (["verify", str(scenario), "--out",
+                                str(cli_files / "no-such-dir" / "r.csv")],
+                               "FileNotFoundError", "no-such-dir"),
+        "verify-over-scenario": (["verify", str(scenario), "--out",
+                                  str(cli_files / "scenario.csv")],
+                                 "ParameterError", "scenario.json would overwrite an input"),
+        "verify-json-out": (["verify", str(scenario), "--out", str(cli_files / "r.json")],
+                            "ParameterError", "r.json would overwrite another output"),
+        "verify-out-dir": (["verify", str(scenario), "--out", str(cli_files)],
+                           "IsADirectoryError", str(cli_files)),
+        "lattice-missing-dir": (lattice + [str(cli_files / "no-such-dir" / "lat.json")],
+                                "FileNotFoundError", "no-such-dir"),
+        "lattice-over-weight": (lattice + [str(weight)],
+                                "ParameterError", "weight.json would overwrite an input"),
+    }[case]
+    before = {p.name: p.read_bytes() for p in cli_files.iterdir()}
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"btk: {error}: ") and word in captured.err
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in cli_files.iterdir()} == before
 
 
 def test_cli_kernel_check(cli_files, capsys):
