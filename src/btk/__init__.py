@@ -20,7 +20,6 @@ from .errors import (
     ResourceError,
     TruncationError,
 )
-from .jacobi import jacobi_eigvalsh
 from .lattice import (
     Lattice,
     build_lattice,

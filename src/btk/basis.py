@@ -259,6 +259,7 @@ def check_submeanvalue(
     if not p > 0:
         raise DomainError("p must be positive")
     w = bt.weight
+    w.require_delta(delta)
     coeffs = np.asarray(f_coeffs, dtype=complex)
     tau_z = float(w.tau(abs(z)))
     rho = delta * tau_z

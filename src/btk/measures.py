@@ -19,17 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-# kernel_at_points and kernel_norm_sq_many are not called here.  They stay
-# module attributes because the benchmark's traced run (perfbench/layers.py)
-# patches them at this module, as it does radial_log_moments.
+# kernel_at_points is not called here.  It stays a module attribute because
+# the benchmark's traced run (perfbench/layers.py) patches it at this module.
 from .basis import (
     CHUNK_ENTRIES,
     BasisTable,
     basis_columns,
     basis_moduli,
-    kernel,
     kernel_at_points,
-    kernel_norm_sq,
     kernel_norm_sq_many,
 )
 from .errors import (
@@ -41,7 +38,12 @@ from .errors import (
     require_keys,
 )
 from .lattice import Lattice
-from .quadrature import gauss_legendre_nodes, gauss_legendre_rule, radial_log_moments
+from .quadrature import (
+    GAUSS_ORDERS,
+    gauss_legendre_nodes,
+    gauss_legendre_rule,
+    radial_log_moments,
+)
 from .weights import RadialWeight
 
 #: centres x nonzero cells per chunk of GridDensityMeasure.disk_mass_many
@@ -49,6 +51,15 @@ GRID_PAIR_CHUNK = 1 << 18
 
 #: relative agreement of two trapezoid levels at which a whole arc is done
 ARC_TRAPEZOID_TOL = 1e-13
+
+#: relative agreement of two Gauss orders at which a radial total mass is done.
+#: Near a support edge 1e-12 short of a singularity of g, every Gauss node
+#: rounds to a double 1.1e-16 apart, which moves it by up to 5e-5 of its
+#: distance to the singularity: the sum is then noisy at 3e-8 relative for
+#: power_density(-0.99), and near 1e-6 for beta <= -2, where orders climb
+RADIAL_MASS_TOL = 1e-6
+#: panel widths, as shares of the half-support, from each edge: 4^-24 ~ 3.6e-15
+_RADIAL_MASS_GRADE = 0.25 ** np.arange(25)
 
 
 def _arc_trapezoid_levels():
@@ -169,7 +180,7 @@ class RadialDensityMeasure(Measure):
         self.support = (lo, min(hi, 1.0 - 1e-12))
         self.meta = dict(meta or {})
         try:
-            self.total_mass = self._mass_between(lo, self.support[1])
+            self.total_mass = self._support_mass()
         except FloatingPointError:  # g overflows doubles
             self.total_mass = np.inf
         if not np.isfinite(self.total_mass):  # NaN too, which JSON input can give
@@ -183,18 +194,30 @@ class RadialDensityMeasure(Measure):
             vals = np.exp(self.log_g(np.clip(r, lo, hi)))
         return np.where((r >= lo) & (r <= hi), vals, 0.0)
 
-    def _mass_between(self, a: float, b: float) -> float:
-        # 2 * int_a^b g(r) r dr, composite Gauss-Legendre in two panels
-        a = max(a, self.support[0])
-        b = min(b, self.support[1])
+    def _support_mass(self) -> float:
+        # 2 * int g(r) r dr over the support on Gauss-Legendre panels graded
+        # toward both edges, where g may blow up just beyond the support
+        # (power densities with beta < 0 at r = 1); the order doubles until
+        # two levels agree within RADIAL_MASS_TOL.  A non-finite level is
+        # returned as it is, for the caller's DomainError.
+        a, b = self.support
         if b <= a:
             return 0.0
-        total = 0.0
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            x, wq = gauss_legendre_nodes(lo, hi, 256)
-            total += 2.0 * float(np.dot(wq, self.g(x) * x))
-        return total
+        half = 0.5 * (b - a)
+        edges = np.concatenate(([a], a + half * _RADIAL_MASS_GRADE[::-1],
+                                b - half * _RADIAL_MASS_GRADE[1:], [b]))
+        prev = None
+        for q in GAUSS_ORDERS:
+            x, wq = gauss_legendre_nodes(edges[:-1, None], edges[1:, None], q)
+            total = 2.0 * float(np.sum(wq * self.g(x) * x))
+            if not np.isfinite(total) or (
+                    prev is not None and abs(total - prev) <= RADIAL_MASS_TOL * total):
+                return total
+            prev = total
+        raise ConvergenceError(
+            f"radial density {self.meta or 'log_g'} total mass failed to reach "
+            f"rtol={RADIAL_MASS_TOL:g} by Gauss-Legendre order {GAUSS_ORDERS[-1]} "
+            f"on its support [{a}, {b}]")
 
     def disk_mass_many(self, centers: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         """mu(D(center, rho)) via the arc-angle reduction, vectorized.
@@ -617,8 +640,13 @@ def carleson_constant(
     w.require_delta(delta)
     if not (0.0 < r_max < 1.0):
         raise DomainError("r_max must lie in (0, 1)")
+    if n_r < 1 or n_theta < 1:
+        raise ParameterError(f"carleson_constant needs n_r >= 1 and n_theta >= 1, "
+                             f"got {n_r} and {n_theta}")
     if tail_radii is None:
         tail_radii = tuple(f * r_max for f in (0.3, 0.5, 0.7, 0.85, 0.95))
+    if not len(tail_radii):
+        raise ParameterError("carleson_constant needs at least one tail radius")
     if mu.is_zero:
         return CarlesonReport(0.0, 0j, tuple(tail_radii), (0.0,) * len(tail_radii), 0)
     if isinstance(mu, GridDensityMeasure):
@@ -683,10 +711,13 @@ def _check_berezin_truncation(bt: BasisTable, z_out: complex, outer) -> None:
     (see toeplitz.assemble_toeplitz), so the largest |z| is the worst point for
     ||K_z||^2 and, with the largest-modulus node, the worst pair for
     K_z(xi): these two checks raise exactly when some point's series is.
+    The pair's series has the tail of the diagonal one at
+    s = sqrt(|outer| |z_out|), so one diagonal call checks both.
     """
-    kernel_norm_sq(bt, z_out)
+    radii = [abs(z_out)]
     if outer is not None:
-        kernel(bt, outer, z_out)
+        radii.append(np.sqrt(abs(outer * np.conj(z_out))))
+    kernel_norm_sq_many(bt, np.array(radii))
 
 
 def berezin_many(bt: BasisTable, mu: Measure, zs: np.ndarray) -> np.ndarray:

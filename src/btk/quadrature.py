@@ -20,8 +20,9 @@ from .weights import RadialWeight
 #: relative tolerance of every monomial norm table
 MONOMIAL_NORM_TOL = 1e-9
 
-#: Gauss-Legendre orders tried, in turn, on every row still open
-_GAUSS_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
+#: Gauss-Legendre orders tried, in turn, on every row still open (and on a
+#: radial measure's total mass, in measures)
+GAUSS_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 
 
 def _log_row_sums(lf: np.ndarray) -> np.ndarray:
@@ -44,7 +45,7 @@ def _converge_rows(level, n_rows: int, tol: float, what: str) -> np.ndarray:
     """
     out = np.empty(n_rows)
     rows, prev = np.arange(n_rows), None
-    for q in _GAUSS_ORDERS:
+    for q in GAUSS_ORDERS:
         cur = level(q, rows)
         if prev is not None:
             with np.errstate(invalid="ignore"):
@@ -57,7 +58,7 @@ def _converge_rows(level, n_rows: int, tol: float, what: str) -> np.ndarray:
         prev = cur
     raise ConvergenceError(
         f"{what} failed to reach tol={tol:g} by Gauss-Legendre order "
-        f"{_GAUSS_ORDERS[-1]} on {rows.size} of {n_rows} rows"
+        f"{GAUSS_ORDERS[-1]} on {rows.size} of {n_rows} rows"
     )
 
 

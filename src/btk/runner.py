@@ -300,18 +300,20 @@ def run_scenario(s: Scenario) -> list[ReportRow]:
 def sweep_family(s: Scenario, parameter: str, values) -> list[dict]:
     """Run run_scenario across a one-parameter family and tabulate ratios.
 
-    Supported parameters: "alpha" (rebuilds the weight), "dim", "delta".
+    Supported parameters: "alpha" (rebuilds the weight in its own family,
+    which a custom weight has not), "dim", "delta".
     Returns one summary dict per value with every ratio column.
     """
-    from .weights import make_exponential_weight
-
+    if parameter == "alpha" and s.weight.family == "custom":
+        raise ParameterError("an alpha sweep rebuilds the weight from its JSON, "
+                             "and a custom weight has none")
     table = []
     for v in values:
         if parameter == "alpha":
             sv = replace(
                 s,
                 scenario_id=f"{s.scenario_id}-alpha{v:g}",
-                weight=make_exponential_weight(v),
+                weight=weight_from_json({**s.weight.to_json(), "alpha": v}),
                 delta=None,
             )
         elif parameter in ("dim", "delta"):

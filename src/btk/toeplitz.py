@@ -31,12 +31,17 @@ from numpy.linalg import LinAlgError, svd
 from .basis import BasisTable, basis_moduli, kernel, kernel_norm_sq, polar_parts, unit_powers
 from .errors import ConvergenceError, DomainError, ParameterError
 
-# jacobi_eigvalsh and radial_log_moments are not called here.  They stay
-# module attributes because the benchmark's traced run (perfbench/layers.py)
-# patches them at this module.
-from .jacobi import jacobi_eigvalsh  # noqa: F401
 from .measures import AtomicMeasure, Measure, operator_factor
+
+# radial_log_moments is not called here.  It stays a module attribute because
+# the benchmark's traced run (perfbench/layers.py) patches it at this module.
 from .quadrature import radial_log_moments  # noqa: F401
+
+
+def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    # Not called: spectra come from the factor's SVD.  Only the traced run's
+    # patch table (perfbench/layers.py) names it, until that table changes.
+    return np.linalg.eigvalsh(matrix)
 
 
 @dataclass(frozen=True)

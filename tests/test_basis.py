@@ -381,6 +381,13 @@ def test_submeanvalue_rejects_the_zero_polynomial(bt400, delta1):
         check_submeanvalue(bt400, [0.0, 0.0], 0.3, p=2.0, beta=0.0, delta=delta1)
 
 
+@pytest.mark.parametrize("delta", [0.0, 5.0, float("nan")])
+def test_submeanvalue_rejects_a_delta_outside_its_range(bt400, delta):
+    # unchecked, delta = 0 gave NaN and delta = 5 integrated outside the disk
+    with pytest.raises(ParameterError, match="outside admissible range"):
+        check_submeanvalue(bt400, [1.0], 0.3, p=2.0, beta=0.0, delta=delta)
+
+
 def test_submeanvalue_subharmonic_below_one(bt400, delta1):
     # |f|^p is subharmonic for holomorphic f, so the center value cannot
     # exceed the areal average (beta = 0)

@@ -1,5 +1,6 @@
 """Every name a btk module imports is used there, or is a site that the
-benchmark's traced run patches (perfbench/layers.py's _sites); and no btk
+benchmark's traced run patches (perfbench/layers.py's _sites); every btk
+module but the CLI serves another through a name that one reads; and no btk
 module reads the environment."""
 
 import ast
@@ -21,22 +22,41 @@ ENVIRON_READS = {"environ", "environb", "getenv", "getenvb"}
 # (module, name) imported only so that the traced run can patch it there
 PATCH_ONLY = {
     ("btk.measures", "kernel_at_points"),
-    ("btk.measures", "kernel_norm_sq_many"),
-    ("btk.toeplitz", "jacobi_eigvalsh"),
     ("btk.toeplitz", "radial_log_moments"),
 }
+
+
+def _imported(tree: ast.AST) -> dict:
+    """Each name that a module imports -> the btk module it comes from, or None."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update({a.asname or a.name.split(".")[0]: None for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = node.module if node.level == 1 else None
+            names.update({a.asname or a.name: source for a in node.names})
+    return names
+
+
+def _read_names(tree: ast.AST) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def _unused_imports(path: Path) -> set:
     """Names imported anywhere in the module at path and read nowhere in it."""
     tree = ast.parse(path.read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
-    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return set(_imported(tree)) - _read_names(tree)
+
+
+def _unserved_modules(paths) -> set:
+    """Stems of the modules at paths from which no other of them imports a name it reads."""
+    served = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = _read_names(tree)
+        served |= {src for name, src in _imported(tree).items()
+                   if src not in (None, path.stem) and name in read}
+    return {p.stem for p in paths} - served
 
 
 def _environ_reads(path: Path) -> set:
@@ -74,6 +94,20 @@ def test_unused_import_check_can_fail(tmp_path):
                     "from .basis import kernel, kernel_norm_sq as kns\n\n"
                     "def f(x: np.ndarray):\n    return kernel(x)\n")
     assert _unused_imports(path) == {"math", "kns"}
+
+
+def test_every_module_serves_another():
+    # a module that only __init__'s export or a patch site imports is dead code;
+    # the CLI is the entry point, which no module imports
+    assert _unserved_modules(MODULES) == {"cli"}
+
+
+def test_unserved_module_check_can_fail(tmp_path):
+    (tmp_path / "a.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "b.py").write_text("from .a import f\n\ndef g():\n    return 2\n")
+    (tmp_path / "c.py").write_text("from .b import g\n\nx = g()\n")
+    # b imports f but never reads it, so a serves no one; nothing imports c
+    assert _unserved_modules(sorted(tmp_path.glob("*.py"))) == {"a", "c"}
 
 
 def test_no_module_reads_the_environment():

@@ -95,6 +95,26 @@ def test_power_density_total_mass():
     assert mu.total_mass == pytest.approx(0.5, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta, rtol", [
+    # g(r) = (1 - r^2)^beta is singular at r = 1, 1e-12 past the support edge,
+    # where doubles lie 1.1e-16 apart: rounding the Gauss nodes alone leaves
+    # 3.5e-8 relative at beta = -0.99 (the same nodes at 40 digits give 2e-16)
+    (-0.99, 1e-7), (-0.9, 1e-7), (-0.5, 1e-10), (0.0, 1e-10), (2.0, 1e-10),
+])
+def test_power_density_total_mass_matches_closed_form(beta, rtol):
+    # 2 int_0^b (1 - r^2)^beta r dr = (1 - (1 - b^2)^(beta + 1)) / (beta + 1)
+    mu = power_density(beta)
+    b = mu.support[1]
+    gap = (1.0 - b) * (1.0 + b)  # 1 - b is exact in doubles
+    assert mu.total_mass == pytest.approx((1.0 - gap ** (beta + 1.0)) / (beta + 1.0), rel=rtol)
+
+
+def test_radial_total_mass_raises_when_orders_never_agree():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConvergenceError, match="total mass"):
+        RadialDensityMeasure(lambda r: rng.normal(size=np.shape(r)))
+
+
 def test_indicator_total_mass():
     mu = indicator_density(0.3, 0.7)
     assert mu.total_mass == pytest.approx(0.7**2 - 0.3**2, rel=1e-12)
@@ -441,6 +461,20 @@ def test_carleson_validation(w1, delta1, dA):
     for r_max in (0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(DomainError, match="r_max"):
             carleson_constant(w1, dA, delta1, r_max)
+
+
+@pytest.mark.parametrize("options", [
+    # unchecked: numpy's ValueError from an empty argmax, a ZeroDivisionError
+    # from an empty ring of angles, and an IndexError in compact_signature
+    pytest.param({"n_r": 0}, id="n_r-0"),
+    pytest.param({"n_theta": 0}, id="n_theta-0"),
+    pytest.param({"tail_radii": ()}, id="no-tail-radii"),
+])
+@pytest.mark.parametrize("mu", [AtomicMeasure([0.3, -0.2j], [1.0, 0.5]), power_density(2.0),
+                                zero_measure()], ids=["atoms", "radial", "zero"])
+def test_carleson_rejects_an_empty_grid_or_tail_ladder(w1, delta1, mu, options):
+    with pytest.raises(ParameterError, match="carleson_constant needs"):
+        carleson_constant(w1, mu, delta1, 0.9, **options)
 
 
 def test_carleson_zero_measure(w1, delta1):

@@ -388,6 +388,26 @@ def test_sweep_family_alpha(w1):
     assert other["ratio:lambda1_over_Cmu"] == pytest.approx(1.0 / delta2**2, rel=1e-5)
 
 
+def test_sweep_family_alpha_keeps_the_weight_family(w_dexp):
+    # each alpha rebuilds a double exponential weight with the scenario's beta
+    # and gamma, not an exponential one under the scenario's id
+    s = Scenario("dexp", w_dexp, (("dA", indicator_density(0.0, 1.0)),), dim=16,
+                 degree_max=200, lattice_r_max=0.4, r_max_ladder=(0.5, 0.6, 0.7),
+                 checks=("boundedness", "compactness"))
+    alphas = (0.5, 1.5)
+    table = sweep_family(s, "alpha", alphas)
+    assert [e["value"] for e in table] == list(alphas)
+    for entry, a in zip(table, alphas):
+        w = btk.make_double_exponential_weight(a, 1.0, 1.0)
+        (row,) = run_scenario(dataclasses.replace(s, weight=w))
+        assert {k[2:]: v for k, v in entry.items() if k.startswith("q:")} == row.quantities
+        assert {k[6:]: v for k, v in entry.items() if k.startswith("ratio:")} == row.ratios
+    custom_weight = btk.make_custom_weight(lambda r: 0.1 * (1.0 - r), 0.11, 0.11)
+    custom = dataclasses.replace(s, weight=custom_weight, delta=0.01)
+    with pytest.raises(ParameterError, match="custom"):
+        sweep_family(custom, "alpha", (1.0,))
+
+
 # --- CLI --------------------------------------------------------------------
 
 
