@@ -84,20 +84,8 @@ def _cmd_lattice(args) -> int:
     cert = certify_lattice(lat, probe_count=args.probes)
     if args.out:
         save_lattice(lat, args.out)
-    _emit(
-        {
-            "points": len(lat),
-            "delta": delta,
-            "r_max": args.r_max,
-            "separation_ok": cert.separation_ok,
-            "min_separation_ratio": cert.min_separation_ratio,
-            "covering_misses": cert.covering_misses,
-            "probes_checked": cert.probes_checked,
-            "multiplicity_observed": cert.multiplicity_observed,
-            "repairs_failed": lat.repairs_failed,
-            "passed": cert.passed,
-        }
-    )
+    _emit({**dataclasses.asdict(cert), "points": len(lat), "delta": delta, "r_max": args.r_max,
+           "repairs_failed": lat.repairs_failed, "passed": cert.passed})
     return 0 if cert.passed else 1
 
 

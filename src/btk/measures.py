@@ -95,7 +95,6 @@ _ARC_GAUSS_RULE = _arc_gauss_rule()
 class Measure:
     """Base class; concrete subclasses implement disk_mass_many and to_json."""
 
-    kind: str
     total_mass: float
 
     def disk_mass(self, center: complex, rho: float) -> float:
@@ -124,8 +123,6 @@ class AtomicMeasure(Measure):
 
     An empty atom list is the zero measure.
     """
-
-    kind = "atomic"
 
     def __init__(self, points, masses):
         points = np.asarray(points, dtype=complex).ravel()
@@ -169,8 +166,6 @@ class RadialDensityMeasure(Measure):
     g is supplied as log g (vectorized, -inf where g vanishes) so that
     weight-compensated densities stay representable.
     """
-
-    kind = "radial"
 
     def __init__(self, log_g: Callable, support=(0.0, 1.0), meta: dict | None = None):
         lo, hi = float(support[0]), float(support[1])
@@ -329,19 +324,21 @@ class GridDensityMeasure(Measure):
     gets a quantised mass (see disk_mass_many).
     """
 
-    kind = "grid"
     MAX_DEPTH = 3
 
     def __init__(self, cells, r_outer: float = 1.0 - 1e-9):
         cells = np.asarray(cells, dtype=float)
         if cells.ndim != 2:
             raise DomainError("cells must be a 2-D (nr x ntheta) array")
+        nr, ntheta = cells.shape
+        if nr < 1 or ntheta < 1:
+            raise ParameterError(f"grid measure needs nr, ntheta >= 1, not {nr}, {ntheta}")
         if not np.all((cells >= 0.0) & (cells < np.inf)):
             raise DomainError("cell masses must be finite and nonnegative")
         if not (0.0 < r_outer < 1.0):
             raise DomainError("r_outer must lie in (0, 1)")
         self.cells = cells
-        self.nr, self.ntheta = cells.shape
+        self.nr, self.ntheta = nr, ntheta
         self.r_outer = float(r_outer)
         self.r_edges = np.linspace(0.0, self.r_outer, self.nr + 1)
         self.t_edges = np.linspace(0.0, 2.0 * np.pi, self.ntheta + 1)
@@ -774,8 +771,6 @@ def _berezin_polar_field(bt: BasisTable, mu: Measure):
     def field(r: np.ndarray, n_theta: int) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         out = np.empty((r.size, 1 if y is None else n_theta))
-        if r.size == 0:
-            return out
         _check_berezin_truncation(bt, complex(np.max(r)), outer)
         if y is None:
             chunk = max(1, CHUNK_ENTRIES // n_terms)

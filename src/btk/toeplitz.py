@@ -53,7 +53,6 @@ class ToeplitzMatrix:
     factor[:dim], the spectrum every row.
     """
 
-    basis: BasisTable
     dim: int
     structure: str                      # "diagonal" | "finite_rank" | "dense"
     diag: np.ndarray | None = None      # (dim,) real
@@ -65,20 +64,20 @@ def assemble_toeplitz(bt: BasisTable, mu: Measure, dim: int) -> ToeplitzMatrix:
     if not (1 <= dim <= bt.degree_max + 1):
         raise DomainError(f"dim must lie in [1, {bt.degree_max + 1}]")
     if mu.is_zero:
-        return ToeplitzMatrix(bt, dim, "diagonal", diag=np.zeros(dim))
+        return ToeplitzMatrix(dim, "diagonal", diag=np.zeros(dim))
     atomic = isinstance(mu, AtomicMeasure)
     factor, diag, outer = operator_factor(bt, mu, bt.degree_max + 1 if atomic else dim)
     if diag is not None:
-        return ToeplitzMatrix(bt, dim, "diagonal", diag=diag)
+        return ToeplitzMatrix(dim, "diagonal", diag=diag)
     if not atomic:
-        return ToeplitzMatrix(bt, dim, "dense", factor=factor)
+        return ToeplitzMatrix(dim, "dense", factor=factor)
     # The kernel series of a pair (xi_j, xi_k) has terms |xi_j xi_k|^n / h_n,
     # and its tail ratio (r^N / h_N) / sum r^n / h_n grows with r (its log
     # derivative is (N - E[n]) / r >= 0), so the pair at the atom of largest
     # modulus is the worst: checking it raises TruncationError exactly when
     # some pair's series is inadequate.
     kernel(bt, outer, outer)
-    return ToeplitzMatrix(bt, dim, "finite_rank", factor=factor)
+    return ToeplitzMatrix(dim, "finite_rank", factor=factor)
 
 
 def _singular_values(f: np.ndarray) -> np.ndarray:
@@ -105,8 +104,8 @@ class SpectrumReport:
     eigenvalues: np.ndarray = field(repr=False)
     dim: int
     structure: str
-    clip_magnitude: float       # 0: sigma^2 and radial moments are never negative
     tail_estimate: float        # smallest retained eigenvalue times dim
+    clip_magnitude = 0.0        # a constant: sigma^2 and radial moments are never negative
 
     @property
     def operator_norm(self) -> float:
@@ -131,13 +130,8 @@ def spectrum(tm: ToeplitzMatrix) -> SpectrumReport:
     ev = np.concatenate([ev, np.zeros(max(tm.dim - len(ev), 0))])
     ev = np.sort(ev)[::-1].copy()
     tail = float(ev[-1]) * tm.dim if len(ev) else 0.0
-    return SpectrumReport(
-        eigenvalues=ev,
-        dim=tm.dim,
-        structure=tm.structure,
-        clip_magnitude=0.0,
-        tail_estimate=tail,
-    )
+    return SpectrumReport(eigenvalues=ev, dim=tm.dim, structure=tm.structure,
+                          tail_estimate=tail)
 
 
 def schatten_norm(report: SpectrumReport, p: float) -> float:

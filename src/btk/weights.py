@@ -38,8 +38,12 @@ class RadialWeight:
     phi_prime: Callable[[np.ndarray], np.ndarray]
     log_tau_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     tau_prime_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    c1: float = 0.0
-    c2: float = 0.0
+    c1: float
+    c2: float
+
+    def __post_init__(self):
+        if not (self.c1 > 0 and self.c2 > 0):
+            raise DomainError("c1 and c2 must be positive")
 
     @property
     def m_tau(self) -> float:
@@ -183,7 +187,7 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
         return -0.5 * (np.log(g * a * b / 2.0) + b * v ** (-a) + np.log(bracket))
 
     def tau_prime(r):
-        return _central_tau_prime(log_tau, r)
+        return _central_difference(lambda x: np.exp(log_tau(x)), r)
 
     c1, c2 = _estimate_constants(log_tau, tau_prime)
     return RadialWeight(
@@ -198,11 +202,12 @@ def make_double_exponential_weight(alpha: float, beta: float, gamma: float) -> R
     )
 
 
-def _central_tau_prime(log_tau, r):
+def _central_difference(f, r):
+    """df/dr by a central difference of step 1e-7 (1 - r), kept in (0, 1)."""
     r = np.asarray(r, dtype=float)
     h = 1e-7 * np.maximum(1.0 - r, 1e-9)
     lo = np.maximum(r - h, 1e-12)
-    return (np.exp(log_tau(r + h)) - np.exp(log_tau(lo))) / (r + h - lo)
+    return (f(r + h) - f(lo)) / (r + h - lo)
 
 
 def make_custom_weight(
@@ -214,9 +219,8 @@ def make_custom_weight(
     """Custom weight from a user tau (and optionally phi); no symbolic checks.
 
     Intended for certification experiments; kernel machinery requires phi.
+    tau' and phi' are central differences of tau and phi.
     """
-    if not (c1 > 0 and c2 > 0):
-        raise DomainError("c1 and c2 must be positive")
 
     def log_tau(r):
         with np.errstate(divide="ignore"):
@@ -229,9 +233,9 @@ def make_custom_weight(
         family="custom",
         params={},
         phi=phi if phi is not None else missing,
-        phi_prime=missing,
+        phi_prime=missing if phi is None else lambda r: _central_difference(phi, r),
         log_tau_fn=log_tau,
-        tau_prime_fn=lambda r: _central_tau_prime(log_tau, r),
+        tau_prime_fn=lambda r: _central_difference(lambda x: np.exp(log_tau(x)), r),
         c1=float(c1),
         c2=float(c2),
     )

@@ -381,6 +381,11 @@ def test_submeanvalue_rejects_the_zero_polynomial(bt400, delta1):
         check_submeanvalue(bt400, [0.0, 0.0], 0.3, p=2.0, beta=0.0, delta=delta1)
 
 
+def test_submeanvalue_is_zero_where_f_vanishes(bt400, delta1):
+    # f(z) = z - 0.3 vanishes at the centre but not on the disk around it
+    assert check_submeanvalue(bt400, [-0.3, 1.0], 0.3, p=2.0, beta=0.0, delta=delta1) == 0.0
+
+
 @pytest.mark.parametrize("delta", [0.0, 5.0, float("nan")])
 def test_submeanvalue_rejects_a_delta_outside_its_range(bt400, delta):
     # unchecked, delta = 0 gave NaN and delta = 5 integrated outside the disk

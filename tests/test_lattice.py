@@ -812,6 +812,27 @@ def test_pairs_on_cell_edges_negative_and_wide(case):
     assert np.all(d[row, hit] <= np.sqrt(2.0) * radii[row] * (1 + 1e-12))
 
 
+def test_pairs_skips_a_band_whose_annulus_holds_no_data():
+    # rows of radius 0.05 among the data near the origin, and rows of radius
+    # 0.01 (another band) on |z| = 0.9, where no datum lies within reach of
+    # their norms: that band gives no pair, and the first band all of its own
+    rng = np.random.default_rng(8)
+    targets = rng.uniform(-0.2, 0.2, (500, 2))
+    angle = 2.0 * np.pi * rng.random(30)
+    xy = np.vstack([rng.uniform(-0.2, 0.2, (40, 2)),
+                    0.9 * np.column_stack([np.cos(angle), np.sin(angle)])])
+    radii = np.concatenate([np.full(40, 0.05), np.full(30, 0.01)])
+    row, hit = _pairs(xy, radii, targets)
+    d = _distances(xy, targets)
+    want = d <= radii[:, None]
+    got = np.zeros_like(want)
+    got[row, hit] = True
+    assert want[:40].any() and not want[40:].any()
+    assert np.all(row < 40)
+    assert not np.any(want & ~got)
+    assert np.all(d[row, hit] <= np.sqrt(2.0) * radii[row] * (1 + 1e-12))
+
+
 @pytest.mark.parametrize("case", ["octaves", "band_edges", "scalar", *_PAIR_CASES])
 def test_pairs_self_search_returns_each_pair_once(case):
     # xy against itself: each pair of distinct rows once, found from the row

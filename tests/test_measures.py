@@ -89,6 +89,27 @@ def test_density_measure_validation(make, message):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: GridDensityMeasure(np.zeros((0, 5))), id="no-rings"),
+    pytest.param(lambda: GridDensityMeasure(np.zeros((3, 0))), id="no-sectors"),
+    pytest.param(lambda: GridDensityMeasure.area_measure(0, 4), id="area-no-rings"),
+])
+def test_empty_grid_is_refused(make):
+    with pytest.raises(ParameterError, match="nr, ntheta >= 1"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: power_density(2.0, support=(0.3, 0.3)), id="point-support"),
+    # the support [1, 1 - 1e-12] ends below its start once clipped
+    pytest.param(lambda: indicator_density(1.0, 1.0), id="clipped-support"),
+])
+def test_radial_density_on_an_empty_support_is_zero(make):
+    mu = make()
+    assert mu.total_mass == 0.0
+    assert mu.is_zero
+
+
 def test_power_density_total_mass():
     # 2 int (1 - r^2) r dr = 1/2
     mu = power_density(1.0)

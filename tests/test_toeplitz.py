@@ -62,7 +62,7 @@ def test_radial_dense_oracle_matches_diagonal(bt400):
     mu = indicator_density(0.2, 0.6)
     dim = 48
     fast = assemble_toeplitz(bt400, mu, dim)
-    m = dense_entries(ToeplitzMatrix(bt400, dim, "dense", factor=radial_factor(bt400, mu, dim)))
+    m = dense_entries(ToeplitzMatrix(dim, "dense", factor=radial_factor(bt400, mu, dim)))
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(m)))
     np.testing.assert_allclose(np.diag(m).real, fast.diag, rtol=1e-8)
@@ -272,8 +272,7 @@ def test_assembly_validation(bt400):
 def _report(evs):
     evs = np.sort(np.asarray(evs, dtype=float))[::-1]
     return SpectrumReport(
-        eigenvalues=evs, dim=len(evs), structure="diagonal",
-        clip_magnitude=0.0, tail_estimate=0.0,
+        eigenvalues=evs, dim=len(evs), structure="diagonal", tail_estimate=0.0,
     )
 
 
@@ -308,6 +307,40 @@ def test_schatten_validation():
     for p in (0.0, float("nan")):
         with pytest.raises(ParameterError):
             schatten_norm(_report([1.0]), p)
+
+
+def _scattered_atoms():
+    rng = np.random.default_rng(3)
+    u, v = rng.random((2, 128))
+    return AtomicMeasure(0.8 * np.sqrt(u) * np.exp(2j * np.pi * v), np.full(128, 1 / 128))
+
+
+def _clustered_atoms():
+    rng = np.random.default_rng(4)
+    u, v = rng.random((2, 16))
+    return AtomicMeasure(0.5 + 0.01 * np.sqrt(u) * np.exp(2j * np.pi * v), np.ones(16))
+
+
+@pytest.mark.parametrize("make, dim", [
+    pytest.param(_scattered_atoms, 256, id="atoms-128"),
+    pytest.param(lambda: GridDensityMeasure.area_measure(12, 16, r_outer=0.95), 160, id="grid"),
+    pytest.param(_clustered_atoms, 64, id="clustered-16"),
+])
+def test_spectrum_majorizes_the_gram_diagonal(bt400, make, dim):
+    # Schur-Horn: the eigenvalues of the Gram F^H F majorize its diagonal
+    # d_k = |F[:, k]|^2, so sum lambda^p <= sum d^p for p <= 1 (equal at
+    # p = 1) and >= for p >= 1
+    tm = assemble_toeplitz(bt400, make(), dim)
+    lam = spectrum(tm).eigenvalues
+    d = np.sum(np.abs(tm.factor) ** 2, axis=0)
+
+    def power_sum(x, p):
+        return math.fsum(x[x > 0.0] ** p)
+
+    assert power_sum(lam, 1.0) == pytest.approx(power_sum(d, 1.0), rel=1e-12)
+    for p in (0.25, 0.5):
+        assert power_sum(lam, p) <= power_sum(d, p)
+    assert power_sum(lam, 2.0) >= power_sum(d, 2.0)
 
 
 def test_spectrum_raises_when_svd_fails(bt400, monkeypatch):
@@ -358,8 +391,7 @@ def test_tail_flag_behavior():
     flat = _report(np.ones(10))
     assert flat.tail_flag(1.0) is False  # tail_estimate = 0 here
     heavy = SpectrumReport(
-        eigenvalues=np.ones(10), dim=10, structure="diagonal",
-        clip_magnitude=0.0, tail_estimate=10.0,
+        eigenvalues=np.ones(10), dim=10, structure="diagonal", tail_estimate=10.0,
     )
     assert heavy.tail_flag(1.0) is True
 

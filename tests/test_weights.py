@@ -101,6 +101,26 @@ def test_custom_weight_certifies():
         w.phi(np.array([0.5]))  # no potential supplied
 
 
+def test_custom_weight_with_a_potential_builds_a_basis_table(w1):
+    # phi' is a central difference of phi, so the norm table's peak search runs
+    custom = btk.make_custom_weight(w1.tau, w1.c1, w1.c2, phi=w1.phi)
+    np.testing.assert_allclose(btk.build_basis_table(custom, 2000).log_h,
+                               btk.build_basis_table(w1, 2000).log_h, rtol=0, atol=1e-9)
+    with pytest.raises(DomainError, match="no potential"):
+        btk.build_basis_table(btk.make_custom_weight(w1.tau, w1.c1, w1.c2), 10)
+
+
+def test_radial_weight_needs_positive_constants(w1):
+    parts = dict(family="x", params={}, phi=w1.phi, phi_prime=w1.phi_prime,
+                 log_tau_fn=w1.log_tau_fn, tau_prime_fn=w1.tau_prime_fn)
+    with pytest.raises(TypeError):
+        btk.RadialWeight(**parts)
+    for c1, c2 in ((0.0, 1.0), (float("nan"), 1.0), (1.0, -1.0)):
+        with pytest.raises(DomainError, match="c1 and c2"):
+            btk.RadialWeight(**parts, c1=c1, c2=c2)
+    assert btk.RadialWeight(**parts, c1=w1.c1, c2=w1.c2).m_tau == w1.m_tau
+
+
 def test_json_round_trip(w1, w_dexp):
     for w in (w1, w_dexp):
         again = btk.weight_from_json(w.to_json())
